@@ -5,7 +5,7 @@ line-vector set; scoring, termination, and the final weighted alignment run
 against the full correspondence set.
 """
 
-from .correspondences import Correspondence, CorrespondenceSet
+from .correspondences import CorrespondenceSet
 from .engine import (
     RansacConfig,
     RegistrationResult,
@@ -24,14 +24,13 @@ from .geometry import (
 )
 from .local_sets import (
     Histogram,
-    LineVector,
     LineVectorSet,
     RatioRange,
     angle_histogram_filter,
     build_angle_histogram,
     build_line_vectors,
     length_ratio_filter,
-    normal_angle,
+    normal_angles,
     scotts_bin_width,
 )
 from .metrics import MetricsReport, evaluate, mese, precision_recall_f1, rmse, rotation_error, translation_error

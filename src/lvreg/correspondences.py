@@ -1,35 +1,20 @@
 """Correspondence containers.
 
 `CorrespondenceSet` is a struct-of-arrays: paired (N, 3) source/target
-points plus optional per-item normals, integer weights, and previous/current
-residuals (NaN where absent). Each item keeps a stable integer id in
-`indices`; subsets preserve the ids of the parent set, so line vectors and
-bookkeeping can reference items independently of subset membership.
+points plus optional per-item normals and previous/current residuals (NaN
+where absent). Each item keeps a stable integer id in `indices`; subsets
+preserve the ids of the parent set, so line vectors can reference items
+independently of subset membership.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True, eq=False)
-class Correspondence:
-    """Single-item view of a correspondence set row."""
-
-    source: np.ndarray
-    target: np.ndarray
-    source_normal: np.ndarray | None = None
-    target_normal: np.ndarray | None = None
-    weight: int = 0
-    prev_residual: float | None = None
-    curr_residual: float | None = None
 
 
 class CorrespondenceSet:
     def __init__(self, source, target, *, source_normals=None, target_normals=None,
-                 weights=None, prev_residuals=None, curr_residuals=None, indices=None):
+                 prev_residuals=None, curr_residuals=None, indices=None):
         self.source = np.asarray(source, dtype=np.float64).reshape(-1, 3)
         self.target = np.asarray(target, dtype=np.float64).reshape(-1, 3)
         n = len(self.source)
@@ -37,7 +22,6 @@ class CorrespondenceSet:
             raise ValueError("source and target must pair up one-to-one")
         self.source_normals = None if source_normals is None else np.asarray(source_normals, dtype=np.float64).reshape(n, 3)
         self.target_normals = None if target_normals is None else np.asarray(target_normals, dtype=np.float64).reshape(n, 3)
-        self.weights = np.zeros(n, dtype=np.int64) if weights is None else np.asarray(weights, dtype=np.int64).copy()
         self.prev_residuals = np.full(n, np.nan) if prev_residuals is None else np.asarray(prev_residuals, dtype=np.float64).copy()
         self.curr_residuals = np.full(n, np.nan) if curr_residuals is None else np.asarray(curr_residuals, dtype=np.float64).copy()
         self.indices = np.arange(n, dtype=np.int64) if indices is None else np.asarray(indices, dtype=np.int64).copy()
@@ -54,8 +38,8 @@ class CorrespondenceSet:
         return CorrespondenceSet(
             self.source, self.target,
             source_normals=source_normals, target_normals=target_normals,
-            weights=self.weights, prev_residuals=self.prev_residuals,
-            curr_residuals=self.curr_residuals, indices=self.indices,
+            prev_residuals=self.prev_residuals, curr_residuals=self.curr_residuals,
+            indices=self.indices,
         )
 
     def subset(self, rows) -> "CorrespondenceSet":
@@ -65,8 +49,8 @@ class CorrespondenceSet:
             self.source[rows], self.target[rows],
             source_normals=None if self.source_normals is None else self.source_normals[rows],
             target_normals=None if self.target_normals is None else self.target_normals[rows],
-            weights=self.weights[rows], prev_residuals=self.prev_residuals[rows],
-            curr_residuals=self.curr_residuals[rows], indices=self.indices[rows],
+            prev_residuals=self.prev_residuals[rows], curr_residuals=self.curr_residuals[rows],
+            indices=self.indices[rows],
         )
 
     def rows_for(self, ids) -> np.ndarray:
@@ -76,16 +60,3 @@ class CorrespondenceSet:
         if np.any(rows >= len(self.indices)) or np.any(self.indices[np.minimum(rows, len(self.indices) - 1)] != ids):
             raise KeyError("id not present in this correspondence set")
         return rows
-
-    def item(self, row: int) -> Correspondence:
-        prev = self.prev_residuals[row]
-        curr = self.curr_residuals[row]
-        return Correspondence(
-            source=self.source[row],
-            target=self.target[row],
-            source_normal=None if self.source_normals is None else self.source_normals[row],
-            target_normal=None if self.target_normals is None else self.target_normals[row],
-            weight=int(self.weights[row]),
-            prev_residual=None if np.isnan(prev) else float(prev),
-            curr_residual=None if np.isnan(curr) else float(curr),
-        )

@@ -80,17 +80,6 @@ class RansacConfig:
                          convergence_tol=self.gnc_convergence_tol)
 
 
-@dataclass
-class RansacState:
-    """Mutable bookkeeping of one registration run."""
-
-    best_global: RigidTransform
-    best_global_count: int
-    t_glo: int = 0
-    rounds_completed: int = 0
-    weights: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-
-
 @dataclass(frozen=True)
 class LocalRoundResult:
     transform: RigidTransform
@@ -186,8 +175,9 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
         basic = l_sub.take(rows)
         endpoint_rows = c_sul.rows_for(basic.member_ids())
         try:
-            candidate = estimate_local_transform(basic, c_sul.subset(endpoint_rows),
-                                                 gnc_cfg, initial_rotation=received_glo.rotation)
+            candidate = estimate_local_transform(basic, c_sul.source[endpoint_rows],
+                                                 c_sul.target[endpoint_rows], gnc_cfg,
+                                                 initial_rotation=received_glo.rotation)
         except DegenerateInput:
             if attempts >= cfg.max_local_iterations:
                 if best is None:
@@ -208,6 +198,14 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
             return LocalRoundResult(best, t_lcl, t_lcl, "iteration-cap", best_count)
 
 
+def _full_local_sets(corrs: CorrespondenceSet):
+    """Last rung of the fallback ladder: the full set with all its usable pairs."""
+    pairs = build_line_vectors(corrs)
+    if len(pairs) < 2:
+        raise DegenerateInput("fewer than 2 usable line vectors in the full correspondence set")
+    return corrs, pairs, RatioRange.everything()
+
+
 def _initial_local_sets(corrs: CorrespondenceSet, cfg: RansacConfig):
     """Build the filtered local sets with graceful fallbacks on degenerate input.
 
@@ -215,31 +213,26 @@ def _initial_local_sets(corrs: CorrespondenceSet, cfg: RansacConfig):
     correspondences -> unfiltered pairs of the full set. A filter that
     retains nothing (or cannot discriminate) must not abort registration.
     """
-    angle_hist = None
-    sr_hist = None
+    if not cfg.use_ahs_lvlp:
+        return (*_full_local_sets(corrs), None, None)
+    angle_hist = sr_hist = None
     local = corrs
-    if cfg.use_ahs_lvlp:
-        try:
-            angle_hist = build_angle_histogram(corrs)
-            local = angle_histogram_filter(corrs, angle_hist)
-        except (EmptyResult, DegenerateDistribution) as exc:
-            log.debug("angle filter fell back to the full set: %s", exc)
-            local = corrs
-        try:
-            lvs_all = build_line_vectors(local)
-            l_sul, ratio_range, sr_hist = length_ratio_filter(lvs_all)
-        except TooFewCorrespondences:
-            l_sul, ratio_range = LineVectorSet([], [], np.empty((0, 3)), np.empty((0, 3)), []), RatioRange.everything()
-        if len(l_sul) < 2 and len(local) >= 2:
-            l_sul, ratio_range = build_line_vectors(local), RatioRange.everything()
-    else:
-        l_sul, ratio_range = build_line_vectors(corrs), RatioRange.everything()
-    if len(l_sul) < 2:
-        local = corrs
-        l_sul, ratio_range = build_line_vectors(corrs), RatioRange.everything()
-        if len(l_sul) < 2:
-            raise DegenerateInput("fewer than 2 usable line vectors in the full correspondence set")
-    return local, l_sul, ratio_range, angle_hist, sr_hist
+    try:
+        angle_hist = build_angle_histogram(corrs)
+        local = angle_histogram_filter(corrs, angle_hist)
+    except (EmptyResult, DegenerateDistribution) as exc:
+        log.debug("angle filter fell back to the full set: %s", exc)
+    try:
+        pairs = build_line_vectors(local)
+    except TooFewCorrespondences:  # the angle filter kept fewer than 2 correspondences
+        return (*_full_local_sets(corrs), angle_hist, None)
+    if len(pairs):
+        l_sul, ratio_range, sr_hist = length_ratio_filter(pairs)
+        if len(l_sul) >= 2:
+            return local, l_sul, ratio_range, angle_hist, sr_hist
+    if len(pairs) >= 2:
+        return local, pairs, RatioRange.everything(), angle_hist, sr_hist
+    return (*_full_local_sets(corrs), angle_hist, sr_hist)
 
 
 def run_registration(corrs: CorrespondenceSet, source: PointCloud, target: PointCloud,
@@ -264,34 +257,31 @@ def run_registration(corrs: CorrespondenceSet, source: PointCloud, target: Point
         corrs = annotate_normals(corrs, source, target, cfg.k_normals)
     local_set, l_sul, ratio_range, angle_hist, sr_hist = _initial_local_sets(corrs, cfg)
 
-    identity = RigidTransform.identity()
-    state = RansacState(
-        best_global=identity,
-        best_global_count=len(residual_inliers(identity, corrs, cfg.residual_threshold)),
-        weights=np.zeros(n, dtype=np.int64),
-    )
+    best_global = RigidTransform.identity()
+    best_count = len(residual_inliers(best_global, corrs, cfg.residual_threshold))
+    t_glo = 0
+    weights = np.zeros(n, dtype=np.int64)
     trace: list[RoundTrace] = []
     sus_decisions: list = []
     exit_reason = "max-rounds"
 
-    while True:
-        local_res = run_local_ransac(l_sul, local_set, state.best_global, state.t_glo, cfg, rng)
+    for _ in range(cfg.r_max):
+        local_res = run_local_ransac(l_sul, local_set, best_global, t_glo, cfg, rng)
         cand_count = len(residual_inliers(local_res.transform, corrs, cfg.residual_threshold))
-        if cand_count > state.best_global_count:
-            state.best_global = local_res.transform
-            state.best_global_count = cand_count
-        state.t_glo += local_res.iterations
+        if cand_count > best_count:
+            best_global, best_count = local_res.transform, cand_count
+        t_glo += local_res.iterations
 
         corrs.prev_residuals = corrs.curr_residuals
-        corrs.curr_residuals = residuals(state.best_global, corrs.source, corrs.target)
+        corrs.curr_residuals = residuals(best_global, corrs.source, corrs.target)
         ir_glo = np.nonzero(corrs.curr_residuals < cfg.residual_threshold)[0]
-        cl_glo = confidence_level(len(ir_glo) / n, state.t_glo)
+        cl_glo = confidence_level(len(ir_glo) / n, t_glo)
 
         terminated = cl_glo >= cfg.confidence_target
         if not terminated:
-            state.weights[ir_glo] += 1
+            weights[ir_glo] += 1
         trace.append(RoundTrace(
-            round_index=len(trace) + 1, t_glo=state.t_glo, t_lcl=local_res.iterations,
+            round_index=len(trace) + 1, t_glo=t_glo, t_lcl=local_res.iterations,
             branch=local_res.branch, n_global_inliers=len(ir_glo), global_confidence=cl_glo,
             local_set_size=len(local_set), line_vector_count=len(l_sul),
             ir_glo=ir_glo, weights_updated=not terminated,
@@ -305,19 +295,12 @@ def run_registration(corrs: CorrespondenceSet, source: PointCloud, target: Point
                 ratio_range, rng, sigma_mode=cfg.sigma_mode)
             sus_decisions.append(decisions)
             if len(l_sul) < 2 or len(local_set) == 0:
-                # the update emptied the local sets; rebuild from the full set
-                local_set = corrs
-                l_sul = build_line_vectors(corrs)
-                ratio_range = RatioRange.everything()
-                if len(l_sul) < 2:
-                    exit_reason = "degenerate-local-sets"
-                    state.rounds_completed += 1
-                    break
-        state.rounds_completed += 1
-        if state.rounds_completed >= cfg.r_max:
-            break
+                # The update emptied the local sets; rebuild from the full set,
+                # whose pairs are a superset of the initial local ones, so the
+                # full-set rung cannot fail here.
+                local_set, l_sul, ratio_range = _full_local_sets(corrs)
 
-    final_weights = state.weights
+    final_weights = weights
     if final_weights.sum() == 0:
         final_weights = np.zeros(n, dtype=np.int64)
         ir_last = trace[-1].ir_glo if trace else np.arange(0)
@@ -326,18 +309,18 @@ def run_registration(corrs: CorrespondenceSet, source: PointCloud, target: Point
         final = weighted_kabsch(corrs.source, corrs.target, final_weights)
     except DegenerateInput:
         log.debug("weighted alignment degenerate; returning the best sampled transform")
-        final = state.best_global
+        final = best_global
 
     final_cl = trace[-1].global_confidence if trace else 0.0
     return RegistrationResult(
         transform=final,
         rounds=len(trace),
-        total_iterations=state.t_glo,
+        total_iterations=t_glo,
         final_confidence=final_cl,
         inlier_indices=residual_inliers(final, corrs, cfg.residual_threshold),
         per_round_trace=trace,
         exit_reason=exit_reason,
-        accumulated_weights=state.weights,
+        accumulated_weights=weights,
         angle_histogram=angle_hist,
         scale_ratio_histogram=sr_hist,
         sus_decisions=sus_decisions,

@@ -7,6 +7,7 @@ round-trips exactly in float64, so writers and loaders are bit-compatible.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,12 @@ def _parse_floats(tokens, expected: int, line_number: int) -> list[float]:
     if len(tokens) != expected:
         raise ParseError(f"expected {expected} values, found {len(tokens)}", line_number)
     try:
-        return [float(t) for t in tokens]
+        values = [float(t) for t in tokens]
     except ValueError as exc:
         raise ParseError(str(exc), line_number) from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ParseError("non-finite value", line_number)
+    return values
 
 
 def _data_lines(text: str):
@@ -84,10 +88,7 @@ def load_ply(path) -> PointCloud:
         tokens = lines[number - 1].split()
         if len(tokens) < len(properties):
             raise ParseError(f"expected {len(properties)} values, found {len(tokens)}", number)
-        try:
-            points[row] = [float(tokens[c]) for c in cols]
-        except ValueError as exc:
-            raise ParseError(str(exc), number) from exc
+        points[row] = _parse_floats([tokens[c] for c in cols], 3, number)
     return PointCloud(points)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correspondences import Correspondence, CorrespondenceSet
+from .correspondences import CorrespondenceSet
 from .errors import (
     DegenerateDistribution,
     EmptyResult,
@@ -35,16 +35,8 @@ SCOTT_FACTOR = 3.49
 MAX_BINS = 100_000
 
 
-def normal_angle(c: Correspondence) -> float:
-    """Angle in [0, pi] between the source and target normals of a correspondence."""
-    if c.source_normal is None or c.target_normal is None:
-        raise MissingNormals("correspondence has no estimated normals")
-    dot = float(np.dot(c.source_normal, c.target_normal))
-    return float(np.arccos(np.clip(dot, -1.0, 1.0)))
-
-
 def normal_angles(corrs: CorrespondenceSet) -> np.ndarray:
-    """Vectorized normal angles for every correspondence."""
+    """Angle in [0, pi] between the source and target normals of every correspondence."""
     if not corrs.has_normals():
         raise MissingNormals("correspondence set has no estimated normals")
     dots = np.sum(corrs.source_normals * corrs.target_normals, axis=1)
@@ -71,15 +63,14 @@ class Histogram:
     """Fixed-width binning with per-bin item membership.
 
     Item with value v lands in bin floor((v - lower_bound) / bin_width);
-    when `clamped_top` the index is clamped into the last bin so a value
-    exactly at the domain's upper edge stays inside.
+    `from_values(..., clamp_top=True)` clamps the index into the last bin
+    so a value exactly at the domain's upper edge stays inside.
     """
 
     bin_width: float
     lower_bound: float
     counts: np.ndarray
     bin_members: list
-    clamped_top: bool = False
 
     @classmethod
     def from_values(cls, values, bin_width: float, lower_bound: float, n_bins: int,
@@ -95,17 +86,11 @@ class Histogram:
         splits = np.searchsorted(idx[order], np.arange(1, n_bins))
         members = [m for m in np.split(order, splits)]
         return cls(bin_width=bin_width, lower_bound=lower_bound, counts=counts,
-                   bin_members=members, clamped_top=clamp_top)
+                   bin_members=members)
 
     @property
     def n_bins(self) -> int:
         return len(self.counts)
-
-    def bin_index(self, value: float) -> int:
-        idx = int(np.floor((value - self.lower_bound) / self.bin_width))
-        if self.clamped_top:
-            idx = min(idx, self.n_bins - 1)
-        return idx
 
     def edges(self) -> np.ndarray:
         return self.lower_bound + self.bin_width * np.arange(self.n_bins + 1)
@@ -148,17 +133,6 @@ def reduction_ratio(n_before: int, n_after: int) -> float:
     return (n_before - n_after) / n_before
 
 
-@dataclass(frozen=True, eq=False)
-class LineVector:
-    """Difference vectors between two correspondences, with their length ratio."""
-
-    i: int
-    j: int
-    v_source: np.ndarray
-    v_target: np.ndarray
-    scale_ratio: float
-
-
 class LineVectorSet:
     """Struct-of-arrays collection of line vectors keyed by correspondence ids."""
 
@@ -170,21 +144,26 @@ class LineVectorSet:
         self.scale_ratio = np.asarray(scale_ratio, dtype=np.float64)
         self.n_zero_skipped = n_zero_skipped
 
+    @classmethod
+    def from_differences(cls, i, j, v_source, v_target) -> "LineVectorSet":
+        """Line vectors from per-pair difference vectors, v = x_i - x_j.
+
+        Pairs whose source or target difference has zero norm are dropped
+        and counted in `n_zero_skipped`.
+        """
+        ns = np.linalg.norm(v_source, axis=1)
+        nt = np.linalg.norm(v_target, axis=1)
+        keep = (ns > 0.0) & (nt > 0.0)
+        return cls(i[keep], j[keep], v_source[keep], v_target[keep], ns[keep] / nt[keep],
+                   n_zero_skipped=int(np.count_nonzero(~keep)))
+
     def __len__(self) -> int:
         return len(self.i)
-
-    def __getitem__(self, row: int) -> LineVector:
-        return LineVector(int(self.i[row]), int(self.j[row]), self.v_source[row],
-                          self.v_target[row], float(self.scale_ratio[row]))
 
     def take(self, rows) -> "LineVectorSet":
         rows = np.asarray(rows)
         return LineVectorSet(self.i[rows], self.j[rows], self.v_source[rows],
                              self.v_target[rows], self.scale_ratio[rows])
-
-    def drop_member(self, member_id: int) -> "LineVectorSet":
-        keep = (self.i != member_id) & (self.j != member_id)
-        return self.take(np.nonzero(keep)[0])
 
     def extend(self, other: "LineVectorSet") -> "LineVectorSet":
         return LineVectorSet(
@@ -213,17 +192,11 @@ def build_line_vectors(c_sul: CorrespondenceSet) -> LineVectorSet:
     if n < 2:
         raise TooFewCorrespondences("need at least 2 correspondences for line vectors")
     r, s = np.triu_indices(n, k=1)
-    ids = c_sul.indices
     vs = c_sul.source[r] - c_sul.source[s]
     vt = c_sul.target[r] - c_sul.target[s]
-    ns = np.linalg.norm(vs, axis=1)
-    nt = np.linalg.norm(vt, axis=1)
-    keep = (ns > 0.0) & (nt > 0.0)
-    skipped = int(np.count_nonzero(~keep))
-    ratio = np.zeros(len(r))
-    ratio[keep] = ns[keep] / nt[keep]
-    return LineVectorSet(ids[r[keep]], ids[s[keep]], vs[keep], vt[keep],
-                         ratio[keep], n_zero_skipped=skipped)
+    i, j = c_sul.indices[r], c_sul.indices[s]
+    del r, s  # quadratic in n: free the row pairs before the norms are computed
+    return LineVectorSet.from_differences(i, j, vs, vt)
 
 
 @dataclass(frozen=True)

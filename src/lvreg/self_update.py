@@ -9,20 +9,22 @@ threshold is admitted/evicted probabilistically, comparing its true-inlier
 probability (a chi-distribution survival in 3 dimensions) against a
 uniformly drawn percent threshold.
 
-Line vectors are maintained incrementally: eviction drops all incident
-vectors, admission pairs the newcomer against every current member and
-keeps pairs whose scale ratio falls in the retained ratio band.
+Line vectors are revised in one pass per round: the vectors incident to
+any evicted member are dropped, and each admitted correspondence is paired
+against the retained members and the admitted ones with smaller ids,
+keeping the pairs whose scale ratio falls in the retained ratio band.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincc
 
-from .correspondences import Correspondence, CorrespondenceSet
+from .correspondences import CorrespondenceSet
 from .errors import MissingResidual
 from .local_sets import LineVectorSet, RatioRange
 
@@ -41,7 +43,6 @@ class UpdateRule(enum.Enum):
     NEW_INLIER = "new-inlier"            # just crossed below the threshold: probabilistic admit
     NEW_OUTLIER = "new-outlier"          # just crossed above the threshold: probabilistic evict
     STABLE_OUTLIER = "stable-outlier"    # outlier in both rounds: evict outright
-    NOT_APPLICABLE = "not-applicable"
 
 
 @dataclass(frozen=True)
@@ -77,72 +78,58 @@ def draw_sigma(rng: np.random.Generator, residual_threshold: float) -> float:
     return residual_threshold - float(rng.uniform(0.0, residual_threshold))
 
 
-def _require_curr(c: Correspondence) -> float:
-    if c.curr_residual is None:
-        raise MissingResidual("current residual required for a self-update decision")
-    return c.curr_residual
-
-
-def classify_inclusion(c: Correspondence, in_ir_glo: bool, in_c_sul: bool,
-                       residual_threshold: float, rng: np.random.Generator,
-                       sigma: float | None = None, index: int = -1) -> UpdateDecision:
+def classify_inclusion(prev_residual: float, curr_residual: float, residual_threshold: float,
+                       rng: np.random.Generator, sigma: float | None = None,
+                       index: int = -1) -> UpdateDecision:
     """Decide whether a global inlier outside the local set is admitted.
 
     A two-round inlier is admitted outright (probability 1, no random
     draw). A first-round-or-recovered inlier is admitted iff its
     true-inlier probability exceeds a freshly drawn percent threshold.
+    A NaN residual is absent: a NaN `prev_residual` takes the
+    probabilistic path, and a NaN `curr_residual` raises MissingResidual.
     """
-    if not (in_ir_glo and not in_c_sul):
-        return UpdateDecision(index, UpdateAction.KEEP, UpdateRule.NOT_APPLICABLE)
-    curr = _require_curr(c)
-    if c.prev_residual is not None and c.prev_residual < residual_threshold:
+    if math.isnan(curr_residual):
+        raise MissingResidual("current residual required for a self-update decision")
+    if prev_residual < residual_threshold:
         return UpdateDecision(index, UpdateAction.INCLUDE, UpdateRule.STABLE_INLIER, probability=1.0)
     s = draw_sigma(rng, residual_threshold) if sigma is None else sigma
-    prob = true_inlier_probability(curr, s)
+    prob = true_inlier_probability(curr_residual, s)
     threshold = draw_probability_threshold(rng)
     action = UpdateAction.INCLUDE if prob > threshold else UpdateAction.SKIP
     return UpdateDecision(index, action, UpdateRule.NEW_INLIER, probability=prob, threshold=threshold)
 
 
-def classify_removal(c: Correspondence, in_ir_glo: bool, in_c_sul: bool,
-                     residual_threshold: float, rng: np.random.Generator,
-                     sigma: float | None = None, index: int = -1) -> UpdateDecision:
+def classify_removal(prev_residual: float, curr_residual: float, residual_threshold: float,
+                     rng: np.random.Generator, sigma: float | None = None,
+                     index: int = -1) -> UpdateDecision:
     """Decide whether a local member that is no longer a global inlier is evicted.
 
     A two-round outlier is evicted outright (no random draw). One that was
-    an inlier in the previous round (or has no history yet) is evicted iff
-    its true-outlier probability (1 - P) exceeds a drawn percent threshold.
+    an inlier in the previous round (or has no history yet, NaN) is
+    evicted iff its true-outlier probability (1 - P) exceeds a drawn
+    percent threshold. A NaN `curr_residual` raises MissingResidual.
     """
-    if not (in_c_sul and not in_ir_glo):
-        return UpdateDecision(index, UpdateAction.KEEP, UpdateRule.NOT_APPLICABLE)
-    curr = _require_curr(c)
-    if c.prev_residual is not None and c.prev_residual >= residual_threshold:
+    if math.isnan(curr_residual):
+        raise MissingResidual("current residual required for a self-update decision")
+    if prev_residual >= residual_threshold:
         return UpdateDecision(index, UpdateAction.REMOVE, UpdateRule.STABLE_OUTLIER)
     s = draw_sigma(rng, residual_threshold) if sigma is None else sigma
-    prob = true_inlier_probability(curr, s)
+    prob = true_inlier_probability(curr_residual, s)
     threshold = draw_probability_threshold(rng)
     action = UpdateAction.REMOVE if (1.0 - prob) > threshold else UpdateAction.KEEP
     return UpdateDecision(index, action, UpdateRule.NEW_OUTLIER, probability=prob, threshold=threshold)
 
 
-def _pair_block(corrs: CorrespondenceSet, new_id: int, member_ids: np.ndarray,
-                ratio_range: RatioRange) -> LineVectorSet:
-    """Line vectors between one admitted correspondence and the current members."""
-    rows_new = corrs.rows_for([new_id])[0]
-    rows_mem = corrs.rows_for(member_ids)
-    lo = np.minimum(new_id, member_ids)
-    hi = np.maximum(new_id, member_ids)
-    # v_source = x_i - x_j with i < j by item id (canonical pair orientation)
-    sign = np.where(member_ids > new_id, 1.0, -1.0)[:, None]
-    vs = sign * (corrs.source[rows_new] - corrs.source[rows_mem])
-    vt = sign * (corrs.target[rows_new] - corrs.target[rows_mem])
-    ns = np.linalg.norm(vs, axis=1)
-    nt = np.linalg.norm(vt, axis=1)
-    keep = (ns > 0.0) & (nt > 0.0)
-    ratio = np.zeros(len(lo))
-    ratio[keep] = ns[keep] / nt[keep]
-    keep &= np.asarray(ratio_range.contains(ratio), dtype=bool)
-    return LineVectorSet(lo[keep], hi[keep], vs[keep], vt[keep], ratio[keep])
+def _decide(classify, corrs: CorrespondenceSet, ids: np.ndarray, action: UpdateAction,
+            residual_threshold: float, rng: np.random.Generator, sigma: float | None):
+    """Classify each candidate id in order; returns (decisions, ids given `action`)."""
+    rows = corrs.rows_for(ids)
+    decisions = [classify(prev, curr, residual_threshold, rng, sigma=sigma, index=gid)
+                 for gid, prev, curr in zip(ids.tolist(), corrs.prev_residuals[rows].tolist(),
+                                            corrs.curr_residuals[rows].tolist())]
+    chosen = np.array([d.action is action for d in decisions], dtype=bool)
+    return decisions, ids[chosen]
 
 
 def update_local_sets(corrs: CorrespondenceSet, local_set: CorrespondenceSet,
@@ -154,6 +141,8 @@ def update_local_sets(corrs: CorrespondenceSet, local_set: CorrespondenceSet,
     Eviction decisions run first (ascending id), then admissions
     (ascending id), so newcomers pair against the already-pruned set.
     Every examined candidate yields an UpdateDecision for the audit trail.
+    New line vectors are appended in (admitted id, member id) order, the
+    order in which admitting one id at a time would produce them.
 
     Returns (new_local_set, new_line_vectors, decisions).
     """
@@ -165,35 +154,32 @@ def update_local_sets(corrs: CorrespondenceSet, local_set: CorrespondenceSet,
     elif sigma_mode == "fixed-half-tr":
         sigma = residual_threshold / 2.0
 
-    ir_set = set(int(g) for g in np.asarray(ir_glo).ravel())
-    sul_set = set(int(g) for g in local_set.indices)
-    decisions: list[UpdateDecision] = []
+    ir_glo = np.asarray(ir_glo, dtype=np.int64).ravel()
+    members = local_set.indices
+    evict_decisions, removed = _decide(classify_removal, corrs, np.setdiff1d(members, ir_glo),
+                                       UpdateAction.REMOVE, residual_threshold, rng, sigma)
+    admit_decisions, admitted = _decide(classify_inclusion, corrs, np.setdiff1d(ir_glo, members),
+                                        UpdateAction.INCLUDE, residual_threshold, rng, sigma)
+    retained = np.setdiff1d(members, removed)
+    current = np.union1d(retained, admitted)
 
-    removed = []
-    for gid in sorted(sul_set - ir_set):
-        row = corrs.rows_for([gid])[0]
-        d = classify_removal(corrs.item(row), False, True, residual_threshold, rng,
-                             sigma=sigma, index=gid)
-        decisions.append(d)
-        if d.action is UpdateAction.REMOVE:
-            removed.append(gid)
-    current = sorted(sul_set - set(removed))
-    if removed:
-        keep = ~(np.isin(lvs.i, removed) | np.isin(lvs.j, removed))
-        lvs = lvs.take(np.nonzero(keep)[0])
+    # Admitted id a pairs with every retained member and every admitted id
+    # below it; np.nonzero walks the mask row-major, so rows come out by a,
+    # then by member id.
+    a_col = admitted[:, None]
+    mask = (current != a_col) & (np.isin(current, retained) | (current < a_col))
+    a_pos, m_pos = np.nonzero(mask)
+    a, m = admitted[a_pos], current[m_pos]
+    current_rows = corrs.rows_for(current)
+    rows_a, rows_m = corrs.rows_for(admitted)[a_pos], current_rows[m_pos]
+    # v = x_i - x_j with i < j by item id (canonical pair orientation)
+    sign = np.where(m > a, 1.0, -1.0)[:, None]
+    block = LineVectorSet.from_differences(
+        np.minimum(a, m), np.maximum(a, m),
+        sign * (corrs.source[rows_a] - corrs.source[rows_m]),
+        sign * (corrs.target[rows_a] - corrs.target[rows_m]))
+    block = block.take(ratio_range.contains(block.scale_ratio))
 
-    for gid in sorted(ir_set - sul_set):
-        row = corrs.rows_for([gid])[0]
-        d = classify_inclusion(corrs.item(row), True, False, residual_threshold, rng,
-                               sigma=sigma, index=gid)
-        decisions.append(d)
-        if d.action is UpdateAction.INCLUDE:
-            if current:
-                block = _pair_block(corrs, gid, np.asarray(current, dtype=np.int64), ratio_range)
-                if len(block):
-                    lvs = lvs.extend(block)
-            current.append(gid)
-            current.sort()
-
-    new_local = corrs.subset(corrs.rows_for(np.asarray(current, dtype=np.int64)))
-    return new_local, lvs, decisions
+    evicted = np.isin(lvs.i, removed) | np.isin(lvs.j, removed)
+    new_lvs = lvs.take(~evicted).extend(block)
+    return corrs.subset(current_rows), new_lvs, evict_decisions + admit_decisions

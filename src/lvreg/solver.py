@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correspondences import CorrespondenceSet
 from .errors import DegenerateInput
 from .geometry import RigidTransform, rotation_from_cross_covariance
 from .local_sets import LineVectorSet
@@ -121,22 +120,21 @@ def estimate_rotation_gnc(lvs: LineVectorSet, cfg: GncConfig,
     return best_rot, converged
 
 
-def estimate_translation(corrs: CorrespondenceSet, rotation: np.ndarray, cfg: GncConfig | None = None) -> np.ndarray:
-    """Component-wise median of target - R @ source over the correspondences.
+def estimate_translation(source: np.ndarray, target: np.ndarray, rotation: np.ndarray) -> np.ndarray:
+    """Component-wise median of target - R @ source over paired (N, 3) points.
 
     Exactly the per-axis median (middle two averaged for even counts), so
     the estimate tolerates up to 50% outliers per axis.
     """
-    if len(corrs) == 0:
+    if len(source) == 0:
         raise DegenerateInput("cannot estimate a translation from zero correspondences")
     rotation = np.asarray(rotation, dtype=np.float64)
-    candidates = corrs.target - corrs.source @ rotation.T
+    candidates = target - source @ rotation.T
     return np.median(candidates, axis=0)
 
 
-def estimate_local_transform(basic_lvs: LineVectorSet, local_corrs: CorrespondenceSet,
+def estimate_local_transform(basic_lvs: LineVectorSet, source: np.ndarray, target: np.ndarray,
                              cfg: GncConfig, initial_rotation: np.ndarray | None = None) -> RigidTransform:
-    """Rigid transform from a basic line-vector sample plus its endpoint correspondences."""
+    """Rigid transform from a basic line-vector sample plus its endpoint points."""
     rot, _ = estimate_rotation_gnc(basic_lvs, cfg, initial_rotation=initial_rotation)
-    tr = estimate_translation(local_corrs, rot, cfg)
-    return RigidTransform(rot, tr)
+    return RigidTransform(rot, estimate_translation(source, target, rot))

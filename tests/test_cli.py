@@ -1,15 +1,21 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import lvreg
+
 BASE = [sys.executable, "-m", "lvreg"]
+# The child process imports the same lvreg as this one, installed or not.
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(lvreg.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(*args):
-    return subprocess.run(BASE + list(args), capture_output=True, text=True)
+    return subprocess.run(BASE + list(args), capture_output=True, text=True, env=CHILD_ENV)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +74,16 @@ class TestRegister:
                        "--corr", str(scene_dir / "corr.txt"),
                        "--tr", "0.01", "--seed", "3", "--out", str(tmp_path / "r.json"))
         assert proc.returncode == 2
+
+    def test_non_finite_correspondence_exits_2(self, scene_dir, tmp_path):
+        corr = tmp_path / "corr.txt"
+        corr.write_text("0 0 0 1 1 1\n1 0 0 nan 1 1\n0 1 0 1 2 1\n")
+        proc = run_cli("register", "--source", str(scene_dir / "source.xyz"),
+                       "--target", str(scene_dir / "target.xyz"),
+                       "--corr", str(corr), "--tr", "0.01", "--seed", "3",
+                       "--out", str(tmp_path / "r.json"))
+        assert proc.returncode == 2, proc.stderr
+        assert "line 2" in proc.stderr
 
     def test_degenerate_geometry_exits_3(self, tmp_path):
         cloud = tmp_path / "line.xyz"

@@ -43,6 +43,12 @@ class TestXyz:
         with pytest.raises(ParseError, match="line 2"):
             load_point_cloud(path)
 
+    def test_non_finite_value_reports_number(self, tmp_path):
+        path = tmp_path / "cloud.xyz"
+        path.write_text("0 0 0\n1 inf 0\n")
+        with pytest.raises(ParseError, match="line 2"):
+            load_point_cloud(path)
+
     def test_round_trip_bit_exact(self, tmp_path, rng):
         cloud = PointCloud(rng.normal(size=(20, 3)) * 1e3)
         path = tmp_path / "cloud.xyz"
@@ -103,6 +109,12 @@ class TestPly:
         with pytest.raises(ParseError):
             load_point_cloud(path)
 
+    def test_non_finite_vertex_reports_number(self, tmp_path):
+        path = tmp_path / "cloud.ply"
+        path.write_text(PLY_MINIMAL.replace("1.5 2.5 3.5", "1.5 nan 3.5"))
+        with pytest.raises(ParseError, match="line 9"):
+            load_point_cloud(path)
+
     def test_truncated_vertices(self, tmp_path):
         path = tmp_path / "cloud.ply"
         path.write_text("ply\nformat ascii 1.0\nelement vertex 3\n"
@@ -138,6 +150,13 @@ class TestCorrespondences:
         path = tmp_path / "corr.txt"
         path.write_text("0 0\n9999 1\n")
         with pytest.raises(IndexOutOfRange):
+            load_correspondences(path, src, tgt)
+
+    def test_non_finite_coordinate_reports_number(self, tmp_path):
+        src, tgt = self._clouds()
+        path = tmp_path / "corr.txt"
+        path.write_text("0 0 0 5 0 0\n1 0 nan 6 0 0\n")
+        with pytest.raises(ParseError, match="line 2"):
             load_correspondences(path, src, tgt)
 
     def test_bad_token_count(self, tmp_path):

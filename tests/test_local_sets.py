@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lvreg.correspondences import Correspondence, CorrespondenceSet
+from lvreg.correspondences import CorrespondenceSet
 from lvreg.engine import residual_inliers
 from lvreg.errors import (
     DegenerateDistribution,
@@ -20,19 +20,12 @@ from lvreg.local_sets import (
     build_angle_histogram,
     build_line_vectors,
     length_ratio_filter,
-    normal_angle,
     normal_angles,
     reduction_ratio,
     scotts_bin_width,
 )
 from lvreg.normals import annotate_normals
 from lvreg.synthetic import SyntheticSpec, synthesize_pair
-
-
-def corr_with_normals(nx, ny):
-    return Correspondence(source=np.zeros(3), target=np.zeros(3),
-                          source_normal=np.asarray(nx, dtype=float),
-                          target_normal=np.asarray(ny, dtype=float))
 
 
 def set_with_normals(n_src, n_tgt):
@@ -43,17 +36,17 @@ def set_with_normals(n_src, n_tgt):
 
 class TestNormalAngle:
     def test_parallel(self):
-        assert normal_angle(corr_with_normals((0, 0, 1), (0, 0, 1))) == 0.0
+        assert normal_angles(set_with_normals([(0, 0, 1)], [(0, 0, 1)]))[0] == 0.0
 
     def test_orthogonal(self):
-        assert normal_angle(corr_with_normals((1, 0, 0), (0, 1, 0))) == pytest.approx(np.pi / 2)
+        assert normal_angles(set_with_normals([(1, 0, 0)], [(0, 1, 0)]))[0] == pytest.approx(np.pi / 2)
 
     def test_antiparallel(self):
-        assert normal_angle(corr_with_normals((0, 0, 1), (0, 0, -1))) == pytest.approx(np.pi)
+        assert normal_angles(set_with_normals([(0, 0, 1)], [(0, 0, -1)]))[0] == pytest.approx(np.pi)
 
     def test_missing_normals(self):
         with pytest.raises(MissingNormals):
-            normal_angle(Correspondence(source=np.zeros(3), target=np.zeros(3)))
+            normal_angles(CorrespondenceSet(np.zeros((1, 3)), np.zeros((1, 3))))
 
 
 class TestScottsBinWidth:
@@ -190,12 +183,10 @@ class TestBuildLineVectors:
         src = rng.normal(size=(5, 3))
         tgt = rng.normal(size=(5, 3))
         lvs = build_line_vectors(self._corrs(src, tgt))
-        for row in range(len(lvs)):
-            lv = lvs[row]
-            assert lv.i < lv.j
-            assert np.allclose(lv.v_source, src[lv.i] - src[lv.j])
-            assert lv.scale_ratio == pytest.approx(
-                np.linalg.norm(lv.v_source) / np.linalg.norm(lv.v_target))
+        assert np.all(lvs.i < lvs.j)
+        assert np.allclose(lvs.v_source, src[lvs.i] - src[lvs.j])
+        assert np.allclose(lvs.scale_ratio,
+                           np.linalg.norm(lvs.v_source, axis=1) / np.linalg.norm(lvs.v_target, axis=1))
 
     def test_too_few(self):
         with pytest.raises(TooFewCorrespondences):

@@ -1,13 +1,15 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lvreg.correspondences import Correspondence, CorrespondenceSet
+from lvreg.correspondences import CorrespondenceSet
 from lvreg.errors import MissingResidual
 from lvreg.local_sets import RatioRange, build_line_vectors, length_ratio_filter
 from lvreg.self_update import (
+    SIGMA_MODES,
     UpdateAction,
     UpdateRule,
     classify_inclusion,
@@ -28,11 +30,6 @@ def quadrature_probability(r, sigma):
         return 1.0
     lower, _ = quad(lambda t: math.sqrt(t) * math.exp(-t), 0.0, min(x, 2000.0))
     return 1.0 - lower / math.gamma(1.5)
-
-
-def corr(prev, curr):
-    return Correspondence(source=np.zeros(3), target=np.zeros(3),
-                          prev_residual=prev, curr_residual=curr)
 
 
 class TestTrueInlierProbability:
@@ -98,16 +95,11 @@ class TestClassifyInclusion:
     def test_stable_inlier_no_rng(self):
         rng = np.random.default_rng(3)
         state_before = rng.bit_generator.state
-        d = classify_inclusion(corr(0.4 * T_R, 0.3 * T_R), True, False, T_R, rng)
+        d = classify_inclusion(0.4 * T_R, 0.3 * T_R, T_R, rng)
         assert d.action is UpdateAction.INCLUDE
         assert d.rule is UpdateRule.STABLE_INLIER
         assert d.probability == 1.0 and d.threshold is None
         assert rng.bit_generator.state == state_before  # deterministic path
-
-    def test_not_applicable_when_already_member(self):
-        rng = np.random.default_rng(3)
-        d = classify_inclusion(corr(None, 0.001), True, True, T_R, rng)
-        assert d.action is UpdateAction.KEEP and d.rule is UpdateRule.NOT_APPLICABLE
 
     def test_near_zero_residual_almost_always_included(self):
         # P evaluates to 1.0 in float64, so only the p = 1.00 draw (1 in 100)
@@ -115,7 +107,7 @@ class TestClassifyInclusion:
         rng = np.random.default_rng(4)
         trials = 10_000
         included = sum(
-            classify_inclusion(corr(2 * T_R, 1e-12), True, False, T_R, rng).action
+            classify_inclusion(2 * T_R, 1e-12, T_R, rng).action
             is UpdateAction.INCLUDE
             for _ in range(trials)
         )
@@ -128,18 +120,18 @@ class TestClassifyInclusion:
         sigma = T_R / 50.0
         assert true_inlier_probability(0.99 * T_R, sigma) < 0.01
         for _ in range(2000):
-            d = classify_inclusion(corr(2 * T_R, 0.99 * T_R), True, False, T_R, rng, sigma=sigma)
+            d = classify_inclusion(2 * T_R, 0.99 * T_R, T_R, rng, sigma=sigma)
             assert d.action is UpdateAction.SKIP
 
     def test_first_round_takes_probabilistic_path(self):
         rng = np.random.default_rng(6)
-        d = classify_inclusion(corr(None, 0.5 * T_R), True, False, T_R, rng)
+        d = classify_inclusion(np.nan, 0.5 * T_R, T_R, rng)
         assert d.rule is UpdateRule.NEW_INLIER
         assert d.threshold is not None
 
     def test_missing_current_residual(self):
         with pytest.raises(MissingResidual):
-            classify_inclusion(corr(0.1, None), True, False, T_R, np.random.default_rng(0))
+            classify_inclusion(0.1, np.nan, T_R, np.random.default_rng(0))
 
     def test_rule2_inclusion_frequency_matches_grid_mass(self):
         # with fixed sigma the inclusion probability over the threshold grid
@@ -151,7 +143,7 @@ class TestClassifyInclusion:
         rng = np.random.default_rng(7)
         trials = 10_000
         included = sum(
-            classify_inclusion(corr(2 * T_R, curr), True, False, T_R, rng, sigma=sigma).action
+            classify_inclusion(2 * T_R, curr, T_R, rng, sigma=sigma).action
             is UpdateAction.INCLUDE
             for _ in range(trials)
         )
@@ -163,20 +155,15 @@ class TestClassifyRemoval:
     def test_stable_outlier_removed_without_rng(self):
         rng = np.random.default_rng(8)
         state_before = rng.bit_generator.state
-        d = classify_removal(corr(3 * T_R, 2 * T_R), False, True, T_R, rng)
+        d = classify_removal(3 * T_R, 2 * T_R, T_R, rng)
         assert d.action is UpdateAction.REMOVE
         assert d.rule is UpdateRule.STABLE_OUTLIER
         assert rng.bit_generator.state == state_before
 
-    def test_not_applicable_when_still_inlier(self):
-        rng = np.random.default_rng(8)
-        d = classify_removal(corr(0.1 * T_R, 0.1 * T_R), True, True, T_R, rng)
-        assert d.action is UpdateAction.KEEP and d.rule is UpdateRule.NOT_APPLICABLE
-
     def test_huge_residual_almost_always_removed(self):
         rng = np.random.default_rng(9)
         removed = sum(
-            classify_removal(corr(0.5 * T_R, 100 * T_R), False, True, T_R, rng).action
+            classify_removal(0.5 * T_R, 100 * T_R, T_R, rng).action
             is UpdateAction.REMOVE
             for _ in range(10_000)
         )
@@ -190,7 +177,7 @@ class TestClassifyRemoval:
         sigma = 3.2 * T_R
         assert 1.0 - true_inlier_probability(1.0001 * T_R, sigma) < 0.01
         for _ in range(2000):
-            d = classify_removal(corr(0.5 * T_R, 1.0001 * T_R), False, True, T_R, rng, sigma=sigma)
+            d = classify_removal(0.5 * T_R, 1.0001 * T_R, T_R, rng, sigma=sigma)
             assert d.action is UpdateAction.KEEP
 
     def test_barely_outlier_at_max_inrange_sigma_rarely_removed(self):
@@ -201,7 +188,7 @@ class TestClassifyRemoval:
         expected = sum(1 for n in range(1, 101) if (1.0 - p) > n / 100.0) / 100.0
         trials = 10_000
         removed = sum(
-            classify_removal(corr(0.5 * T_R, 1.0001 * T_R), False, True, T_R, rng,
+            classify_removal(0.5 * T_R, 1.0001 * T_R, T_R, rng,
                              sigma=T_R).action is UpdateAction.REMOVE
             for _ in range(trials)
         )
@@ -210,7 +197,7 @@ class TestClassifyRemoval:
 
     def test_first_round_takes_probabilistic_path(self):
         rng = np.random.default_rng(11)
-        d = classify_removal(corr(None, 2 * T_R), False, True, T_R, rng)
+        d = classify_removal(np.nan, 2 * T_R, T_R, rng)
         assert d.rule is UpdateRule.NEW_OUTLIER
 
 
@@ -225,6 +212,57 @@ def build_state(rng, n=30):
     local = corrs.subset(member_rows)
     lvs, ratio_range, _ = length_ratio_filter(build_line_vectors(local))
     return corrs, local, lvs, ratio_range
+
+
+def per_id_reference(corrs, local_set, lvs, ir_glo, ratio_range, rng, sigma_mode):
+    """The self-update one id at a time: decisions in ascending id, evictions
+    first, then each admitted id paired against the sorted current members
+    and its block appended before the next id is examined.
+
+    Returns (member ids, [i, j, v_source, v_target, scale_ratio], decisions).
+    """
+    sigma = None
+    if sigma_mode == "per-round":
+        sigma = draw_sigma(rng, T_R)
+    elif sigma_mode == "fixed-half-tr":
+        sigma = T_R / 2.0
+    ir_set = set(ir_glo.tolist())
+    sul_set = set(local_set.indices.tolist())
+    decisions = []
+    removed = []
+    for gid in sorted(sul_set - ir_set):
+        row = corrs.rows_for([gid])[0]
+        d = classify_removal(float(corrs.prev_residuals[row]), float(corrs.curr_residuals[row]),
+                             T_R, rng, sigma=sigma, index=gid)
+        decisions.append(d)
+        if d.action is UpdateAction.REMOVE:
+            removed.append(gid)
+    current = sorted(sul_set - set(removed))
+    keep = ~(np.isin(lvs.i, removed) | np.isin(lvs.j, removed))
+    cols = [lvs.i[keep], lvs.j[keep], lvs.v_source[keep], lvs.v_target[keep], lvs.scale_ratio[keep]]
+    for gid in sorted(ir_set - sul_set):
+        row = corrs.rows_for([gid])[0]
+        d = classify_inclusion(float(corrs.prev_residuals[row]), float(corrs.curr_residuals[row]),
+                               T_R, rng, sigma=sigma, index=gid)
+        decisions.append(d)
+        if d.action is not UpdateAction.INCLUDE:
+            continue
+        if current:
+            mem = np.asarray(current, dtype=np.int64)
+            rows_mem = corrs.rows_for(mem)
+            sign = np.where(mem > gid, 1.0, -1.0)[:, None]
+            vs = sign * (corrs.source[row] - corrs.source[rows_mem])
+            vt = sign * (corrs.target[row] - corrs.target[rows_mem])
+            ns = np.linalg.norm(vs, axis=1)
+            nt = np.linalg.norm(vt, axis=1)
+            ok = (ns > 0.0) & (nt > 0.0)
+            ratio = np.zeros(len(mem))
+            ratio[ok] = ns[ok] / nt[ok]
+            ok &= ratio_range.contains(ratio)
+            block = [np.minimum(gid, mem)[ok], np.maximum(gid, mem)[ok], vs[ok], vt[ok], ratio[ok]]
+            cols = [np.concatenate([c, b]) for c, b in zip(cols, block)]
+        current = sorted(current + [gid])
+    return current, cols, decisions
 
 
 def rebuild_oracle(corrs, member_ids, ratio_range):
@@ -292,6 +330,37 @@ class TestUpdateLocalSets:
                 assert len(pairs) == len(lvs)  # no duplicates
                 members = set(int(g) for g in local.indices)
                 assert all(i in members and j in members for i, j in pairs)
+
+    @pytest.mark.parametrize("sigma_mode", SIGMA_MODES)
+    def test_rows_and_draws_match_per_id_reference(self, sigma_mode):
+        # Row order and draw order feed every later rng.choice of the local
+        # RANSAC, so compare row for row, not as pair sets.
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            corrs, local, lvs, ratio_range = build_state(rng, n=24)
+            corrs.target[1] = corrs.target[0]  # zero-length target differences
+            corrs.prev_residuals[rng.random(len(corrs)) < 0.3] = np.nan  # no history yet
+            for step in range(3):
+                if step:
+                    corrs.prev_residuals = corrs.curr_residuals.copy()
+                    corrs.curr_residuals = rng.uniform(0, 2 * T_R, size=len(corrs))
+                ir_glo = np.nonzero(corrs.curr_residuals < T_R)[0]
+                ref_rng = copy.deepcopy(rng)
+                members, cols, ref_decisions = per_id_reference(
+                    corrs, local, lvs, ir_glo, ratio_range, ref_rng, sigma_mode)
+                local, lvs, decisions = update_local_sets(
+                    corrs, local, lvs, ir_glo, T_R, ratio_range, rng, sigma_mode=sigma_mode)
+                assert local.indices.tolist() == members, f"seed {seed}"
+                for got, want in zip((lvs.i, lvs.j, lvs.v_source, lvs.v_target, lvs.scale_ratio), cols):
+                    assert np.array_equal(got, want), f"seed {seed}"
+                assert decisions == ref_decisions, f"seed {seed}"
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_missing_current_residual_raises(self, rng):
+        corrs, local, lvs, ratio_range = build_state(rng)
+        corrs.curr_residuals[local.indices[0]] = np.nan
+        with pytest.raises(MissingResidual):
+            update_local_sets(corrs, local, lvs, [], T_R, ratio_range, np.random.default_rng(0))
 
     def test_rng_stream_is_sequenced_deterministically(self, rng):
         corrs, local, lvs, ratio_range = build_state(rng)

@@ -96,20 +96,15 @@ class TestRotationGnc:
 
 
 class TestTranslationMedian:
-    def _corrs(self, src, tgt):
-        return CorrespondenceSet(np.asarray(src, dtype=float), np.asarray(tgt, dtype=float))
-
     def test_exact_on_pure_translation(self, rng):
         g = random_transform(rng)
         src = rng.normal(size=(15, 3))
-        corrs = self._corrs(src, g.apply(src))
-        assert np.allclose(estimate_translation(corrs, g.rotation), g.translation, atol=1e-12)
+        assert np.allclose(estimate_translation(src, g.apply(src), g.rotation), g.translation, atol=1e-12)
 
     def test_median_rejects_minority(self):
         src = np.zeros((3, 3))
         tgt = np.array([[0.0, 0, 0], [0, 0, 0], [9.0, 9, 9]])
-        corrs = self._corrs(src, tgt)
-        assert np.allclose(estimate_translation(corrs, np.eye(3)), (0, 0, 0))
+        assert np.allclose(estimate_translation(src, tgt, np.eye(3)), (0, 0, 0))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -119,7 +114,7 @@ class TestTranslationMedian:
         src = rng.normal(size=(n, 3))
         tgt = rng.normal(size=(n, 3))
         rot = random_rotation(rng)
-        got = estimate_translation(self._corrs(src, tgt), rot)
+        got = estimate_translation(src, tgt, rot)
         cand = tgt - src @ rot.T
         for axis in range(3):
             vals = np.sort(cand[:, axis])
@@ -135,12 +130,12 @@ class TestTranslationMedian:
             tgt = g.apply(src) + rng.normal(scale=0.005, size=(100, 3))
             rows = rng.choice(100, size=30, replace=False)
             tgt[rows] = rng.normal(size=(30, 3))
-            got = estimate_translation(self._corrs(src, tgt), g.rotation)
+            got = estimate_translation(src, tgt, g.rotation)
             assert np.linalg.norm(got - g.translation) < 0.01
 
     def test_empty_rejected(self):
         with pytest.raises(DegenerateInput):
-            estimate_translation(self._corrs(np.empty((0, 3)), np.empty((0, 3))), np.eye(3))
+            estimate_translation(np.empty((0, 3)), np.empty((0, 3)), np.eye(3))
 
 
 class TestLocalTransform:
@@ -159,7 +154,7 @@ class TestLocalTransform:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             g, corrs, lvs = self._setup(rng, 25, 0.0, 0.0)
-            est = estimate_local_transform(lvs, corrs, GncConfig())
+            est = estimate_local_transform(lvs, corrs.source, corrs.target, GncConfig())
             assert stable_geodesic(est.rotation, g.rotation) < 1e-6
             assert np.linalg.norm(est.translation - g.translation) < 1e-6
 
@@ -169,7 +164,7 @@ class TestLocalTransform:
         for seed in range(20):
             rng = np.random.default_rng(500 + seed)
             g, corrs, lvs = self._setup(rng, 40, 0.29, 0.002)
-            est = estimate_local_transform(lvs, corrs, GncConfig())
+            est = estimate_local_transform(lvs, corrs.source, corrs.target, GncConfig())
             assert np.degrees(stable_geodesic(est.rotation, g.rotation)) < 1.0, f"seed {seed}"
             assert np.linalg.norm(est.translation - g.translation) < 0.02, f"seed {seed}"
 
@@ -178,9 +173,9 @@ class TestLocalTransform:
         corrs = CorrespondenceSet(src, src + [0.0, 0.0, 1.0])
         lvs = build_line_vectors(corrs)
         with pytest.raises(DegenerateInput):
-            estimate_local_transform(lvs, corrs, GncConfig())
+            estimate_local_transform(lvs, corrs.source, corrs.target, GncConfig())
 
     def test_result_satisfies_transform_invariants(self, rng):
         g, corrs, lvs = self._setup(rng, 30, 0.3, 0.003)
-        est = estimate_local_transform(lvs, corrs, GncConfig())
+        est = estimate_local_transform(lvs, corrs.source, corrs.target, GncConfig())
         assert isinstance(est, RigidTransform)  # constructor validates orthonormality
