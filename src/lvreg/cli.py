@@ -24,6 +24,7 @@ from .errors import (
     DegenerateNeighborhood,
     EmptyCloud,
     IndexOutOfRange,
+    NonFiniteInput,
     ParseError,
     TooFewCorrespondences,
     UnsupportedFormat,
@@ -34,8 +35,8 @@ from .synthetic import SURFACE_MODELS, SyntheticSpec, synthesize_pair
 
 USAGE_ERROR, PARSE_ERROR, DEGENERATE_ERROR = 1, 2, 3
 
-_PARSE_ERRORS = (ParseError, UnsupportedFormat, IndexOutOfRange, json.JSONDecodeError,
-                 FileNotFoundError, IsADirectoryError, KeyError)
+_PARSE_ERRORS = (ParseError, NonFiniteInput, UnsupportedFormat, IndexOutOfRange,
+                 json.JSONDecodeError, FileNotFoundError, IsADirectoryError, KeyError)
 _DEGENERATE_ERRORS = (DegenerateInput, DegenerateNeighborhood, TooFewCorrespondences,
                       EmptyCloud, DegenerateDistribution)
 

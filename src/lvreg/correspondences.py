@@ -1,15 +1,17 @@
 """Correspondence containers.
 
 `CorrespondenceSet` is a struct-of-arrays: paired (N, 3) source/target
-points plus optional per-item normals and previous/current residuals (NaN
-where absent). Each item keeps a stable integer id in `indices`; subsets
-preserve the ids of the parent set, so line vectors can reference items
-independently of subset membership.
+points (finite; `NonFiniteInput` otherwise) plus optional per-item normals
+and previous/current residuals (NaN where absent). Each item keeps a
+stable integer id in `indices`; subsets preserve the ids of the parent set,
+so line vectors can reference items independently of subset membership.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import NonFiniteInput
 
 
 class CorrespondenceSet:
@@ -20,6 +22,8 @@ class CorrespondenceSet:
         n = len(self.source)
         if len(self.target) != n:
             raise ValueError("source and target must pair up one-to-one")
+        if not (np.all(np.isfinite(self.source)) and np.all(np.isfinite(self.target))):
+            raise NonFiniteInput("correspondences contain non-finite coordinates")
         self.source_normals = None if source_normals is None else np.asarray(source_normals, dtype=np.float64).reshape(n, 3)
         self.target_normals = None if target_normals is None else np.asarray(target_normals, dtype=np.float64).reshape(n, 3)
         self.prev_residuals = np.full(n, np.nan) if prev_residuals is None else np.asarray(prev_residuals, dtype=np.float64).copy()

@@ -37,6 +37,10 @@ class TooFewCorrespondences(LvregError):
     """Fewer correspondences than the operation can work with."""
 
 
+class NonFiniteInput(LvregError, ValueError):
+    """A point or correspondence coordinate that is NaN or infinite."""
+
+
 class ParseError(LvregError):
     """Malformed input file; carries the 1-based line number when known."""
 

@@ -4,6 +4,12 @@ The spatial index wraps a kd-tree for candidate generation but defines the
 result order itself: ascending squared distance computed in float64, ties
 broken by lower point index. This keeps query results identical to a
 brute-force scan on every platform.
+
+Both stages work on whole query batches: one kd-tree query per batch (plus
+one per doubling of the candidate count, for the rows whose k-th and
+(k+1)-th candidates tie), then one stacked covariance and one batched
+`eigh`. A single query is a one-row batch, so every caller shares one code
+path, and each row's arithmetic is the same as it would be alone.
 """
 
 from __future__ import annotations
@@ -13,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateNeighborhood, EmptyCloud
+from .errors import DegenerateNeighborhood, EmptyCloud, NonFiniteInput
+
+_COINCIDENT = "all neighbors coincide; normal undefined"
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,7 +33,7 @@ class PointCloud:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
         if pts.size and not np.all(np.isfinite(pts)):
-            raise ValueError("point cloud contains non-finite coordinates")
+            raise NonFiniteInput("point cloud contains non-finite coordinates")
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
@@ -50,23 +58,36 @@ class SpatialIndex:
 
         Returns min(k, N) indices when k exceeds the cloud size.
         """
+        return self.knn_rows(np.reshape(query, (1, 3)), k)[0]
+
+    def knn_rows(self, queries, k: int) -> np.ndarray:
+        """`knn` for every row of a (Q, 3) query array; shape (Q, min(k, N))."""
         if k < 1:
             raise ValueError("k must be positive")
-        q = np.asarray(query, dtype=np.float64).reshape(3)
+        q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
         n = len(self._points)
         k_eff = min(k, n)
+        out = np.empty((len(q), k_eff), dtype=np.intp)
         # Fetch a small pad of extra candidates so boundary ties can be
-        # resolved by index; expand until the cut is strict or exhausted.
+        # resolved by index; rows whose cut is not strict are fetched again
+        # with twice as many candidates until it is, or the cloud is exhausted.
+        rows = np.arange(len(q))
         m = min(n, k_eff + 4)
-        while True:
-            _, idx = self._tree.query(q, k=m)
-            idx = np.atleast_1d(idx)
-            d2 = np.sum((self._points[idx] - q) ** 2, axis=1)
-            order = np.lexsort((idx, d2))
-            idx, d2 = idx[order], d2[order]
-            if m == n or d2[k_eff - 1] < d2[k_eff]:
-                return idx[:k_eff]
+        while len(rows):
+            _, idx = self._tree.query(q[rows], k=m)
+            idx = idx.reshape(len(rows), m)
+            d2 = np.sum((self._points[idx] - q[rows, None, :]) ** 2, axis=2)
+            order = np.lexsort((idx, d2), axis=-1)
+            idx = np.take_along_axis(idx, order, axis=-1)
+            if m == n:
+                out[rows] = idx[:, :k_eff]
+                break
+            d2 = np.take_along_axis(d2, order, axis=-1)
+            strict = d2[:, k_eff - 1] < d2[:, k_eff]
+            out[rows[strict]] = idx[strict, :k_eff]
+            rows = rows[~strict]
             m = min(n, 2 * m)
+        return out
 
 
 def build_index(cloud: PointCloud) -> SpatialIndex:
@@ -78,16 +99,23 @@ def knn(index: SpatialIndex, query, k: int) -> np.ndarray:
     return index.knn(query, k)
 
 
-def smallest_eigenvector(cov: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unit eigenvector of the smallest eigenvalue of a symmetric 3x3 matrix."""
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    return eigvecs[:, 0], float(eigvals[0])
+def _normals(index: SpatialIndex, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """PCA normals at each query row, and the mask of rank-0 neighborhoods.
 
-
-def canonicalize_sign(v: np.ndarray) -> np.ndarray:
-    """Flip v so its largest-magnitude component is positive (deterministic sign)."""
-    j = int(np.argmax(np.abs(v)))
-    return -v if v[j] < 0 else v
+    Rows of the mask that are set hold no meaningful normal.
+    """
+    nbrs = index.points[index.knn_rows(queries, k)]
+    centered = nbrs - nbrs.mean(axis=1, keepdims=True)
+    cov = np.matmul(centered.transpose(0, 2, 1), centered) / nbrs.shape[1]
+    degenerate = ~np.any(np.abs(cov) > 0, axis=(1, 2))
+    vec = np.ascontiguousarray(np.linalg.eigh(cov)[1][:, :, 0])
+    # A per-row dot product, as np.linalg.norm takes it on one vector; the
+    # axis form of np.linalg.norm sums in another order.
+    vec /= np.sqrt(np.matmul(vec[:, None, :], vec[:, :, None]))[:, 0]
+    rows = np.arange(len(vec))
+    flip = vec[rows, np.argmax(np.abs(vec), axis=1)] < 0
+    vec[flip] = -vec[flip]
+    return vec, degenerate
 
 
 def estimate_normal(index: SpatialIndex, point, k: int = 20) -> np.ndarray:
@@ -100,33 +128,25 @@ def estimate_normal(index: SpatialIndex, point, k: int = 20) -> np.ndarray:
 
     Raises DegenerateNeighborhood when all neighbors coincide (rank 0).
     """
-    nbrs = index.points[index.knn(point, k)]
-    centered = nbrs - nbrs.mean(axis=0)
-    cov = centered.T @ centered / len(nbrs)
-    if not np.any(np.abs(cov) > 0):
-        raise DegenerateNeighborhood("all neighbors coincide; normal undefined")
-    vec, _ = smallest_eigenvector(cov)
-    vec = vec / np.linalg.norm(vec)
-    return canonicalize_sign(vec)
+    vec, degenerate = _normals(index, np.reshape(point, (1, 3)), k)
+    if degenerate[0]:
+        raise DegenerateNeighborhood(_COINCIDENT)
+    return vec[0]
 
 
 def annotate_normals(corrs, source_cloud: PointCloud, target_cloud: PointCloud, k: int = 20):
     """Return a copy of `corrs` with per-endpoint normals estimated from the clouds.
 
-    Raises DegenerateNeighborhood tagged with the offending correspondence index.
+    Raises DegenerateNeighborhood tagged with the lowest offending
+    correspondence index.
     """
     if len(corrs) == 0:
         return corrs.with_normals(
             np.empty((0, 3), dtype=np.float64), np.empty((0, 3), dtype=np.float64)
         )
-    src_index = build_index(source_cloud)
-    tgt_index = build_index(target_cloud)
-    src_normals = np.empty((len(corrs), 3), dtype=np.float64)
-    tgt_normals = np.empty((len(corrs), 3), dtype=np.float64)
-    for row in range(len(corrs)):
-        try:
-            src_normals[row] = estimate_normal(src_index, corrs.source[row], k)
-            tgt_normals[row] = estimate_normal(tgt_index, corrs.target[row], k)
-        except DegenerateNeighborhood as exc:
-            raise DegenerateNeighborhood(f"correspondence {row}: {exc}") from exc
+    src_normals, src_bad = _normals(build_index(source_cloud), corrs.source, k)
+    tgt_normals, tgt_bad = _normals(build_index(target_cloud), corrs.target, k)
+    bad = np.flatnonzero(src_bad | tgt_bad)
+    if len(bad):
+        raise DegenerateNeighborhood(f"correspondence {bad[0]}: {_COINCIDENT}")
     return corrs.with_normals(src_normals, tgt_normals)

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import lvreg
+from lvreg import cli
+from lvreg.io import load_correspondences
 
 BASE = [sys.executable, "-m", "lvreg"]
 # The child process imports the same lvreg as this one, installed or not.
@@ -84,6 +86,22 @@ class TestRegister:
                        "--out", str(tmp_path / "r.json"))
         assert proc.returncode == 2, proc.stderr
         assert "line 2" in proc.stderr
+
+    def test_non_finite_input_error_exits_2(self, scene_dir, tmp_path, monkeypatch, capsys):
+        # the loaders reject non-finite text themselves; this covers a set
+        # that turns non-finite after loading, which the engine rejects
+        def load_then_poison(path, source, target):
+            corrs = load_correspondences(path, source, target)
+            corrs.target[1, 2] = float("inf")
+            return corrs
+
+        monkeypatch.setattr(cli.io_mod, "load_correspondences", load_then_poison)
+        code = cli.main(["register", "--source", str(scene_dir / "source.xyz"),
+                         "--target", str(scene_dir / "target.xyz"),
+                         "--corr", str(scene_dir / "corr.txt"), "--tr", "0.01",
+                         "--seed", "3", "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
 
     def test_degenerate_geometry_exits_3(self, tmp_path):
         cloud = tmp_path / "line.xyz"

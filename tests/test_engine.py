@@ -12,7 +12,7 @@ from lvreg.engine import (
     run_registration,
     transforms_converged,
 )
-from lvreg.errors import TooFewCorrespondences
+from lvreg.errors import DegenerateNeighborhood, LvregError, NonFiniteInput, TooFewCorrespondences
 from lvreg.geometry import RigidTransform, rotation_about_axis
 from lvreg.io import result_to_dict
 from lvreg.local_sets import build_line_vectors
@@ -236,6 +236,55 @@ class TestRunRegistration:
         res_before = corrs.curr_residuals.copy()
         run_registration(corrs, source, target, quick_cfg())
         assert np.array_equal(np.isnan(corrs.curr_residuals), np.isnan(res_before))
+
+
+def _fuzz_clouds(kind, rng):
+    if kind == "heavy-duplicate":
+        n = int(rng.integers(12, 40))
+        base = rng.normal(size=(max(3, n // 4), 3))
+        return base[rng.integers(0, len(base), size=n)], base[rng.integers(0, len(base), size=n)]
+    n = int(rng.integers(8, 20))  # (near-)coincident source cloud
+    scale = 1e-12 if kind == "near-coincident" else 0.0
+    return rng.normal(scale=scale, size=(n, 3)), rng.normal(size=(n, 3))
+
+
+class TestTerminationFuzz:
+    """Every input ends in a result or a typed LvregError."""
+
+    @staticmethod
+    def run(corrs, source, target, cfg):
+        try:
+            res = run_registration(corrs, source, target, cfg)
+        except LvregError as exc:
+            return exc
+        assert res.rounds <= cfg.r_max
+        assert np.all(np.isfinite(res.transform.rotation))
+        assert np.all(np.isfinite(res.transform.translation))
+        return res
+
+    @pytest.mark.parametrize("use_ahs_lvlp", [True, False])
+    @pytest.mark.parametrize("kind", ["heavy-duplicate", "near-coincident", "coincident"])
+    def test_adversarial_clouds(self, kind, use_ahs_lvlp):
+        # default k_normals: 20 neighbors in clouds of 8-40 points, so ties
+        # past the 20th candidate and rank-0 neighborhoods both occur
+        for seed in range(15):
+            src, tgt = _fuzz_clouds(kind, np.random.default_rng(seed))
+            cfg = quick_cfg(rng_seed=seed, r_max=5, max_local_iterations=30,
+                            use_ahs_lvlp=use_ahs_lvlp)
+            out = self.run(CorrespondenceSet(src, tgt), PointCloudFrom(src),
+                           PointCloudFrom(tgt), cfg)
+            if kind == "coincident" and use_ahs_lvlp:
+                assert isinstance(out, DegenerateNeighborhood)
+
+    @pytest.mark.parametrize("use_ahs_lvlp", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row(self, bad, use_ahs_lvlp):
+        spec = SyntheticSpec(n_points=200, n_correspondences=60, outlier_rate=0.5,
+                             noise_sigma=0.003, seed=5)
+        source, target, corrs, gt, _ = synthesize_pair(spec)
+        corrs.source[17, 1] = bad  # written after the set was checked
+        out = self.run(corrs, source, target, quick_cfg(use_ahs_lvlp=use_ahs_lvlp))
+        assert isinstance(out, NonFiniteInput)
 
 
 def PointCloudFrom(points):

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+import lvreg.normals
 from lvreg.correspondences import CorrespondenceSet
-from lvreg.errors import DegenerateNeighborhood, EmptyCloud
+from lvreg.errors import DegenerateNeighborhood, EmptyCloud, NonFiniteInput
 from lvreg.normals import PointCloud, annotate_normals, build_index, estimate_normal, knn
 
 from conftest import random_rotation
@@ -180,3 +182,183 @@ class TestAnnotateNormals:
         corrs = CorrespondenceSet(src, tgt)
         with pytest.raises(DegenerateNeighborhood, match="correspondence 0"):
             annotate_normals(corrs, PointCloud(src), PointCloud(tgt))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_point_cloud_rejects(self, bad):
+        with pytest.raises(NonFiniteInput):
+            PointCloud([[0.0, 0.0, 0.0], [1.0, bad, 0.0]])
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_correspondence_set_rejects(self, side, rng):
+        pts = rng.normal(size=(5, 3))
+        bad = pts.copy()
+        bad[3, 1] = np.nan
+        args = (bad, pts) if side == "source" else (pts, bad)
+        with pytest.raises(NonFiniteInput):
+            CorrespondenceSet(*args)
+
+    def test_still_a_value_error(self):
+        with pytest.raises(ValueError):
+            PointCloud([[np.nan, 0.0, 0.0]])
+
+
+# The per-endpoint loop that annotate_normals replaced: one kd-tree query,
+# one lexsort, one covariance and one eigh per endpoint. The batched code
+# must reproduce its normals and its errors bit for bit.
+
+def loop_knn(tree, points, query, k):
+    q = np.asarray(query, dtype=np.float64).reshape(3)
+    n = len(points)
+    k_eff = min(k, n)
+    m = min(n, k_eff + 4)
+    while True:
+        _, idx = tree.query(q, k=m)
+        idx = np.atleast_1d(idx)
+        d2 = np.sum((points[idx] - q) ** 2, axis=1)
+        order = np.lexsort((idx, d2))
+        idx, d2 = idx[order], d2[order]
+        if m == n or d2[k_eff - 1] < d2[k_eff]:
+            return idx[:k_eff]
+        m = min(n, 2 * m)
+
+
+def loop_normal(tree, points, query, k):
+    nbrs = points[loop_knn(tree, points, query, k)]
+    centered = nbrs - nbrs.mean(axis=0)
+    cov = centered.T @ centered / len(nbrs)
+    if not np.any(np.abs(cov) > 0):
+        raise DegenerateNeighborhood("all neighbors coincide; normal undefined")
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    vec = eigvecs[:, 0]
+    vec = vec / np.linalg.norm(vec)
+    j = int(np.argmax(np.abs(vec)))
+    return -vec if vec[j] < 0 else vec
+
+
+def loop_annotate(corrs, src_pts, tgt_pts, k):
+    src_tree, tgt_tree = cKDTree(src_pts), cKDTree(tgt_pts)
+    src_normals = np.empty((len(corrs), 3))
+    tgt_normals = np.empty((len(corrs), 3))
+    for row in range(len(corrs)):
+        try:
+            src_normals[row] = loop_normal(src_tree, src_pts, corrs.source[row], k)
+            tgt_normals[row] = loop_normal(tgt_tree, tgt_pts, corrs.target[row], k)
+        except DegenerateNeighborhood as exc:
+            raise DegenerateNeighborhood(f"correspondence {row}: {exc}") from exc
+    return src_normals, tgt_normals
+
+
+def _random(rng, n):
+    return rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+
+
+def _grid(rng, n):
+    # small integer coordinates: many exactly equal distances
+    return (rng.integers(-3, 4, size=(n, 3)).astype(float),
+            rng.integers(-2, 3, size=(n, 3)).astype(float))
+
+
+def _duplicates(rng, n):
+    base = rng.normal(size=(max(3, n // 4), 3))
+    return base[rng.integers(0, len(base), size=n)], base[rng.integers(0, len(base), size=n)]
+
+
+class CountingTree(cKDTree):
+    """A kd-tree that counts its query calls and the rows they ask for."""
+
+    queries = 0
+    rows = 0
+
+    def query(self, x, *args, **kwargs):
+        CountingTree.queries += 1
+        CountingTree.rows += len(np.atleast_2d(x))
+        return super().query(x, *args, **kwargs)
+
+
+@pytest.fixture
+def counting_tree(monkeypatch):
+    monkeypatch.setattr(lvreg.normals, "cKDTree", CountingTree)
+    monkeypatch.setattr(CountingTree, "queries", 0)
+    monkeypatch.setattr(CountingTree, "rows", 0)
+    return CountingTree
+
+
+class TestBatchedMatchesLoop:
+    @pytest.mark.parametrize("make", [_random, _grid, _duplicates])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bit_identical(self, make, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 200))
+        src, tgt = make(rng, n)
+        rows = rng.integers(0, n, size=int(rng.integers(1, 2 * n)))
+        corrs = CorrespondenceSet(src[rows], tgt[rows])
+        k = int(rng.choice([1, 3, 20, n - 1, n, n + 3]))
+        try:
+            want = loop_annotate(corrs, src, tgt, k)
+        except DegenerateNeighborhood as exc:
+            with pytest.raises(DegenerateNeighborhood) as got:
+                annotate_normals(corrs, PointCloud(src), PointCloud(tgt), k)
+            assert str(got.value) == str(exc)
+            return
+        out = annotate_normals(corrs, PointCloud(src), PointCloud(tgt), k)
+        assert np.array_equal(out.source_normals, want[0])
+        assert np.array_equal(out.target_normals, want[1])
+
+    def test_grid_ties_take_the_requery_path(self, counting_tree):
+        rng = np.random.default_rng(3)
+        src, tgt = _grid(rng, 300)
+        corrs = CorrespondenceSet(src, tgt)
+        out = annotate_normals(corrs, PointCloud(src), PointCloud(tgt), 20)
+        assert counting_tree.queries > 2  # more than one query per cloud
+        want = loop_annotate(corrs, src, tgt, 20)
+        assert np.array_equal(out.source_normals, want[0])
+        assert np.array_equal(out.target_normals, want[1])
+
+    @pytest.mark.parametrize("k", [4, 5, 9])
+    def test_k_at_least_cloud_size(self, k, rng):
+        src, tgt = _random(rng, 5)
+        corrs = CorrespondenceSet(src[[4, 0, 2]], tgt[[1, 1, 3]])
+        out = annotate_normals(corrs, PointCloud(src), PointCloud(tgt), k)
+        want = loop_annotate(corrs, src, tgt, k)
+        assert np.array_equal(out.source_normals, want[0])
+        assert np.array_equal(out.target_normals, want[1])
+
+    def test_single_point_cloud(self):
+        cloud = PointCloud([[1.0, 2.0, 3.0]])
+        assert np.array_equal(build_index(cloud).knn_rows(np.zeros((4, 3)), 20), np.zeros((4, 1)))
+        corrs = CorrespondenceSet([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]])
+        with pytest.raises(DegenerateNeighborhood, match="correspondence 0"):
+            annotate_normals(corrs, cloud, cloud, 20)
+
+    @pytest.mark.parametrize("src_row, tgt_row, want", [(5, 2, 2), (3, 7, 3), (4, 4, 4), (6, None, 6),
+                                                        (None, 1, 1)])
+    def test_degenerate_error_names_lowest_row(self, src_row, tgt_row, want):
+        # a cluster of coincident points far from the rest makes exactly the
+        # rows that query it degenerate
+        rng = np.random.default_rng(1)
+        spread = rng.normal(size=(40, 3))
+        cloud = np.vstack([spread, np.full((10, 3), 100.0)])
+        src = spread[:8].copy()
+        tgt = spread[8:16].copy()
+        if src_row is not None:
+            src[src_row] = 100.0
+        if tgt_row is not None:
+            tgt[tgt_row] = 100.0
+        corrs = CorrespondenceSet(src, tgt)
+        with pytest.raises(DegenerateNeighborhood) as want_exc:
+            loop_annotate(corrs, cloud, cloud, 5)
+        with pytest.raises(DegenerateNeighborhood) as got:
+            annotate_normals(corrs, PointCloud(cloud), PointCloud(cloud), 5)
+        assert str(got.value) == str(want_exc.value) == (
+            f"correspondence {want}: all neighbors coincide; normal undefined")
+
+
+def test_one_kd_tree_query_per_cloud(counting_tree):
+    # a return to per-endpoint queries would make 2 * 2000 calls here
+    rng = np.random.default_rng(0)
+    src, tgt = _random(rng, 2000)
+    annotate_normals(CorrespondenceSet(src, tgt), PointCloud(src), PointCloud(tgt), 20)
+    assert counting_tree.queries == 2
+    assert counting_tree.rows == 2 * 2000
