@@ -85,6 +85,7 @@ class LocalRoundResult:
     transform: RigidTransform
     iterations: int          # reported count (inherits the global count on early termination)
     raw_iterations: int      # hypotheses actually evaluated this round
+    degenerate_samples: int  # basic samples redrawn because the solver rejected them
     branch: str              # early-termination | confidence | iteration-cap
     n_local_inliers: int
 
@@ -93,7 +94,9 @@ class LocalRoundResult:
 class RoundTrace:
     round_index: int
     t_glo: int
-    t_lcl: int
+    t_lcl: int               # the local round's reported count (LocalRoundResult.iterations)
+    hypotheses: int          # hypotheses evaluated in the round (LocalRoundResult.raw_iterations)
+    degenerate_samples: int  # basic samples the solver rejected as degenerate
     branch: str
     n_global_inliers: int
     global_confidence: float
@@ -153,7 +156,14 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
     round ends when the best candidate agrees with the received global
     transform (reporting the combined iteration count, crediting global
     progress), when the local confidence target is met, or at the
-    safety cap.
+    safety cap. A basic subset the solver rejects as degenerate (e.g.
+    parallel source directions) is redrawn: it counts towards the cap but
+    not as a hypothesis.
+
+    The endpoints of the round sample are mapped to `c_sul` rows once per
+    round (`rows_for`, which rejects an id not in `c_sul`); each basic
+    subset then marks its endpoint rows in a reused mask, so the solver's
+    translation step sees the sorted, unique rows of its endpoints.
     """
     if len(l_sul) < 2:
         raise DegenerateInput("need at least 2 line vectors for local hypotheses")
@@ -164,6 +174,8 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
     sub_rows = rng.choice(len(l_sul), _sample_size(cfg.alpha_pct, len(l_sul)), replace=False)
     l_sub = l_sul.take(sub_rows)
     basic_size = _sample_size(cfg.beta_pct, len(l_sub))
+    i_rows, j_rows = c_sul.rows_for(l_sub.i), c_sul.rows_for(l_sub.j)
+    is_endpoint = np.zeros(len(c_sul), dtype=bool)
 
     best: RigidTransform | None = None
     best_count = -1
@@ -172,10 +184,12 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
     while True:
         attempts += 1
         rows = rng.choice(len(l_sub), basic_size, replace=False)
-        basic = l_sub.take(rows)
-        endpoint_rows = c_sul.rows_for(basic.member_ids())
+        is_endpoint[i_rows[rows]] = True
+        is_endpoint[j_rows[rows]] = True
+        endpoint_rows = np.flatnonzero(is_endpoint)
+        is_endpoint[endpoint_rows] = False
         try:
-            candidate = estimate_local_transform(basic, c_sul.source[endpoint_rows],
+            candidate = estimate_local_transform(l_sub.take(rows), c_sul.source[endpoint_rows],
                                                  c_sul.target[endpoint_rows], gnc_cfg,
                                                  initial_rotation=received_glo.rotation)
         except DegenerateInput:
@@ -183,19 +197,22 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
                 if best is None:
                     raise DegenerateInput(
                         "no well-posed basic line-vector sample found within the iteration cap")
-                return LocalRoundResult(best, t_lcl, t_lcl, "iteration-cap", best_count)
+                return LocalRoundResult(best, t_lcl, t_lcl, attempts - t_lcl, "iteration-cap",
+                                        best_count)
             continue
         t_lcl += 1
         count = len(residual_inliers(candidate, c_sul, cfg.residual_threshold))
         if count > best_count:
             best, best_count = candidate, count
         if transforms_converged(received_glo, best, cfg.rotation_term_tol, cfg.noise_bound):
-            return LocalRoundResult(best, t_glo + t_lcl, t_lcl, "early-termination", best_count)
+            return LocalRoundResult(best, t_glo + t_lcl, t_lcl, attempts - t_lcl,
+                                    "early-termination", best_count)
         cl = confidence_level(best_count / len(c_sul), t_lcl)
         if cl >= cfg.confidence_target:
-            return LocalRoundResult(best, t_lcl, t_lcl, "confidence", best_count)
+            return LocalRoundResult(best, t_lcl, t_lcl, attempts - t_lcl, "confidence", best_count)
         if attempts >= cfg.max_local_iterations:
-            return LocalRoundResult(best, t_lcl, t_lcl, "iteration-cap", best_count)
+            return LocalRoundResult(best, t_lcl, t_lcl, attempts - t_lcl, "iteration-cap",
+                                    best_count)
 
 
 def _full_local_sets(corrs: CorrespondenceSet):
@@ -282,6 +299,7 @@ def run_registration(corrs: CorrespondenceSet, source: PointCloud, target: Point
             weights[ir_glo] += 1
         trace.append(RoundTrace(
             round_index=len(trace) + 1, t_glo=t_glo, t_lcl=local_res.iterations,
+            hypotheses=local_res.raw_iterations, degenerate_samples=local_res.degenerate_samples,
             branch=local_res.branch, n_global_inliers=len(ir_glo), global_confidence=cl_glo,
             local_set_size=len(local_set), line_vector_count=len(l_sul),
             ir_glo=ir_glo, weights_updated=not terminated,

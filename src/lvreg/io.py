@@ -172,6 +172,8 @@ def result_to_dict(result: RegistrationResult, metrics: MetricsReport | None = N
             "round": row.round_index,
             "t_glo": row.t_glo,
             "t_lcl": row.t_lcl,
+            "hypotheses": row.hypotheses,
+            "degenerate_samples": row.degenerate_samples,
             "branch": row.branch,
             "n_global_inliers": row.n_global_inliers,
             "global_confidence": float(row.global_confidence),

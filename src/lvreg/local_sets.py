@@ -161,9 +161,16 @@ class LineVectorSet:
         return len(self.i)
 
     def take(self, rows) -> "LineVectorSet":
+        """The line vectors at the given row positions (or boolean mask), in that order."""
         rows = np.asarray(rows)
-        return LineVectorSet(self.i[rows], self.j[rows], self.v_source[rows],
-                             self.v_target[rows], self.scale_ratio[rows])
+        if rows.dtype == bool:
+            if rows.shape != (len(self),):
+                raise IndexError("boolean mask does not match the number of line vectors")
+            rows = np.flatnonzero(rows)
+        # np.take gathers the rows of an (n, 3) array several times faster
+        # than fancy indexing does, with the same values.
+        return LineVectorSet(*(np.take(a, rows, axis=0) for a in (
+            self.i, self.j, self.v_source, self.v_target, self.scale_ratio)))
 
     def extend(self, other: "LineVectorSet") -> "LineVectorSet":
         return LineVectorSet(
@@ -173,9 +180,6 @@ class LineVectorSet:
             np.concatenate([self.v_target, other.v_target]),
             np.concatenate([self.scale_ratio, other.scale_ratio]),
         )
-
-    def member_ids(self) -> np.ndarray:
-        return np.unique(np.concatenate([self.i, self.j]))
 
     def pair_set(self) -> set:
         return set(zip(self.i.tolist(), self.j.tolist()))

@@ -5,17 +5,26 @@ from hypothesis import strategies as st
 
 from lvreg.correspondences import CorrespondenceSet
 from lvreg.engine import (
+    LocalRoundResult,
     RansacConfig,
+    _sample_size,
     confidence_level,
+    estimate_local_transform,
     residual_inliers,
     run_local_ransac,
     run_registration,
     transforms_converged,
 )
-from lvreg.errors import DegenerateNeighborhood, LvregError, NonFiniteInput, TooFewCorrespondences
+from lvreg.errors import (
+    DegenerateInput,
+    DegenerateNeighborhood,
+    LvregError,
+    NonFiniteInput,
+    TooFewCorrespondences,
+)
 from lvreg.geometry import RigidTransform, rotation_about_axis
 from lvreg.io import result_to_dict
-from lvreg.local_sets import build_line_vectors
+from lvreg.local_sets import LineVectorSet, build_line_vectors
 from lvreg.self_update import UpdateAction, UpdateRule
 from lvreg.synthetic import SyntheticSpec, synthesize_pair
 
@@ -129,6 +138,144 @@ class TestRunLocalRansac:
         assert res.raw_iterations <= 10
 
 
+def reference_local_ransac(l_sul, c_sul, received_glo, t_glo, cfg, rng):
+    """The per-hypothesis loop before endpoint rows were mapped once per round.
+
+    Each hypothesis gathers its sample with fancy indexing and looks its
+    endpoints up by id (`np.unique` of both ends, then `rows_for`).
+    """
+    def take(lvs, rows):
+        return LineVectorSet(lvs.i[rows], lvs.j[rows], lvs.v_source[rows],
+                             lvs.v_target[rows], lvs.scale_ratio[rows])
+
+    if len(l_sul) < 2:
+        raise DegenerateInput("need at least 2 line vectors for local hypotheses")
+    if len(c_sul) == 0:
+        raise DegenerateInput("local correspondence set is empty")
+    gnc_cfg = cfg.gnc_config()
+
+    sub_rows = rng.choice(len(l_sul), _sample_size(cfg.alpha_pct, len(l_sul)), replace=False)
+    l_sub = take(l_sul, sub_rows)
+    basic_size = _sample_size(cfg.beta_pct, len(l_sub))
+
+    best = None
+    best_count = -1
+    t_lcl = 0
+    attempts = 0
+    while True:
+        attempts += 1
+        rows = rng.choice(len(l_sub), basic_size, replace=False)
+        basic = take(l_sub, rows)
+        endpoint_rows = c_sul.rows_for(np.unique(np.concatenate([basic.i, basic.j])))
+        try:
+            candidate = estimate_local_transform(basic, c_sul.source[endpoint_rows],
+                                                 c_sul.target[endpoint_rows], gnc_cfg,
+                                                 initial_rotation=received_glo.rotation)
+        except DegenerateInput:
+            if attempts >= cfg.max_local_iterations:
+                if best is None:
+                    raise DegenerateInput(
+                        "no well-posed basic line-vector sample found within the iteration cap")
+                return LocalRoundResult(best, t_lcl, t_lcl, attempts - t_lcl, "iteration-cap",
+                                        best_count)
+            continue
+        t_lcl += 1
+        count = len(residual_inliers(candidate, c_sul, cfg.residual_threshold))
+        if count > best_count:
+            best, best_count = candidate, count
+        if transforms_converged(received_glo, best, cfg.rotation_term_tol, cfg.noise_bound):
+            return LocalRoundResult(best, t_glo + t_lcl, t_lcl, attempts - t_lcl,
+                                    "early-termination", best_count)
+        cl = confidence_level(best_count / len(c_sul), t_lcl)
+        if cl >= cfg.confidence_target:
+            return LocalRoundResult(best, t_lcl, t_lcl, attempts - t_lcl, "confidence", best_count)
+        if attempts >= cfg.max_local_iterations:
+            return LocalRoundResult(best, t_lcl, t_lcl, attempts - t_lcl, "iteration-cap",
+                                    best_count)
+
+
+def local_round_case(seed):
+    """A seeded local round: sets, received transform and settings vary with the seed.
+
+    `c_sul` is a random subset of a set with sparse ids, so its ids are
+    not row positions; some scenes put most source points on one line, so many
+    basic samples are parallel and get redrawn.
+    """
+    rng = np.random.default_rng(seed)
+    g = random_transform(rng, translation_scale=0.5)
+    n = int(rng.integers(8, 50))
+    src = rng.normal(scale=0.5, size=(n, 3))
+    if seed % 3 == 0:
+        on_line = rng.random(n) < 0.85
+        src[on_line] = np.outer(rng.normal(size=on_line.sum()), rng.normal(size=3))
+    tgt = g.apply(src) + rng.normal(scale=0.002, size=(n, 3))
+    bad = rng.random(n) < rng.choice([0.0, 0.3, 0.6, 0.9])
+    tgt[bad] = rng.normal(scale=0.5, size=(int(bad.sum()), 3))
+    full = CorrespondenceSet(src, tgt, indices=np.sort(rng.choice(10 * n, n, replace=False)))
+    keep = np.sort(rng.choice(n, int(rng.integers(max(3, n // 2), n + 1)), replace=False))
+    c_sul = full.subset(keep)
+    pairs = build_line_vectors(c_sul)
+    l_sul = pairs.take(np.sort(rng.choice(len(pairs), int(rng.integers(2, len(pairs) + 1)),
+                                          replace=False)))
+    received = [g, RigidTransform.identity(),
+                RigidTransform(rotation_about_axis((0, 1, 0), 1.5), (3.0, 3.0, 3.0))][seed % 3 - 1]
+    cfg = RansacConfig(rng_seed=seed, alpha_pct=float(rng.choice([5.0, 10.0, 50.0, 100.0])),
+                       beta_pct=float(rng.choice([1.0, 30.0, 60.0])),
+                       max_local_iterations=int(rng.choice([1, 3, 10, 200])))
+    return l_sul, c_sul, received, int(rng.integers(0, 50)), cfg
+
+
+def local_round_outcome(run, case, seed):
+    rng = np.random.default_rng(seed)
+    try:
+        res = run(*case, rng)
+    except DegenerateInput as exc:
+        return (type(exc), str(exc)), rng.bit_generator.state
+    return (res.transform.rotation.tobytes(), res.transform.translation.tobytes(),
+            res.iterations, res.raw_iterations, res.degenerate_samples, res.branch,
+            res.n_local_inliers), rng.bit_generator.state
+
+
+class TestLocalRansacMatchesReference:
+    def test_results_and_draws_match_per_hypothesis_reference(self):
+        branches, degenerate_rounds, raised = set(), 0, 0
+        for seed in range(150):
+            case = local_round_case(seed)
+            assert not np.array_equal(case[1].indices, np.arange(len(case[1])))
+            ref = local_round_outcome(reference_local_ransac, case, seed)
+            got = local_round_outcome(run_local_ransac, case, seed)
+            assert got == ref, f"seed {seed}"
+            if ref[0][0] is DegenerateInput:
+                raised += 1
+            else:
+                branches.add(ref[0][5])
+                degenerate_rounds += ref[0][4] > 0
+        assert branches == {"early-termination", "confidence", "iteration-cap"}
+        assert degenerate_rounds >= 10 and raised >= 1
+
+    def test_rows_for_calls_do_not_grow_with_hypotheses(self, monkeypatch):
+        calls = []
+        rows_for = CorrespondenceSet.rows_for
+
+        def counting(self, ids):
+            calls.append(len(np.atleast_1d(ids)))
+            return rows_for(self, ids)
+
+        monkeypatch.setattr(CorrespondenceSet, "rows_for", counting)
+        rng = np.random.default_rng(3)
+        corrs = CorrespondenceSet(rng.normal(size=(30, 3)), rng.normal(size=(30, 3)))
+        lvs = build_line_vectors(corrs)
+        far = RigidTransform(rotation_about_axis((0, 1, 0), 1.5), (3.0, 3.0, 3.0))
+        per_round = []
+        for cap in (1, 40):
+            calls.clear()
+            res = run_local_ransac(lvs, corrs, far, 0, RansacConfig(max_local_iterations=cap),
+                                   np.random.default_rng(cap))
+            assert res.raw_iterations == cap
+            per_round.append(len(calls))
+        assert per_round == [2, 2]
+
+
 def quick_cfg(**kw):
     defaults = dict(rng_seed=0, max_local_iterations=100)
     defaults.update(kw)
@@ -203,6 +350,36 @@ class TestRunRegistration:
             if row.branch == "early-termination":
                 assert row.t_lcl > t_glo_entry
             t_glo_entry = row.t_glo
+
+    def test_trace_reports_hypotheses_apart_from_the_inherited_count(self):
+        # Round 2 of this scene ends in early termination, so its t_lcl
+        # includes round 1's count; `hypotheses` is what the round tried.
+        spec = SyntheticSpec(n_points=300, n_correspondences=150, outlier_rate=0.5,
+                             noise_sigma=0.003, seed=13)
+        source, target, corrs, gt, _ = synthesize_pair(spec)
+        res = run_registration(corrs, source, target, quick_cfg(rng_seed=13))
+        rows = res.per_round_trace
+        assert [(r.t_glo, r.t_lcl, r.hypotheses, r.branch) for r in rows] == [
+            (5, 5, 5, "confidence"), (11, 6, 1, "early-termination")]
+        json_rows = result_to_dict(res)["trace"]
+        assert [(d["t_lcl"], d["hypotheses"], d["degenerate_samples"]) for d in json_rows] == [
+            (5, 5, 0), (6, 1, 0)]
+
+    def test_trace_reports_degenerate_samples(self):
+        # Most source points on one line and two-vector basic samples: the
+        # round redraws parallel samples before its one hypothesis.
+        rng = np.random.default_rng(1)
+        src = rng.normal(size=(40, 3))
+        on_line = rng.random(40) < 0.85
+        src[on_line] = np.outer(rng.normal(size=on_line.sum()), [1.0, 2.0, -1.0])
+        g = random_transform(rng)
+        tgt = g.apply(src) + rng.normal(scale=0.002, size=(40, 3))
+        cfg = quick_cfg(rng_seed=1, beta_pct=1.0, use_ahs_lvlp=False)
+        res = run_registration(CorrespondenceSet(src, tgt), PointCloudFrom(src),
+                               PointCloudFrom(tgt), cfg)
+        row = res.per_round_trace[0]
+        assert (row.t_lcl, row.hypotheses, row.degenerate_samples) == (1, 1, 4)
+        assert result_to_dict(res)["trace"][0]["degenerate_samples"] == 4
 
     def test_emptied_local_set_rebuilt_from_full_set(self):
         # All-outlier scene: no round has a global inlier, so nothing is ever

@@ -192,6 +192,20 @@ class TestBuildLineVectors:
         with pytest.raises(TooFewCorrespondences):
             build_line_vectors(self._corrs(np.zeros((1, 3))))
 
+    def test_take_matches_fancy_indexing(self, rng):
+        lvs = build_line_vectors(self._corrs(rng.normal(size=(12, 3)), rng.normal(size=(12, 3))))
+        fields = ("i", "j", "v_source", "v_target", "scale_ratio")
+        rows = rng.choice(len(lvs), 20, replace=False)
+        mask = rng.random(len(lvs)) < 0.5
+        for sel in (rows, mask, rows[:0]):
+            got = lvs.take(sel)
+            for name in fields:
+                expected = getattr(lvs, name)[sel]
+                assert np.array_equal(getattr(got, name), expected)
+                assert getattr(got, name).dtype == expected.dtype
+        with pytest.raises(IndexError):
+            lvs.take(mask[:-1])
+
 
 def lvlp_oracle(lvs):
     """Straight-line reimplementation: histogram by loop, pick max bin + neighbors."""

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from lvreg.correspondences import CorrespondenceSet
 from lvreg.errors import DegenerateInput
-from lvreg.geometry import RigidTransform
+from lvreg.geometry import RigidTransform, rotation_from_cross_covariance
 from lvreg.local_sets import LineVectorSet, build_line_vectors
 from lvreg.solver import GncConfig, estimate_local_transform, estimate_rotation_gnc, estimate_translation
 
@@ -179,3 +179,177 @@ class TestLocalTransform:
         g, corrs, lvs = self._setup(rng, 30, 0.3, 0.003)
         est = estimate_local_transform(lvs, corrs.source, corrs.target, GncConfig())
         assert isinstance(est, RigidTransform)  # constructor validates orthonormality
+
+
+# The (n, 3) GNC solver as it was before the (3, n) rework, kept as the
+# reference: the reworked solver must return the same bytes.
+
+def reference_tls_weights(res_sq, mu, eps_sq):
+    lo = mu / (mu + 1.0) * eps_sq
+    hi = (mu + 1.0) / mu * eps_sq
+    w = np.zeros_like(res_sq)
+    w[res_sq <= lo] = 1.0
+    mid = (res_sq > lo) & (res_sq < hi)
+    w[mid] = np.sqrt(eps_sq * mu * (mu + 1.0) / res_sq[mid]) - mu
+    return np.clip(w, 0.0, 1.0)
+
+
+def reference_check_source_span(v_source):
+    s = np.linalg.svd(v_source, compute_uv=False)
+    if len(s) < 2 or s[1] <= s[0] * 1e-9 or s[0] == 0.0:
+        raise DegenerateInput("line-vector source directions are parallel; rotation underdetermined")
+
+
+def reference_solve_rotation(v_source, v_target, weights):
+    h = (weights[:, None] * v_source).T @ v_target
+    return rotation_from_cross_covariance(h)
+
+
+def reference_gnc(lvs, cfg, initial_rotation=None, trace=None):
+    a = lvs.v_source
+    b = lvs.v_target
+    if len(lvs) < 2:
+        raise DegenerateInput("need at least 2 line vectors to estimate a rotation")
+    reference_check_source_span(a)
+
+    eps_sq = cfg.noise_bound ** 2
+    rot = np.eye(3) if initial_rotation is None else np.asarray(initial_rotation, dtype=np.float64)
+    res_sq = np.sum((a @ rot.T - b) ** 2, axis=1)
+
+    max_res_sq = float(res_sq.max())
+    if 2.0 * max_res_sq <= eps_sq:
+        # Everything already within the noise bound: one plain solve suffices.
+        rot = reference_solve_rotation(a, b, np.ones(len(a)))
+        return rot, True
+
+    mu = eps_sq / (2.0 * max_res_sq - eps_sq)
+    best_rot = rot
+    best_cost = float(np.minimum(res_sq, eps_sq).sum())
+    prev_weights = None
+    converged = False
+
+    for _ in range(cfg.max_iterations):
+        weights = reference_tls_weights(res_sq, mu, eps_sq)
+        if np.count_nonzero(weights) < 2:
+            break  # surrogate support collapsed; keep the best iterate
+        wsse_before = float(np.sum(weights * res_sq))
+        try:
+            rot = reference_solve_rotation(a, b, weights)
+        except DegenerateInput:
+            break
+        res_sq = np.sum((a @ rot.T - b) ** 2, axis=1)
+        wsse_after = float(np.sum(weights * res_sq))
+        cost = float(np.minimum(res_sq, eps_sq).sum())
+        if cost < best_cost:
+            best_cost = cost
+            best_rot = rot
+        if trace is not None:
+            trace.append({"mu": mu, "weights": weights.copy(),
+                          "wsse_before": wsse_before, "wsse_after": wsse_after,
+                          "tls_cost": cost})
+        if prev_weights is not None and float(np.abs(weights - prev_weights).sum()) < cfg.convergence_tol:
+            converged = True
+            break
+        prev_weights = weights
+        mu *= cfg.mu_update_factor
+
+    return best_rot, converged
+
+
+def run_both(lvs, cfg, initial_rotation=None):
+    """(rotation bytes, converged, trace) or the raised (type, message), for both solvers."""
+    outs = []
+    for solve in (reference_gnc, estimate_rotation_gnc):
+        trace = []
+        try:
+            rot, converged = solve(lvs, cfg, initial_rotation=initial_rotation, trace=trace)
+        except DegenerateInput as exc:
+            outs.append((type(exc), str(exc)))
+            continue
+        outs.append((rot.tobytes(), converged, [
+            {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in step.items()}
+            for step in trace]))
+    return outs
+
+
+class TestGncMatchesReference:
+    """The (3, n) solver returns the reference's rotation bytes, flag and trace."""
+
+    @pytest.mark.parametrize("max_iterations", [1, 5, 100])
+    @pytest.mark.parametrize("seeded", [False, True])
+    @pytest.mark.parametrize("outlier_fraction", [0.0, 0.6, 0.9])
+    @pytest.mark.parametrize("n", [2, 3, 40, 2110, 9580])
+    def test_bit_identical(self, n, outlier_fraction, seeded, max_iterations):
+        rng = np.random.default_rng(n * 1000 + int(outlier_fraction * 10) + 7 * seeded + max_iterations)
+        g = random_rotation(rng)
+        lvs = make_line_vectors(rng, g, n, outlier_fraction=outlier_fraction, noise=0.003)
+        initial = random_rotation(rng) if seeded else None
+        ref, got = run_both(lvs, GncConfig(max_iterations=max_iterations), initial)
+        assert got == ref
+
+    def test_within_noise_fast_path(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            g = random_rotation(rng)
+            lvs = make_line_vectors(rng, g, 50, noise=1e-4)
+            ref, got = run_both(lvs, GncConfig(), g)
+            assert ref[1] is True and ref[2] == []  # the one-solve path
+            assert got == ref
+
+    def test_support_collapse(self):
+        # Two independent pairs no rotation fits: both residuals stay far
+        # above the noise bound, so the band shrinks past them.
+        lvs = LineVectorSet([0, 1], [2, 3], [[1.0, 0, 0], [0, 1.0, 0]],
+                            [[1.0, 0, 0], [0, -3.0, 2.0]], [1.0, 1.0])
+        cfg = GncConfig(max_iterations=100)
+        ref, got = run_both(lvs, cfg)
+        assert ref[1] is False and 0 < len(ref[2]) < cfg.max_iterations
+        assert got == ref
+
+    def test_rank_deficient_cross_covariance_in_loop(self):
+        # Spanning sources but parallel targets: the first weighted solve is
+        # degenerate, so the loop stops with the initial rotation.
+        src = np.eye(3)
+        lvs = LineVectorSet([0, 1, 2], [3, 4, 5], src, [[2.0, 0, 0]] * 3, [0.5, 0.5, 0.5])
+        ref, got = run_both(lvs, GncConfig())
+        assert ref[0] == np.eye(3).tobytes() and ref[1] is False and ref[2] == []
+        assert got == ref
+
+    def test_rank_deficient_cross_covariance_on_fast_path(self):
+        lvs = LineVectorSet([0, 1], [2, 3], [[1e-3, 0, 0], [0, 1e-3, 0]],
+                            [[1e-3, 0, 0], [1e-3, 0, 0]], [1.0, 1.0])
+        ref, got = run_both(lvs, GncConfig())
+        assert ref[0] is DegenerateInput and "cross-covariance" in ref[1]
+        assert got == ref
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_line_vectors(self, n):
+        lvs = LineVectorSet(np.arange(n), np.arange(n) + 5, np.ones((n, 3)), np.ones((n, 3)), np.ones(n))
+        ref, got = run_both(lvs, GncConfig())
+        assert ref[0] is DegenerateInput
+        assert got == ref
+
+    def test_parallel_sources(self):
+        v_src = np.outer(np.linspace(1, 2, 10), [1.0, 1.0, 0.0])
+        lvs = LineVectorSet(np.arange(10), np.arange(10) + 10, v_src, v_src, np.ones(10))
+        ref, got = run_both(lvs, GncConfig())
+        assert ref[0] is DegenerateInput and "parallel" in ref[1]
+        assert got == ref
+
+    def test_strided_inputs_match_contiguous_reference(self):
+        # The reference's (n, 3) products round differently on a strided view
+        # than on a C-contiguous array; the (3, n) solver copies its inputs,
+        # so it returns the reference's bytes for the C-contiguous copy
+        # whatever layout it is given.
+        rng = np.random.default_rng(5)
+        g = random_rotation(rng)
+        base = make_line_vectors(rng, g, 400, outlier_fraction=0.6, noise=0.003)
+        args = (base.i[::2], base.j[::2])
+        strided = LineVectorSet(*args, np.asfortranarray(base.v_source)[::2],
+                                base.v_target[::2], base.scale_ratio[::2])
+        contiguous = LineVectorSet(*args, np.ascontiguousarray(strided.v_source),
+                                   np.ascontiguousarray(strided.v_target), base.scale_ratio[::2])
+        initial = random_rotation(rng)
+        ref, _ = run_both(contiguous, GncConfig(), initial)
+        _, got = run_both(strided, GncConfig(), np.asfortranarray(initial))
+        assert got == ref
