@@ -1,0 +1,63 @@
+#!/usr/bin/env python3
+"""Bit-identity digests of the benchmark workloads' registrations.
+
+Registers the first N scenes of each perfbench workload for each given
+seed and prints one sha256 per workload and seed over
+`perfbench.workloads.fingerprint` of every result, in scene order. Two
+checkouts that print the same digests returned the same rotation and
+translation bytes, inlier sets, weights, round and iteration counts,
+confidences, exit reasons and self-update decisions.
+
+    python3 scripts/fingerprint_workloads.py --scenes 10 --seeds 1 9001
+    python3 scripts/fingerprint_workloads.py --root ../other-checkout --scenes 10 --seeds 1
+
+--root names the checkout whose src/ and perfbench/ are imported (default:
+the one this script is in), so one copy of the script compares two
+checkouts. BLAS threads are pinned to 1, as in perfbench/run.py.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+
+def parse_args(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--scenes", type=int, default=10, help="scenes per workload and seed")
+    p.add_argument("--seeds", type=int, nargs="+", default=[1, 9001])
+    p.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
+    return p.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root)]
+    from perfbench.run import THREAD_VARS
+    for var in THREAD_VARS:  # before numpy is imported
+        os.environ[var] = "1"
+    from lvreg.engine import run_registration
+    from perfbench.workloads import WORKLOADS, fingerprint, make_scenes
+
+    for name in WORKLOADS:
+        # The pool's scenes come from SeedSequence(seed).spawn(n); its first
+        # N children do not depend on n, so a shorter pool is the same prefix.
+        workload = dataclasses.replace(WORKLOADS[name],
+                                       scenes=min(args.scenes, WORKLOADS[name].scenes))
+        for seed in args.seeds:
+            digest = hashlib.sha256()
+            for scene in make_scenes(workload, seed):
+                result = run_registration(scene.corrs, scene.source, scene.target, scene.cfg)
+                digest.update(repr(fingerprint(result)).encode())
+            print(f"{name} seed={seed} scenes={workload.scenes} sha256={digest.hexdigest()}",
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,7 +1,7 @@
 """Command-line interface: register / synth / bench.
 
 Exit codes: 0 success, 1 usage error, 2 input parse error, 3 degenerate
-geometry.
+geometry, 4 pair budget exceeded (too many correspondences to pair up).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .errors import (
     EmptyCloud,
     IndexOutOfRange,
     NonFiniteInput,
+    PairBudgetExceeded,
     ParseError,
     TooFewCorrespondences,
     UnsupportedFormat,
@@ -33,7 +34,7 @@ from .local_sets import reduction_ratio
 from .metrics import evaluate
 from .synthetic import SURFACE_MODELS, SyntheticSpec, synthesize_pair
 
-USAGE_ERROR, PARSE_ERROR, DEGENERATE_ERROR = 1, 2, 3
+USAGE_ERROR, PARSE_ERROR, DEGENERATE_ERROR, BUDGET_ERROR = 1, 2, 3, 4
 
 _PARSE_ERRORS = (ParseError, NonFiniteInput, UnsupportedFormat, IndexOutOfRange,
                  json.JSONDecodeError, FileNotFoundError, IsADirectoryError, KeyError)
@@ -228,6 +229,9 @@ def main(argv=None) -> int:
     except _PARSE_ERRORS as exc:
         print(f"lvreg: input error: {exc}", file=sys.stderr)
         return PARSE_ERROR
+    except PairBudgetExceeded as exc:
+        print(f"lvreg: pair budget exceeded: {exc}", file=sys.stderr)
+        return BUDGET_ERROR
 
 
 if __name__ == "__main__":

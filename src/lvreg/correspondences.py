@@ -1,10 +1,11 @@
 """Correspondence containers.
 
 `CorrespondenceSet` is a struct-of-arrays: paired (N, 3) source/target
-points (finite; `NonFiniteInput` otherwise) plus optional per-item normals
-and previous/current residuals (NaN where absent). Each item keeps a
-stable integer id in `indices`; subsets preserve the ids of the parent set,
-so line vectors can reference items independently of subset membership.
+points (finite and at most `MAX_COORDINATE` in magnitude; `NonFiniteInput`
+otherwise) plus optional per-item normals and previous/current residuals
+(NaN where absent). Each item keeps a stable integer id in `indices`;
+subsets preserve the ids of the parent set, so line vectors can reference
+items independently of subset membership.
 """
 
 from __future__ import annotations
@@ -12,6 +13,25 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonFiniteInput
+
+# Coordinates up to this magnitude keep squared distances and sums of squared
+# coordinate products finite: residuals, k-NN distances and covariances, and
+# cross-covariances over as many pairs as the pair budget allows
+# ((2 * 1e150)**2 * 2**24 is about 6.7e307, below the float64 maximum of 1.8e308).
+MAX_COORDINATE = 1e150
+
+
+def check_coordinates(what: str, *arrays: np.ndarray) -> None:
+    """Raise NonFiniteInput unless every coordinate is finite and within MAX_COORDINATE.
+
+    `what` starts the message: "correspondences contain", "point cloud contains".
+    """
+    for a in arrays:
+        if a.size and not np.abs(a).max() <= MAX_COORDINATE:  # NaN fails the comparison
+            if np.all(np.isfinite(a)):
+                raise NonFiniteInput(f"{what} coordinates beyond {MAX_COORDINATE:g} "
+                                     "in magnitude, whose squared distances could overflow")
+            raise NonFiniteInput(f"{what} non-finite coordinates")
 
 
 class CorrespondenceSet:
@@ -22,8 +42,7 @@ class CorrespondenceSet:
         n = len(self.source)
         if len(self.target) != n:
             raise ValueError("source and target must pair up one-to-one")
-        if not (np.all(np.isfinite(self.source)) and np.all(np.isfinite(self.target))):
-            raise NonFiniteInput("correspondences contain non-finite coordinates")
+        check_coordinates("correspondences contain", self.source, self.target)
         self.source_normals = None if source_normals is None else np.asarray(source_normals, dtype=np.float64).reshape(n, 3)
         self.target_normals = None if target_normals is None else np.asarray(target_normals, dtype=np.float64).reshape(n, 3)
         self.prev_residuals = np.full(n, np.nan) if prev_residuals is None else np.asarray(prev_residuals, dtype=np.float64).copy()

@@ -31,6 +31,7 @@ from .local_sets import (
     angle_histogram_filter,
     build_angle_histogram,
     build_line_vectors,
+    check_pair_budget,
     length_ratio_filter,
 )
 from .normals import PointCloud, annotate_normals
@@ -119,6 +120,11 @@ class RegistrationResult:
     angle_histogram: Histogram | None = None
     scale_ratio_histogram: Histogram | None = None
     sus_decisions: list = field(default_factory=list)  # one decision list per updated round
+    # local_sets_rung: "filtered" | "unfiltered-pairs" | "full-set", the fallback rung
+    # that built the initial local sets; zero_length_skipped: pairs dropped for zero
+    # length by that build and by full-set rebuilds; full_set_rebuilds: how often the
+    # self-update emptied the local sets and they were rebuilt from the full set
+    counters: dict = field(default_factory=dict)
 
 
 def confidence_level(inlier_rate: float, iterations: int) -> float:
@@ -215,23 +221,29 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
                                     best_count)
 
 
-def _full_local_sets(corrs: CorrespondenceSet):
-    """Last rung of the fallback ladder: the full set with all its usable pairs."""
+def _full_local_sets(corrs: CorrespondenceSet, counters: dict):
+    """Last rung of the fallback ladder: the full set with all its usable pairs.
+
+    Adds the pairs it dropped for zero length to `counters`.
+    """
     pairs = build_line_vectors(corrs)
     if len(pairs) < 2:
         raise DegenerateInput("fewer than 2 usable line vectors in the full correspondence set")
+    counters["zero_length_skipped"] += pairs.n_zero_skipped
     return corrs, pairs, RatioRange.everything()
 
 
-def _initial_local_sets(corrs: CorrespondenceSet, cfg: RansacConfig):
+def _initial_local_sets(corrs: CorrespondenceSet, cfg: RansacConfig, counters: dict):
     """Build the filtered local sets with graceful fallbacks on degenerate input.
 
     Fallback ladder: filtered sets -> unfiltered pairs of the filtered
     correspondences -> unfiltered pairs of the full set. A filter that
     retains nothing (or cannot discriminate) must not abort registration.
+    The rung used ("filtered", "unfiltered-pairs" or "full-set") and the
+    zero-length pairs its build dropped go into `counters`.
     """
     if not cfg.use_ahs_lvlp:
-        return (*_full_local_sets(corrs), None, None)
+        return (*_full_local_sets(corrs, counters), None, None)
     angle_hist = sr_hist = None
     local = corrs
     try:
@@ -242,14 +254,17 @@ def _initial_local_sets(corrs: CorrespondenceSet, cfg: RansacConfig):
     try:
         pairs = build_line_vectors(local)
     except TooFewCorrespondences:  # the angle filter kept fewer than 2 correspondences
-        return (*_full_local_sets(corrs), angle_hist, None)
+        return (*_full_local_sets(corrs, counters), angle_hist, None)
     if len(pairs):
         l_sul, ratio_range, sr_hist = length_ratio_filter(pairs)
         if len(l_sul) >= 2:
+            counters.update(local_sets_rung="filtered", zero_length_skipped=pairs.n_zero_skipped)
             return local, l_sul, ratio_range, angle_hist, sr_hist
     if len(pairs) >= 2:
+        counters.update(local_sets_rung="unfiltered-pairs",
+                        zero_length_skipped=pairs.n_zero_skipped)
         return local, pairs, RatioRange.everything(), angle_hist, sr_hist
-    return (*_full_local_sets(corrs), angle_hist, sr_hist)
+    return (*_full_local_sets(corrs, counters), angle_hist, sr_hist)
 
 
 def run_registration(corrs: CorrespondenceSet, source: PointCloud, target: PointCloud,
@@ -258,11 +273,17 @@ def run_registration(corrs: CorrespondenceSet, source: PointCloud, target: Point
 
     Normal annotation, local-set construction, the round loop with
     confidence/round-cap termination, per-round weight accumulation and
-    self-update, and the final weighted alignment of the full set.
+    self-update, and the final weighted alignment of the full set. With
+    the self-update on, a full set over the pair budget raises
+    PairBudgetExceeded before any round runs.
     """
     n = len(corrs)
     if n < 3:
         raise TooFewCorrespondences("registration needs at least 3 correspondences")
+    if cfg.use_sus:
+        # A self-update that empties the local sets rebuilds them from the
+        # full set; refuse a full set over the pair budget now, not mid-run.
+        check_pair_budget(n)
     rng = np.random.default_rng(cfg.rng_seed)
 
     # Work on a private copy whose item ids equal row positions; the
@@ -272,7 +293,8 @@ def run_registration(corrs: CorrespondenceSet, source: PointCloud, target: Point
                               target_normals=corrs.target_normals)
     if cfg.use_ahs_lvlp:
         corrs = annotate_normals(corrs, source, target, cfg.k_normals)
-    local_set, l_sul, ratio_range, angle_hist, sr_hist = _initial_local_sets(corrs, cfg)
+    counters = {"local_sets_rung": "full-set", "zero_length_skipped": 0, "full_set_rebuilds": 0}
+    local_set, l_sul, ratio_range, angle_hist, sr_hist = _initial_local_sets(corrs, cfg, counters)
 
     best_global = RigidTransform.identity()
     best_count = len(residual_inliers(best_global, corrs, cfg.residual_threshold))
@@ -314,9 +336,10 @@ def run_registration(corrs: CorrespondenceSet, source: PointCloud, target: Point
             sus_decisions.append(decisions)
             if len(l_sul) < 2 or len(local_set) == 0:
                 # The update emptied the local sets; rebuild from the full set,
-                # whose pairs are a superset of the initial local ones, so the
-                # full-set rung cannot fail here.
-                local_set, l_sul, ratio_range = _full_local_sets(corrs)
+                # whose pair count was checked against the budget on entry and
+                # whose pairs are a superset of the initial local ones.
+                counters["full_set_rebuilds"] += 1
+                local_set, l_sul, ratio_range = _full_local_sets(corrs, counters)
 
     final_weights = weights
     if final_weights.sum() == 0:
@@ -342,4 +365,5 @@ def run_registration(corrs: CorrespondenceSet, source: PointCloud, target: Point
         angle_histogram=angle_hist,
         scale_ratio_histogram=sr_hist,
         sus_decisions=sus_decisions,
+        counters=counters,
     )

@@ -38,7 +38,12 @@ class TooFewCorrespondences(LvregError):
 
 
 class NonFiniteInput(LvregError, ValueError):
-    """A point or correspondence coordinate that is NaN or infinite."""
+    """A point or correspondence coordinate that is NaN, infinite, or so large
+    that a squared distance could overflow to infinity."""
+
+
+class PairBudgetExceeded(LvregError):
+    """A correspondence set with more line-vector pairs than the pair budget allows."""
 
 
 class ParseError(LvregError):

@@ -167,6 +167,7 @@ def result_to_dict(result: RegistrationResult, metrics: MetricsReport | None = N
     payload["inlier_indices"] = [int(i) for i in result.inlier_indices]
     if metrics is not None:
         payload["metrics"] = metrics.to_dict()
+    payload["counters"] = dict(result.counters)
     payload["trace"] = [
         {
             "round": row.round_index,

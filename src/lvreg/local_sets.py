@@ -11,6 +11,24 @@ RANSAC loop:
   lengths, so consistent pairs cluster at ratio 1).
 
 Bin widths follow Scott's rule with the population standard deviation.
+
+The pair layer works on 1-D columns. `build_line_vectors` enumerates the
+row pairs (r, s), r < s, of the upper triangle in row-major order with
+`np.repeat` and one `cumsum` over int64 columns (no n x n mask), gathers
+the endpoint rows with `np.take` and subtracts in place. A pair's norm is
+`sqrt((x*x + y*y) + z*z)`, summed in that order: it is the order in which
+`np.linalg.norm(v, axis=1)` sums an (n, 3) array, and a different order
+(say `x*x + (y*y + z*z)`) changes the last bit of about one norm in nine,
+which moves pairs across ratio-bin edges and so changes the local sets and
+the random draws that follow. The ratio is divided out before pairs with a
+zero-length difference are dropped, so the drop is one `np.take` per column.
+A histogram keeps each item's bin
+index next to the counts, so the filters select rows with one comparison
+over that column, in ascending row order.
+
+A set of n correspondences has n(n-1)/2 pairs, about 72 bytes each; above
+`PAIR_BUDGET` pairs `check_pair_budget` raises `PairBudgetExceeded`, and
+`build_line_vectors` calls it before it allocates anything.
 """
 
 from __future__ import annotations
@@ -25,6 +43,7 @@ from .errors import (
     DegenerateDistribution,
     EmptyResult,
     MissingNormals,
+    PairBudgetExceeded,
     TooFewCorrespondences,
 )
 
@@ -33,6 +52,9 @@ SCOTT_FACTOR = 3.49
 # usable spread (e.g. angles differing only by float noise); treat it as
 # degenerate instead of allocating an absurd number of bins.
 MAX_BINS = 100_000
+# Largest pair set `build_line_vectors` builds: about 1.2 GB of line vectors,
+# far above the 2.0 M pairs of an unfiltered set of 2000 correspondences.
+PAIR_BUDGET = 2**24
 
 
 def normal_angles(corrs: CorrespondenceSet) -> np.ndarray:
@@ -60,33 +82,34 @@ def scotts_bin_width(values) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Histogram:
-    """Fixed-width binning with per-bin item membership.
+    """Fixed-width binning that records each item's bin.
 
     Item with value v lands in bin floor((v - lower_bound) / bin_width);
     `from_values(..., clamp_top=True)` clamps the index into the last bin
     so a value exactly at the domain's upper edge stays inside.
+    `bin_index[k]` is the bin of item k, so the items of a bin set are
+    `np.flatnonzero` of a comparison over `bin_index`, in ascending order.
     """
 
     bin_width: float
     lower_bound: float
     counts: np.ndarray
-    bin_members: list
+    bin_index: np.ndarray
 
     @classmethod
     def from_values(cls, values, bin_width: float, lower_bound: float, n_bins: int,
                     clamp_top: bool = False) -> "Histogram":
         v = np.asarray(values, dtype=np.float64)
-        idx = np.floor((v - lower_bound) / bin_width).astype(np.int64)
+        scaled = v - lower_bound
+        scaled /= bin_width
+        idx = np.floor(scaled, out=scaled).astype(np.int64)
+        del scaled
         if clamp_top:
-            idx = np.minimum(idx, n_bins - 1)
+            np.minimum(idx, n_bins - 1, out=idx)
         if v.size and (idx.min() < 0 or idx.max() >= n_bins):
             raise ValueError("value outside the histogram domain")
         counts = np.bincount(idx, minlength=n_bins)
-        order = np.argsort(idx, kind="stable")
-        splits = np.searchsorted(idx[order], np.arange(1, n_bins))
-        members = [m for m in np.split(order, splits)]
-        return cls(bin_width=bin_width, lower_bound=lower_bound, counts=counts,
-                   bin_members=members)
+        return cls(bin_width=bin_width, lower_bound=lower_bound, counts=counts, bin_index=idx)
 
     @property
     def n_bins(self) -> int:
@@ -119,11 +142,10 @@ def angle_histogram_filter(corrs: CorrespondenceSet, hist: Histogram) -> Corresp
     """
     counts = hist.counts.astype(np.float64)
     threshold = counts.mean() + counts.std()
-    qualified = np.nonzero(hist.counts > threshold)[0]
-    if qualified.size == 0:
+    qualified = hist.counts > threshold
+    if not qualified.any():
         raise EmptyResult("no histogram bin exceeds the frequency threshold")
-    rows = np.sort(np.concatenate([hist.bin_members[b] for b in qualified]))
-    return corrs.subset(rows)
+    return corrs.subset(np.flatnonzero(qualified[hist.bin_index]))
 
 
 def reduction_ratio(n_before: int, n_after: int) -> float:
@@ -149,13 +171,16 @@ class LineVectorSet:
         """Line vectors from per-pair difference vectors, v = x_i - x_j.
 
         Pairs whose source or target difference has zero norm are dropped
-        and counted in `n_zero_skipped`.
+        and counted in `n_zero_skipped`; the set owns its arrays.
         """
-        ns = np.linalg.norm(v_source, axis=1)
-        nt = np.linalg.norm(v_target, axis=1)
-        keep = (ns > 0.0) & (nt > 0.0)
-        return cls(i[keep], j[keep], v_source[keep], v_target[keep], ns[keep] / nt[keep],
-                   n_zero_skipped=int(np.count_nonzero(~keep)))
+        ratio = _row_norms(v_source)
+        nt = _row_norms(v_target)
+        rows = np.flatnonzero((ratio > 0.0) & (nt > 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):  # only dropped pairs divide by 0
+            ratio /= nt
+        del nt
+        return cls(*(np.take(a, rows, axis=0) for a in (i, j, v_source, v_target, ratio)),
+                   n_zero_skipped=len(ratio) - len(rows))
 
     def __len__(self) -> int:
         return len(self.i)
@@ -185,20 +210,55 @@ class LineVectorSet:
         return set(zip(self.i.tolist(), self.j.tolist()))
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (n, 3) array, summed as (x*x + y*y) + z*z."""
+    q = v * v
+    norms = q[:, 0] + q[:, 1]
+    norms += q[:, 2]
+    return np.sqrt(norms, out=norms)
+
+
+def _pair_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs (r, s) with r < s, in row-major upper-triangle order."""
+    counts = np.arange(n - 1, 0, -1)
+    r = np.repeat(np.arange(n - 1), counts)
+    # s climbs by one along a row and drops back to r + 1 where row r starts.
+    s = np.ones(len(r), dtype=np.int64)
+    s[np.cumsum(counts[:-1])] = np.arange(3 - n, 1)  # (r + 1) - (n - 1) for r = 1 .. n-2
+    return r, np.cumsum(s, out=s)
+
+
+def pair_differences(x: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """x[r] - x[s] for an (n, 3) array, gathered with np.take and subtracted in place."""
+    v = np.take(x, r, axis=0)
+    v -= np.take(x, s, axis=0)
+    return v
+
+
+def check_pair_budget(n: int) -> None:
+    """Raise PairBudgetExceeded if n correspondences have more than PAIR_BUDGET pairs."""
+    n_pairs = n * (n - 1) // 2
+    if n_pairs > PAIR_BUDGET:
+        raise PairBudgetExceeded(
+            f"{n} correspondences give {n_pairs} line vectors, over the budget of {PAIR_BUDGET}")
+
+
 def build_line_vectors(c_sul: CorrespondenceSet) -> LineVectorSet:
     """All unordered pairs (i < j by item id) as line vectors.
 
     Pairs whose source or target difference has zero norm are skipped and
     counted in `n_zero_skipped` (duplicate feature points occur in real
-    correspondence sets).
+    correspondence sets). More than `PAIR_BUDGET` pairs raise
+    PairBudgetExceeded before anything is allocated.
     """
     n = len(c_sul)
     if n < 2:
         raise TooFewCorrespondences("need at least 2 correspondences for line vectors")
-    r, s = np.triu_indices(n, k=1)
-    vs = c_sul.source[r] - c_sul.source[s]
-    vt = c_sul.target[r] - c_sul.target[s]
-    i, j = c_sul.indices[r], c_sul.indices[s]
+    check_pair_budget(n)
+    r, s = _pair_rows(n)
+    i, j = np.take(c_sul.indices, r), np.take(c_sul.indices, s)
+    vs = pair_differences(c_sul.source, r, s)
+    vt = pair_differences(c_sul.target, r, s)
     del r, s  # quadratic in n: free the row pairs before the norms are computed
     return LineVectorSet.from_differences(i, j, vs, vt)
 
@@ -270,5 +330,5 @@ def length_ratio_filter(lvs: LineVectorSet) -> tuple[LineVectorSet, RatioRange, 
         low=lower + first * w, high=lower + (last + 1) * w,
         lower_bound=lower, bin_width=w, first_bin=first, last_bin=last,
     )
-    rows = np.sort(np.concatenate([hist.bin_members[b] for b in range(first, last + 1)]))
+    rows = np.flatnonzero((hist.bin_index >= first) & (hist.bin_index <= last))
     return lvs.take(rows), ratio_range, hist

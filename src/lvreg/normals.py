@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateNeighborhood, EmptyCloud, NonFiniteInput
+from .correspondences import check_coordinates
+from .errors import DegenerateNeighborhood, EmptyCloud
 
 _COINCIDENT = "all neighbors coincide; normal undefined"
 
@@ -32,8 +33,7 @@ class PointCloud:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        if pts.size and not np.all(np.isfinite(pts)):
-            raise NonFiniteInput("point cloud contains non-finite coordinates")
+        check_coordinates("point cloud contains", pts)
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:

@@ -26,7 +26,7 @@ from scipy.special import gammaincc
 
 from .correspondences import CorrespondenceSet
 from .errors import MissingResidual
-from .local_sets import LineVectorSet, RatioRange
+from .local_sets import LineVectorSet, RatioRange, pair_differences
 
 SIGMA_MODES = ("per-eval", "per-round", "fixed-half-tr")
 
@@ -132,6 +132,32 @@ def _decide(classify, corrs: CorrespondenceSet, ids: np.ndarray, action: UpdateA
     return decisions, ids[chosen]
 
 
+def _admission_block(corrs: CorrespondenceSet, admitted: np.ndarray, retained: np.ndarray,
+                     current: np.ndarray, current_rows: np.ndarray,
+                     ratio_range: RatioRange) -> LineVectorSet:
+    """The new line vectors of the admitted ids whose scale ratio is in the band.
+
+    Admitted id a pairs with every retained member and every admitted id
+    below it; np.nonzero walks the mask row-major, so rows come out by a,
+    then by member id. Its temporaries die when it returns.
+    """
+    a_col = admitted[:, None]
+    mask = (current != a_col) & (np.isin(current, retained) | (current < a_col))
+    a_pos, m_pos = np.nonzero(mask)
+    del mask
+    a, m = admitted[a_pos], current[m_pos]
+    rows_a, rows_m = corrs.rows_for(admitted)[a_pos], current_rows[m_pos]
+    # v = x_i - x_j with i < j by item id (canonical pair orientation); the
+    # sign flips x_a - x_m, so a zero component keeps the sign it has always had
+    sign = np.where(m > a, 1.0, -1.0)[:, None]
+    vs = pair_differences(corrs.source, rows_a, rows_m)
+    vs *= sign
+    vt = pair_differences(corrs.target, rows_a, rows_m)
+    vt *= sign
+    block = LineVectorSet.from_differences(np.minimum(a, m), np.maximum(a, m), vs, vt)
+    return block.take(ratio_range.contains(block.scale_ratio))
+
+
 def update_local_sets(corrs: CorrespondenceSet, local_set: CorrespondenceSet,
                       lvs: LineVectorSet, ir_glo, residual_threshold: float,
                       ratio_range: RatioRange, rng: np.random.Generator,
@@ -163,22 +189,8 @@ def update_local_sets(corrs: CorrespondenceSet, local_set: CorrespondenceSet,
     retained = np.setdiff1d(members, removed)
     current = np.union1d(retained, admitted)
 
-    # Admitted id a pairs with every retained member and every admitted id
-    # below it; np.nonzero walks the mask row-major, so rows come out by a,
-    # then by member id.
-    a_col = admitted[:, None]
-    mask = (current != a_col) & (np.isin(current, retained) | (current < a_col))
-    a_pos, m_pos = np.nonzero(mask)
-    a, m = admitted[a_pos], current[m_pos]
     current_rows = corrs.rows_for(current)
-    rows_a, rows_m = corrs.rows_for(admitted)[a_pos], current_rows[m_pos]
-    # v = x_i - x_j with i < j by item id (canonical pair orientation)
-    sign = np.where(m > a, 1.0, -1.0)[:, None]
-    block = LineVectorSet.from_differences(
-        np.minimum(a, m), np.maximum(a, m),
-        sign * (corrs.source[rows_a] - corrs.source[rows_m]),
-        sign * (corrs.target[rows_a] - corrs.target[rows_m]))
-    block = block.take(ratio_range.contains(block.scale_ratio))
+    block = _admission_block(corrs, admitted, retained, current, current_rows, ratio_range)
 
     evicted = np.isin(lvs.i, removed) | np.isin(lvs.j, removed)
     new_lvs = lvs.take(~evicted).extend(block)

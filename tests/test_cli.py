@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import lvreg
-from lvreg import cli
+from lvreg import cli, local_sets
 from lvreg.io import load_correspondences
 
 BASE = [sys.executable, "-m", "lvreg"]
@@ -102,6 +102,26 @@ class TestRegister:
                          "--seed", "3", "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
+
+    def test_pair_budget_exceeded_exits_4(self, scene_dir, tmp_path, monkeypatch, capsys):
+        # 80 correspondences make 3160 pairs; a budget of 100 is exceeded
+        monkeypatch.setattr(local_sets, "PAIR_BUDGET", 100)
+        code = cli.main(["register", "--source", str(scene_dir / "source.xyz"),
+                         "--target", str(scene_dir / "target.xyz"),
+                         "--corr", str(scene_dir / "corr.txt"), "--tr", "0.01",
+                         "--seed", "3", "--no-ahs-lvlp", "--out", str(tmp_path / "r.json")])
+        assert code == 4
+        assert "pair budget" in capsys.readouterr().err
+
+    def test_result_json_has_counters(self, scene_dir, tmp_path):
+        out = tmp_path / "r.json"
+        assert cli.main(["register", "--source", str(scene_dir / "source.xyz"),
+                         "--target", str(scene_dir / "target.xyz"),
+                         "--corr", str(scene_dir / "corr.txt"), "--tr", "0.01",
+                         "--seed", "3", "--out", str(out)]) == 0
+        counters = json.loads(out.read_text())["counters"]
+        assert set(counters) == {"local_sets_rung", "zero_length_skipped", "full_set_rebuilds"}
+        assert counters["local_sets_rung"] in ("filtered", "unfiltered-pairs", "full-set")
 
     def test_degenerate_geometry_exits_3(self, tmp_path):
         cloud = tmp_path / "line.xyz"

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lvreg.correspondences import CorrespondenceSet
+from lvreg.correspondences import MAX_COORDINATE, CorrespondenceSet
 from lvreg.engine import (
     LocalRoundResult,
     RansacConfig,
+    RegistrationResult,
     _sample_size,
     confidence_level,
     estimate_local_transform,
@@ -20,11 +21,13 @@ from lvreg.errors import (
     DegenerateNeighborhood,
     LvregError,
     NonFiniteInput,
+    PairBudgetExceeded,
     TooFewCorrespondences,
 )
 from lvreg.geometry import RigidTransform, rotation_about_axis
 from lvreg.io import result_to_dict
-from lvreg.local_sets import LineVectorSet, build_line_vectors
+from lvreg import local_sets
+from lvreg.local_sets import LineVectorSet, RatioRange, build_line_vectors
 from lvreg.self_update import UpdateAction, UpdateRule
 from lvreg.synthetic import SyntheticSpec, synthesize_pair
 
@@ -400,6 +403,65 @@ class TestRunRegistration:
         assert trace[2].local_set_size == len(corrs)
         assert res.exit_reason in {"confidence", "max-rounds"}
 
+    def test_counters_report_rung_zero_length_pairs_and_rebuilds(self):
+        # The all-outlier scene above, with four coincident target points
+        # (6 zero-length pairs per build of the full set). Every one of the
+        # three self-updates empties the local set, the last one after the
+        # final round, so the full set is built 1 + 3 times.
+        rng = np.random.default_rng(9)
+        src = rng.normal(size=(40, 3))
+        tgt = rng.normal(size=(40, 3))
+        tgt[[5, 6, 7]] = tgt[4]
+        corrs = CorrespondenceSet(src, tgt)
+        cfg = quick_cfg(r_max=3, max_local_iterations=15, use_ahs_lvlp=False)
+        res = run_registration(corrs, PointCloudFrom(src), PointCloudFrom(tgt), cfg)
+        assert [row.local_set_size for row in res.per_round_trace] == [40, 40, 40]
+        assert res.counters == {"local_sets_rung": "full-set", "zero_length_skipped": 24,
+                                "full_set_rebuilds": 3}
+        assert result_to_dict(res)["counters"] == res.counters
+
+    def test_counters_report_the_filtered_rung(self):
+        spec = SyntheticSpec(n_points=300, n_correspondences=150, outlier_rate=0.5,
+                             noise_sigma=0.003, seed=2)
+        source, target, corrs, gt, _ = synthesize_pair(spec)
+        res = run_registration(corrs, source, target, quick_cfg())
+        assert res.counters["local_sets_rung"] == "filtered"
+        assert res.counters["full_set_rebuilds"] == 0
+
+    def test_counters_report_the_unfiltered_pairs_rung(self, monkeypatch):
+        # a ratio filter that keeps no pair sends the ladder to its second rung
+        monkeypatch.setattr("lvreg.engine.length_ratio_filter",
+                            lambda pairs: (pairs.take(np.arange(0)), RatioRange.everything(), None))
+        spec = SyntheticSpec(n_points=300, n_correspondences=150, outlier_rate=0.5,
+                             noise_sigma=0.003, seed=2)
+        source, target, corrs, gt, _ = synthesize_pair(spec)
+        res = run_registration(corrs, source, target, quick_cfg())
+        assert res.counters["local_sets_rung"] == "unfiltered-pairs"
+        assert res.per_round_trace[0].local_set_size < len(corrs)
+
+    def test_full_set_over_pair_budget_refused_before_any_round(self, monkeypatch):
+        # A budget that fits the angle-filtered local set but not the full
+        # set: the self-update could need the full set's pairs after any
+        # round, so registration with it on is refused before the first.
+        spec = SyntheticSpec(n_points=300, n_correspondences=150, outlier_rate=0.5,
+                             noise_sigma=0.003, seed=2)
+        source, target, corrs, gt, _ = synthesize_pair(spec)
+        m = run_registration(corrs, source, target, quick_cfg()).per_round_trace[0].local_set_size
+        assert 2 <= m < len(corrs)
+        monkeypatch.setattr(local_sets, "PAIR_BUDGET", m * (m - 1) // 2)
+
+        def no_round(*args, **kwargs):
+            raise AssertionError("a round ran")
+
+        monkeypatch.setattr("lvreg.engine.run_local_ransac", no_round)
+        with pytest.raises(PairBudgetExceeded, match=str(len(corrs) * (len(corrs) - 1) // 2)):
+            run_registration(corrs, source, target, quick_cfg())
+        monkeypatch.undo()
+        monkeypatch.setattr(local_sets, "PAIR_BUDGET", m * (m - 1) // 2)
+        res = run_registration(corrs, source, target, quick_cfg(use_sus=False))
+        assert res.counters["local_sets_rung"] == "filtered"
+        assert res.per_round_trace[0].local_set_size == m
+
     def test_too_few_correspondences(self):
         src = np.zeros((2, 3))
         corrs = CorrespondenceSet(src, src)
@@ -462,6 +524,36 @@ class TestTerminationFuzz:
         corrs.source[17, 1] = bad  # written after the set was checked
         out = self.run(corrs, source, target, quick_cfg(use_ahs_lvlp=use_ahs_lvlp))
         assert isinstance(out, NonFiniteInput)
+
+    @staticmethod
+    def scaled_scene(scale, use_ahs_lvlp):
+        """The 60-correspondence scene and its settings, everything scaled by `scale`."""
+        spec = SyntheticSpec(n_points=200, n_correspondences=60, outlier_rate=0.5,
+                             noise_sigma=0.003, seed=5)
+        source, target, corrs, gt, _ = synthesize_pair(spec)
+        for points in (corrs.source, corrs.target, source.points, target.points):
+            points *= scale  # written after the sets were checked
+        cfg = quick_cfg(use_ahs_lvlp=use_ahs_lvlp, residual_threshold=0.01 * scale,
+                        noise_bound=0.05 * scale)
+        return corrs, source, target, cfg
+
+    @pytest.mark.parametrize("use_ahs_lvlp", [True, False])
+    @pytest.mark.parametrize("scale", [1e155, 1e160, 1e200])
+    def test_huge_finite_coordinates(self, scale, use_ahs_lvlp):
+        # squared distances of such coordinates overflow to inf
+        out = self.run(*self.scaled_scene(scale, use_ahs_lvlp))
+        assert isinstance(out, NonFiniteInput)
+        assert "beyond" in str(out)
+
+    @pytest.mark.parametrize("use_ahs_lvlp", [True, False])
+    def test_coordinates_just_inside_the_bound_register(self, use_ahs_lvlp):
+        corrs, source, target, cfg = self.scaled_scene(1.0, use_ahs_lvlp)
+        base = self.run(corrs, source, target, cfg)
+        largest = max(np.abs(a).max() for a in (corrs.source, corrs.target,
+                                                source.points, target.points))
+        out = self.run(*self.scaled_scene(0.999 * MAX_COORDINATE / largest, use_ahs_lvlp))
+        assert isinstance(out, RegistrationResult)
+        assert np.array_equal(out.inlier_indices, base.inlier_indices)
 
 
 def PointCloudFrom(points):

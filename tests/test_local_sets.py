@@ -84,7 +84,8 @@ class TestAngleHistogram:
         cs = set_with_normals(n_src, n_tgt)
         assert normal_angles(cs)[0] == pytest.approx(np.pi)
         hist = build_angle_histogram(cs)
-        assert 0 in hist.bin_members[hist.n_bins - 1]
+        assert hist.bin_index[0] == hist.n_bins - 1
+        assert hist.counts[hist.n_bins - 1] == np.count_nonzero(hist.bin_index == hist.n_bins - 1)
 
     def test_counts_match_brute_force_binning(self, rng):
         angles = rng.uniform(0, np.pi, size=1000)
@@ -110,8 +111,9 @@ class TestAngleHistogram:
         perm = rng.permutation(len(values))
         h2 = Histogram.from_values(values[perm], w, 0.0, n_bins, clamp_top=True)
         assert np.array_equal(h1.counts, h2.counts)
-        for b in range(n_bins):
-            assert set(h1.bin_members[b]) == set(perm[h2.bin_members[b]])
+        # item k of the permuted values is item perm[k] of the originals
+        assert np.array_equal(h2.bin_index, h1.bin_index[perm])
+        assert np.array_equal(np.bincount(h1.bin_index, minlength=n_bins), h1.counts)
 
 
 class TestAngleHistogramFilter:
@@ -120,22 +122,20 @@ class TestAngleHistogramFilter:
 
     def test_uniform_histogram_yields_empty(self):
         corrs = self._uniform_corrs(30)
-        members = [np.arange(t * 3, t * 3 + 3) for t in range(10)]
         hist = Histogram(bin_width=0.1, lower_bound=0.0,
-                         counts=np.full(10, 3), bin_members=members)
+                         counts=np.full(10, 3), bin_index=np.repeat(np.arange(10), 3))
         with pytest.raises(EmptyResult):
             angle_histogram_filter(corrs, hist)
 
     def test_dominant_bin_selected_exactly(self):
         counts = np.array([2, 2, 2, 90, 1, 1])
-        members, start = [], 0
-        for c in counts:
-            members.append(np.arange(start, start + c))
-            start += c
-        hist = Histogram(bin_width=0.5, lower_bound=0.0, counts=counts, bin_members=members)
+        # items in shuffled bin order: the kept rows must still come out ascending
+        bin_index = np.random.default_rng(3).permutation(np.repeat(np.arange(6), counts))
+        hist = Histogram(bin_width=0.5, lower_bound=0.0, counts=counts, bin_index=bin_index)
         corrs = self._uniform_corrs(int(counts.sum()))
         kept = angle_histogram_filter(corrs, hist)
-        assert np.array_equal(kept.indices, members[3])
+        assert np.array_equal(kept.indices, np.flatnonzero(bin_index == 3))
+        assert len(kept) == 90
 
     def test_subset_preserves_order_and_ids(self, rng):
         angles = np.concatenate([rng.uniform(0.4, 0.5, 60), rng.uniform(0, np.pi, 40)])

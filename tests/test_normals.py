@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import lvreg.normals
-from lvreg.correspondences import CorrespondenceSet
+from lvreg.correspondences import MAX_COORDINATE, CorrespondenceSet
 from lvreg.errors import DegenerateNeighborhood, EmptyCloud, NonFiniteInput
 from lvreg.normals import PointCloud, annotate_normals, build_index, estimate_normal, knn
 
@@ -202,6 +202,21 @@ class TestNonFiniteInput:
     def test_still_a_value_error(self):
         with pytest.raises(ValueError):
             PointCloud([[np.nan, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("big", [1.0000001e150, -1e151, 1e300])
+    def test_coordinates_beyond_the_bound_rejected(self, big, rng):
+        with pytest.raises(NonFiniteInput, match="beyond"):
+            PointCloud([[0.0, 0.0, 0.0], [1.0, big, 0.0]])
+        pts = rng.normal(size=(5, 3))
+        bad = pts.copy()
+        bad[2, 0] = big
+        for args in ((bad, pts), (pts, bad)):
+            with pytest.raises(NonFiniteInput, match="beyond"):
+                CorrespondenceSet(*args)
+
+    def test_coordinates_at_the_bound_accepted(self):
+        PointCloud([[MAX_COORDINATE, -MAX_COORDINATE, 0.0]])
+        CorrespondenceSet([[MAX_COORDINATE, 0.0, 0.0]], [[0.0, -MAX_COORDINATE, 0.0]])
 
 
 # The per-endpoint loop that annotate_normals replaced: one kd-tree query,

@@ -1,0 +1,431 @@
+"""The column pair layer against the member-list pair layer it replaced.
+
+The reference functions below are the earlier implementation, kept
+verbatim in behaviour: `np.triu_indices` pairs, fancy-indexed
+differences, `np.linalg.norm` norms with keep-mask gathers, and
+histograms that store per-bin member lists built by a stable argsort.
+Every comparison is on bytes (signed zeros included), or on the raised
+exception's type and message.
+"""
+
+import copy
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from lvreg import local_sets
+from lvreg.correspondences import CorrespondenceSet
+from lvreg.errors import (
+    DegenerateDistribution,
+    EmptyResult,
+    LvregError,
+    PairBudgetExceeded,
+    TooFewCorrespondences,
+)
+from lvreg.local_sets import (
+    PAIR_BUDGET,
+    Histogram,
+    LineVectorSet,
+    RatioRange,
+    angle_histogram_filter,
+    build_angle_histogram,
+    build_line_vectors,
+    length_ratio_filter,
+    normal_angles,
+    scotts_bin_width,
+)
+from lvreg.self_update import (
+    SIGMA_MODES,
+    UpdateAction,
+    classify_inclusion,
+    classify_removal,
+    draw_sigma,
+    update_local_sets,
+)
+
+FIELDS = ("i", "j", "v_source", "v_target", "scale_ratio")
+T_R = 0.01
+
+
+# --- reference implementation -------------------------------------------------
+
+def ref_from_differences(i, j, v_source, v_target):
+    ns = np.linalg.norm(v_source, axis=1)
+    nt = np.linalg.norm(v_target, axis=1)
+    keep = (ns > 0.0) & (nt > 0.0)
+    return LineVectorSet(i[keep], j[keep], v_source[keep], v_target[keep], ns[keep] / nt[keep],
+                         n_zero_skipped=int(np.count_nonzero(~keep)))
+
+
+def ref_build_line_vectors(c_sul):
+    n = len(c_sul)
+    if n < 2:
+        raise TooFewCorrespondences("need at least 2 correspondences for line vectors")
+    r, s = np.triu_indices(n, k=1)
+    vs = c_sul.source[r] - c_sul.source[s]
+    vt = c_sul.target[r] - c_sul.target[s]
+    i, j = c_sul.indices[r], c_sul.indices[s]
+    return ref_from_differences(i, j, vs, vt)
+
+
+def ref_histogram(values, bin_width, lower_bound, n_bins, clamp_top=False):
+    """(counts, per-bin member lists)."""
+    v = np.asarray(values, dtype=np.float64)
+    idx = np.floor((v - lower_bound) / bin_width).astype(np.int64)
+    if clamp_top:
+        idx = np.minimum(idx, n_bins - 1)
+    if v.size and (idx.min() < 0 or idx.max() >= n_bins):
+        raise ValueError("value outside the histogram domain")
+    counts = np.bincount(idx, minlength=n_bins)
+    order = np.argsort(idx, kind="stable")
+    splits = np.searchsorted(idx[order], np.arange(1, n_bins))
+    return counts, list(np.split(order, splits))
+
+
+def ref_angle_histogram_filter(corrs, counts, members):
+    c = counts.astype(np.float64)
+    threshold = c.mean() + c.std()
+    qualified = np.nonzero(counts > threshold)[0]
+    if qualified.size == 0:
+        raise EmptyResult("no histogram bin exceeds the frequency threshold")
+    return corrs.subset(np.sort(np.concatenate([members[b] for b in qualified])))
+
+
+def ref_length_ratio_filter(lvs):
+    """(kept set, RatioRange, (counts, members) or None)."""
+    if len(lvs) == 0:
+        raise TooFewCorrespondences("cannot filter an empty line-vector set")
+    ratios = lvs.scale_ratio
+    try:
+        w = scotts_bin_width(ratios)
+    except DegenerateDistribution:
+        return lvs, RatioRange.exact(float(ratios[0])), None
+    lower = float(ratios.min())
+    n_bins = int(np.floor((ratios.max() - lower) / w)) + 1
+    if n_bins > local_sets.MAX_BINS:
+        return lvs, RatioRange.everything(), None
+    counts, members = ref_histogram(ratios, w, lower, n_bins)
+    top = int(np.argmax(counts))
+    first = max(0, top - 1)
+    last = min(n_bins - 1, top + 1)
+    ratio_range = RatioRange(
+        low=lower + first * w, high=lower + (last + 1) * w,
+        lower_bound=lower, bin_width=w, first_bin=first, last_bin=last,
+    )
+    rows = np.sort(np.concatenate([members[b] for b in range(first, last + 1)]))
+    return lvs.take(rows), ratio_range, (counts, members)
+
+
+def ref_update_local_sets(corrs, local_set, lvs, ir_glo, residual_threshold, ratio_range, rng,
+                          sigma_mode):
+    sigma = None
+    if sigma_mode == "per-round":
+        sigma = draw_sigma(rng, residual_threshold)
+    elif sigma_mode == "fixed-half-tr":
+        sigma = residual_threshold / 2.0
+
+    def decide(classify, ids, action):
+        rows = corrs.rows_for(ids)
+        decisions = [classify(prev, curr, residual_threshold, rng, sigma=sigma, index=gid)
+                     for gid, prev, curr in zip(ids.tolist(), corrs.prev_residuals[rows].tolist(),
+                                                corrs.curr_residuals[rows].tolist())]
+        return decisions, ids[np.array([d.action is action for d in decisions], dtype=bool)]
+
+    ir_glo = np.asarray(ir_glo, dtype=np.int64).ravel()
+    members = local_set.indices
+    evict_decisions, removed = decide(classify_removal, np.setdiff1d(members, ir_glo),
+                                      UpdateAction.REMOVE)
+    admit_decisions, admitted = decide(classify_inclusion, np.setdiff1d(ir_glo, members),
+                                       UpdateAction.INCLUDE)
+    retained = np.setdiff1d(members, removed)
+    current = np.union1d(retained, admitted)
+    a_col = admitted[:, None]
+    mask = (current != a_col) & (np.isin(current, retained) | (current < a_col))
+    a_pos, m_pos = np.nonzero(mask)
+    a, m = admitted[a_pos], current[m_pos]
+    current_rows = corrs.rows_for(current)
+    rows_a, rows_m = corrs.rows_for(admitted)[a_pos], current_rows[m_pos]
+    sign = np.where(m > a, 1.0, -1.0)[:, None]
+    block = ref_from_differences(
+        np.minimum(a, m), np.maximum(a, m),
+        sign * (corrs.source[rows_a] - corrs.source[rows_m]),
+        sign * (corrs.target[rows_a] - corrs.target[rows_m]))
+    block = block.take(ratio_range.contains(block.scale_ratio))
+    evicted = np.isin(lvs.i, removed) | np.isin(lvs.j, removed)
+    new_lvs = lvs.take(~evicted).extend(block)
+    return corrs.subset(current_rows), new_lvs, evict_decisions + admit_decisions
+
+
+# --- helpers ------------------------------------------------------------------
+
+def assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for name in FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except LvregError as exc:
+        return None, (type(exc), str(exc))
+
+
+def point_sets(kind, n, rng):
+    """Source and target rows of one of the test set kinds."""
+    if kind == "random":
+        return rng.normal(size=(n, 3)), rng.normal(size=(n, 3)) * rng.uniform(0.5, 2.0)
+    if kind == "grid":  # many exactly equal components and coincident points
+        return (rng.integers(-2, 3, size=(n, 3)).astype(float),
+                rng.integers(-2, 3, size=(n, 3)).astype(float) * 0.5)
+    src, tgt = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+    dup = rng.choice(n, size=max(1, n // 3))  # duplicate points: zero-length pairs
+    src[dup] = src[rng.choice(n, size=len(dup))]
+    tgt[rng.permutation(dup)] = tgt[rng.choice(n, size=len(dup))]
+    return src, tgt
+
+
+def correspondence_set(kind, n, rng, sparse_ids=False):
+    src, tgt = point_sets(kind, n, rng)
+    ids = np.sort(rng.choice(10**6, size=n, replace=False)) if sparse_ids else None
+    return CorrespondenceSet(src, tgt, indices=ids)
+
+
+KINDS = ("random", "grid", "duplicate")
+
+
+# --- pair build ---------------------------------------------------------------
+
+class TestBuildMatchesReference:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("sparse_ids", [False, True])
+    def test_bit_identical(self, kind, sparse_ids):
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            n = int(rng.choice([2, 3, 4, 5, 17, 60, 203]))
+            corrs = correspondence_set(kind, n, rng, sparse_ids)
+            got, want = build_line_vectors(corrs), ref_build_line_vectors(corrs)
+            assert_same_bytes(got, want)
+            assert got.n_zero_skipped == want.n_zero_skipped
+
+    def test_zero_length_pairs_are_skipped_alike(self):
+        rng = np.random.default_rng(4)
+        corrs = correspondence_set("grid", 120, rng)
+        got, want = build_line_vectors(corrs), ref_build_line_vectors(corrs)
+        assert want.n_zero_skipped > 0  # the set exercises the gather path
+        assert_same_bytes(got, want)
+        assert got.n_zero_skipped == want.n_zero_skipped
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_smallest_sets(self, n):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            for kind in KINDS:
+                corrs = correspondence_set(kind, n, rng, sparse_ids=bool(seed % 2))
+                got, want = build_line_vectors(corrs), ref_build_line_vectors(corrs)
+                assert_same_bytes(got, want)
+                assert got.n_zero_skipped == want.n_zero_skipped
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_raises_alike(self, n):
+        corrs = CorrespondenceSet(np.zeros((n, 3)), np.zeros((n, 3)))
+        assert outcome(build_line_vectors, corrs)[1] == outcome(ref_build_line_vectors, corrs)[1]
+        assert outcome(build_line_vectors, corrs)[1][0] is TooFewCorrespondences
+
+    def test_from_differences_all_and_none_kept(self):
+        rng = np.random.default_rng(2)
+        i, j = np.arange(50), np.arange(1, 51)
+        vs, vt = rng.normal(size=(50, 3)), rng.normal(size=(50, 3))
+        assert_same_bytes(LineVectorSet.from_differences(i, j, vs, vt),
+                          ref_from_differences(i, j, vs, vt))
+        zeros = np.zeros((50, 3))
+        got = LineVectorSet.from_differences(i, j, zeros, vt)
+        assert_same_bytes(got, ref_from_differences(i, j, zeros, vt))
+        assert len(got) == 0 and got.n_zero_skipped == 50
+
+
+# --- histograms and filters -----------------------------------------------------
+
+class TestHistogramMatchesReference:
+    def test_bin_index_gives_the_member_lists(self):
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            values = rng.uniform(0, np.pi, size=int(rng.integers(2, 400)))
+            values[: int(rng.integers(0, 3))] = np.pi  # top edge, clamped
+            w = scotts_bin_width(values)
+            n_bins = math.ceil(np.pi / w)
+            hist = Histogram.from_values(values, w, 0.0, n_bins, clamp_top=True)
+            counts, members = ref_histogram(values, w, 0.0, n_bins, clamp_top=True)
+            assert hist.counts.tobytes() == counts.tobytes()
+            assert hist.bin_index.dtype == np.int64
+            for b in range(n_bins):
+                assert np.array_equal(np.flatnonzero(hist.bin_index == b), members[b])
+
+    def test_out_of_domain_raises_alike(self):
+        values = np.array([0.1, 0.5, 2.0])
+        with pytest.raises(ValueError, match="outside the histogram domain"):
+            Histogram.from_values(values, 0.5, 0.0, 3)
+        with pytest.raises(ValueError, match="outside the histogram domain"):
+            ref_histogram(values, 0.5, 0.0, 3)
+
+
+def angle_case(rng, n):
+    angles = np.concatenate([rng.uniform(0.4, 0.5, n // 2), rng.uniform(0, np.pi, n - n // 2)])
+    rng.shuffle(angles)
+    n_src = np.tile([[0.0, 0.0, 1.0]], (n, 1))
+    n_tgt = np.stack([np.sin(angles), np.zeros(n), np.cos(angles)], axis=1)
+    ids = np.sort(rng.choice(10**5, size=n, replace=False))
+    return CorrespondenceSet(rng.normal(size=(n, 3)), rng.normal(size=(n, 3)),
+                             source_normals=n_src, target_normals=n_tgt, indices=ids)
+
+
+class TestAngleFilterMatchesReference:
+    def test_same_rows(self):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            corrs = angle_case(rng, int(rng.integers(3, 300)))
+            hist = build_angle_histogram(corrs)
+            counts, members = ref_histogram(normal_angles(corrs), hist.bin_width, 0.0,
+                                            hist.n_bins, clamp_top=True)
+            assert hist.counts.tobytes() == counts.tobytes()
+            got, err = outcome(angle_histogram_filter, corrs, hist)
+            want, ref_err = outcome(ref_angle_histogram_filter, corrs, counts, members)
+            assert err == ref_err
+            if want is not None:
+                assert got.indices.tobytes() == want.indices.tobytes()
+                assert got.source.tobytes() == want.source.tobytes()
+                assert got.source_normals.tobytes() == want.source_normals.tobytes()
+
+    def test_no_qualifying_bin_raises_alike(self):
+        corrs = CorrespondenceSet(np.zeros((30, 3)), np.zeros((30, 3)))
+        counts = np.full(10, 3)
+        hist = Histogram(bin_width=0.1, lower_bound=0.0, counts=counts,
+                         bin_index=np.repeat(np.arange(10), 3))
+        got = outcome(angle_histogram_filter, corrs, hist)[1]
+        want = outcome(ref_angle_histogram_filter, corrs, counts, list(np.arange(30).reshape(10, 3)))[1]
+        assert got == want and got[0] is EmptyResult
+
+
+def assert_ratio_filter_matches(lvs):
+    got, got_err = outcome(length_ratio_filter, lvs)
+    want, want_err = outcome(ref_length_ratio_filter, lvs)
+    assert got_err == want_err
+    if want is None:
+        return
+    (kept, ratio_range, hist), (ref_kept, ref_range, ref_hist) = got, want
+    assert ratio_range == ref_range
+    assert_same_bytes(kept, ref_kept)
+    if ref_hist is None:
+        assert hist is None
+    else:
+        assert hist.counts.tobytes() == ref_hist[0].tobytes()
+        for b, members in enumerate(ref_hist[1]):
+            assert np.array_equal(np.flatnonzero(hist.bin_index == b), members)
+
+
+class TestRatioFilterMatchesReference:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_on_built_sets(self, kind):
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            n = int(rng.choice([2, 3, 4, 9, 40, 150]))
+            corrs = correspondence_set(kind, n, rng, sparse_ids=bool(seed % 2))
+            lvs = build_line_vectors(corrs)
+            if len(lvs):
+                assert_ratio_filter_matches(lvs)
+
+    def test_rigid_pairs_with_outliers(self):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            src = rng.normal(size=(120, 3))
+            tgt = src + rng.normal(scale=0.003, size=src.shape)
+            out = rng.random(120) < 0.6
+            tgt[out] = rng.normal(size=(int(out.sum()), 3))
+            assert_ratio_filter_matches(build_line_vectors(CorrespondenceSet(src, tgt)))
+
+    def test_identical_ratios_and_empty_set(self):
+        src = np.random.default_rng(0).normal(size=(8, 3))
+        assert_ratio_filter_matches(build_line_vectors(CorrespondenceSet(src, src)))
+        empty = LineVectorSet(np.zeros(0), np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3)),
+                              np.zeros(0))
+        assert outcome(length_ratio_filter, empty)[1][0] is TooFewCorrespondences
+        assert_ratio_filter_matches(empty)
+
+    def test_more_bins_than_max_bins(self, monkeypatch):
+        # A few far ratios stretch the range to far more Scott-width bins than
+        # MAX_BINS allows (lowered here so the set stays small); both keep all.
+        rng = np.random.default_rng(7)
+        lvs = build_line_vectors(correspondence_set("random", 60, rng))
+        lvs.scale_ratio = np.concatenate([rng.uniform(0.999, 1.001, len(lvs) - 3),
+                                          [40.0, 90.0, 300.0]])
+        w = scotts_bin_width(lvs.scale_ratio)
+        n_bins = int(np.floor((lvs.scale_ratio.max() - lvs.scale_ratio.min()) / w)) + 1
+        monkeypatch.setattr(local_sets, "MAX_BINS", n_bins - 1)
+        kept, ratio_range, hist = length_ratio_filter(lvs)
+        assert ratio_range.mode == "everything" and hist is None and kept is lvs
+        assert_ratio_filter_matches(lvs)
+        monkeypatch.setattr(local_sets, "MAX_BINS", n_bins)  # one bin fewer: a band again
+        assert length_ratio_filter(lvs)[1].mode == "interval"
+        assert_ratio_filter_matches(lvs)
+
+
+# --- self-update admission block ----------------------------------------------
+
+def update_state(kind, rng, n=40):
+    src, tgt = point_sets(kind, n, rng)
+    ids = np.sort(rng.choice(10**4, size=n, replace=False))
+    corrs = CorrespondenceSet(src, tgt, indices=ids)
+    corrs.prev_residuals = rng.uniform(0, 2 * T_R, size=n)
+    corrs.prev_residuals[rng.random(n) < 0.2] = np.nan
+    corrs.curr_residuals = rng.uniform(0, 2 * T_R, size=n)
+    local = corrs.subset(np.sort(rng.choice(n, size=n // 2, replace=False)))
+    lvs, ratio_range, _ = length_ratio_filter(build_line_vectors(local))
+    return corrs, local, lvs, ratio_range
+
+
+class TestAdmissionBlockMatchesReference:
+    @pytest.mark.parametrize("sigma_mode", SIGMA_MODES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_bytes_and_draws(self, kind, sigma_mode):
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            corrs, local, lvs, ratio_range = update_state(kind, rng)
+            if seed % 3 == 0:
+                ratio_range = RatioRange.everything()
+            for step in range(3):
+                if step:
+                    corrs.prev_residuals = corrs.curr_residuals.copy()
+                    corrs.curr_residuals = rng.uniform(0, 2 * T_R, size=len(corrs))
+                ir_glo = corrs.indices[corrs.curr_residuals < T_R]
+                ref_rng = copy.deepcopy(rng)
+                ref_local, ref_lvs, ref_decisions = ref_update_local_sets(
+                    corrs, local, lvs, ir_glo, T_R, ratio_range, ref_rng, sigma_mode)
+                local, lvs, decisions = update_local_sets(
+                    corrs, local, lvs, ir_glo, T_R, ratio_range, rng, sigma_mode=sigma_mode)
+                assert local.indices.tobytes() == ref_local.indices.tobytes()
+                assert_same_bytes(lvs, ref_lvs)
+                assert decisions == ref_decisions
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# --- pair budget ----------------------------------------------------------------
+
+class TestPairBudget:
+    def test_just_over_budget_raises_before_allocating(self):
+        n = 2
+        while n * (n - 1) // 2 <= PAIR_BUDGET:
+            n += 1
+        rng = np.random.default_rng(0)
+        corrs = CorrespondenceSet(rng.normal(size=(n, 3)), rng.normal(size=(n, 3)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(PairBudgetExceeded, match=str(n * (n - 1) // 2)):
+                build_line_vectors(corrs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000  # one pair column alone would take 134 MB
