@@ -2,10 +2,12 @@
 """Bit-identity digests of the benchmark workloads' registrations.
 
 Registers the first N scenes of each perfbench workload for each given
-seed and prints one sha256 per workload and seed over
-`perfbench.workloads.fingerprint` of every result, in scene order. Two
-checkouts that print the same digests returned the same rotation and
-translation bytes, inlier sets, weights, round and iteration counts,
+seed and prints one sha256 per workload and seed over every result, in
+scene order: `perfbench.workloads.fingerprint` plus the run counters and
+each round's `t_glo`, `t_lcl`, `hypotheses`, `degenerate_samples` and
+`branch`, which that fingerprint leaves out. Two checkouts that print the
+same digests returned the same rotation and translation bytes, inlier
+sets, weights, round and iteration counts, per-round counts, counters,
 confidences, exit reasons and self-update decisions.
 
     python3 scripts/fingerprint_workloads.py --scenes 10 --seeds 1 9001
@@ -34,6 +36,13 @@ def parse_args(argv=None):
     return p.parse_args(argv)
 
 
+def round_counts(result) -> tuple:
+    """The run counters and per-round counts, in a fixed order."""
+    return (tuple(sorted(result.counters.items())),
+            tuple((row.t_glo, row.t_lcl, row.hypotheses, row.degenerate_samples, row.branch)
+                  for row in result.per_round_trace))
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     root = args.root.resolve()
@@ -54,6 +63,7 @@ def main(argv=None) -> int:
             for scene in make_scenes(workload, seed):
                 result = run_registration(scene.corrs, scene.source, scene.target, scene.cfg)
                 digest.update(repr(fingerprint(result)).encode())
+                digest.update(repr(round_counts(result)).encode())
             print(f"{name} seed={seed} scenes={workload.scenes} sha256={digest.hexdigest()}",
                   flush=True)
     return 0

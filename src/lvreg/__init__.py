@@ -34,7 +34,7 @@ from .local_sets import (
     scotts_bin_width,
 )
 from .metrics import MetricsReport, evaluate, mese, precision_recall_f1, rmse, rotation_error, translation_error
-from .normals import PointCloud, SpatialIndex, annotate_normals, build_index, estimate_normal, knn
+from .normals import PointCloud, SpatialIndex, annotate_normals, build_index, knn
 from .self_update import (
     UpdateAction,
     UpdateDecision,
@@ -45,7 +45,7 @@ from .self_update import (
     true_inlier_probability,
     update_local_sets,
 )
-from .solver import GncConfig, estimate_local_transform, estimate_rotation_gnc, estimate_translation
+from .solver import estimate_local_transform, estimate_rotation_gnc, estimate_translation
 from .synthetic import SyntheticSpec, synthesize_pair
 
 __version__ = "0.1.0"

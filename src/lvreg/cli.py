@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -105,38 +104,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-@dataclass(frozen=True)
-class RegistrationJob:
-    """One file-level registration task: inputs, config, output destination."""
-
-    source_path: str
-    target_path: str
-    correspondence_path: str
-    config: RansacConfig
-    output_path: str
-    ground_truth_path: str | None = None
-
-    def run(self):
-        """Load, register, optionally score against ground truth, write the result.
-
-        Returns (result, metrics_report_or_None, elapsed_seconds).
-        """
-        source = io_mod.load_point_cloud(self.source_path)
-        target = io_mod.load_point_cloud(self.target_path)
-        corrs = io_mod.load_correspondences(self.correspondence_path, source, target)
-        start = time.perf_counter()
-        result = run_registration(corrs, source, target, self.config)
-        elapsed = time.perf_counter() - start
-        report = None
-        if self.ground_truth_path is not None:
-            gt = io_mod.load_transform(self.ground_truth_path)
-            true_inliers = residual_inliers(gt, corrs, self.config.residual_threshold)
-            report = evaluate(source, gt, result.transform, result.inlier_indices,
-                              true_inliers, runtime_seconds=elapsed)
-        io_mod.emit_result(result, report, self.output_path)
-        return result, report, elapsed
-
-
 def _cmd_register(args) -> int:
     cfg = RansacConfig(
         residual_threshold=args.tr, confidence_target=args.confidence, r_max=args.rmax,
@@ -145,10 +112,19 @@ def _cmd_register(args) -> int:
         k_normals=args.k_normals, use_ahs_lvlp=not args.no_ahs_lvlp,
         use_sus=not args.no_sus, sigma_mode=args.sigma_mode,
     )
-    job = RegistrationJob(source_path=args.source, target_path=args.target,
-                          correspondence_path=args.corr, config=cfg,
-                          output_path=args.out, ground_truth_path=args.gt)
-    result, report, elapsed = job.run()
+    source = io_mod.load_point_cloud(args.source)
+    target = io_mod.load_point_cloud(args.target)
+    corrs = io_mod.load_correspondences(args.corr, source, target)
+    start = time.perf_counter()
+    result = run_registration(corrs, source, target, cfg)
+    elapsed = time.perf_counter() - start
+    report = None
+    if args.gt is not None:
+        gt = io_mod.load_transform(args.gt)
+        true_inliers = residual_inliers(gt, corrs, cfg.residual_threshold)
+        report = evaluate(source, gt, result.transform, result.inlier_indices,
+                          true_inliers, runtime_seconds=elapsed)
+    io_mod.emit_result(result, report, args.out)
 
     if args.dump_histograms:
         dump = Path(args.dump_histograms)

@@ -36,9 +36,13 @@ from .local_sets import (
 )
 from .normals import PointCloud, annotate_normals
 from .self_update import SIGMA_MODES, update_local_sets
-from .solver import GncConfig, estimate_local_transform
+from .solver import estimate_local_transform
 
 log = logging.getLogger(__name__)
+
+# Radians: a local candidate within this rotation (and `noise_bound` in
+# translation) of the received global transform ends the local round.
+ROTATION_AGREEMENT_TOL = 0.01
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,6 @@ class RansacConfig:
     r_max: int = 5
     alpha_pct: float = 10.0        # % of the line-vector set sampled once per round
     beta_pct: float = 30.0         # % of the round sample drawn per hypothesis
-    rotation_term_tol: float = 0.01  # radians, local-vs-global agreement bound
     noise_bound: float = 0.05      # scene units, translation agreement + TLS bound
     rng_seed: int = 0
     max_local_iterations: int = 10000  # safety cap on hypothesis attempts per round
@@ -58,34 +61,24 @@ class RansacConfig:
     use_ahs_lvlp: bool = True      # angle-histogram + length-ratio construction of the local sets
     use_sus: bool = True           # probabilistic self-update between rounds
     sigma_mode: str = "per-eval"
-    gnc_max_iterations: int = 100
-    gnc_mu_factor: float = 1.4
-    gnc_convergence_tol: float = 1e-6
 
     def __post_init__(self):
         if not (0.0 < self.confidence_target < 1.0):
             raise ValueError("confidence_target must lie in (0, 1)")
         if not (0.0 < self.alpha_pct <= 100.0 and 0.0 < self.beta_pct <= 100.0):
             raise ValueError("sampling percentages must lie in (0, 100]")
-        for name in ("residual_threshold", "r_max", "rotation_term_tol", "noise_bound",
-                     "max_local_iterations", "k_normals"):
+        for name in ("residual_threshold", "r_max", "noise_bound", "max_local_iterations",
+                     "k_normals"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.sigma_mode not in SIGMA_MODES:
             raise ValueError(f"sigma_mode must be one of {SIGMA_MODES}")
 
-    def gnc_config(self) -> GncConfig:
-        return GncConfig(noise_bound=self.noise_bound,
-                         mu_update_factor=self.gnc_mu_factor,
-                         max_iterations=self.gnc_max_iterations,
-                         convergence_tol=self.gnc_convergence_tol)
-
 
 @dataclass(frozen=True)
 class LocalRoundResult:
     transform: RigidTransform
-    iterations: int          # reported count (inherits the global count on early termination)
-    raw_iterations: int      # hypotheses actually evaluated this round
+    hypotheses: int          # hypotheses evaluated this round
     degenerate_samples: int  # basic samples redrawn because the solver rejected them
     branch: str              # early-termination | confidence | iteration-cap
     n_local_inliers: int
@@ -95,8 +88,8 @@ class LocalRoundResult:
 class RoundTrace:
     round_index: int
     t_glo: int
-    t_lcl: int               # the local round's reported count (LocalRoundResult.iterations)
-    hypotheses: int          # hypotheses evaluated in the round (LocalRoundResult.raw_iterations)
+    t_lcl: int               # hypotheses, plus the entry t_glo on an early-termination round
+    hypotheses: int          # hypotheses evaluated in the round
     degenerate_samples: int  # basic samples the solver rejected as degenerate
     branch: str
     n_global_inliers: int
@@ -152,16 +145,15 @@ def _sample_size(pct: float, total: int) -> int:
 
 
 def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
-                     received_glo: RigidTransform, t_glo: int,
-                     cfg: RansacConfig, rng: np.random.Generator) -> LocalRoundResult:
+                     received_glo: RigidTransform, cfg: RansacConfig,
+                     rng: np.random.Generator) -> LocalRoundResult:
     """One local-RANSAC round over the filtered line-vector set.
 
     Draws the round sample once, then repeatedly draws a basic subset,
     estimates a candidate transform (seeded by the received global
     rotation), and keeps the candidate with the most local inliers. The
     round ends when the best candidate agrees with the received global
-    transform (reporting the combined iteration count, crediting global
-    progress), when the local confidence target is met, or at the
+    transform, when the local confidence target is met, or at the
     safety cap. A basic subset the solver rejects as degenerate (e.g.
     parallel source directions) is redrawn: it counts towards the cap but
     not as a hypothesis.
@@ -175,7 +167,6 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
         raise DegenerateInput("need at least 2 line vectors for local hypotheses")
     if len(c_sul) == 0:
         raise DegenerateInput("local correspondence set is empty")
-    gnc_cfg = cfg.gnc_config()
 
     sub_rows = rng.choice(len(l_sul), _sample_size(cfg.alpha_pct, len(l_sul)), replace=False)
     l_sub = l_sul.take(sub_rows)
@@ -185,8 +176,12 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
 
     best: RigidTransform | None = None
     best_count = -1
-    t_lcl = 0
+    hypotheses = 0
     attempts = 0
+
+    def result(branch: str) -> LocalRoundResult:
+        return LocalRoundResult(best, hypotheses, attempts - hypotheses, branch, best_count)
+
     while True:
         attempts += 1
         rows = rng.choice(len(l_sub), basic_size, replace=False)
@@ -196,29 +191,24 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
         is_endpoint[endpoint_rows] = False
         try:
             candidate = estimate_local_transform(l_sub.take(rows), c_sul.source[endpoint_rows],
-                                                 c_sul.target[endpoint_rows], gnc_cfg,
+                                                 c_sul.target[endpoint_rows], cfg.noise_bound,
                                                  initial_rotation=received_glo.rotation)
         except DegenerateInput:
-            if attempts >= cfg.max_local_iterations:
-                if best is None:
-                    raise DegenerateInput(
-                        "no well-posed basic line-vector sample found within the iteration cap")
-                return LocalRoundResult(best, t_lcl, t_lcl, attempts - t_lcl, "iteration-cap",
-                                        best_count)
-            continue
-        t_lcl += 1
-        count = len(residual_inliers(candidate, c_sul, cfg.residual_threshold))
-        if count > best_count:
-            best, best_count = candidate, count
-        if transforms_converged(received_glo, best, cfg.rotation_term_tol, cfg.noise_bound):
-            return LocalRoundResult(best, t_glo + t_lcl, t_lcl, attempts - t_lcl,
-                                    "early-termination", best_count)
-        cl = confidence_level(best_count / len(c_sul), t_lcl)
-        if cl >= cfg.confidence_target:
-            return LocalRoundResult(best, t_lcl, t_lcl, attempts - t_lcl, "confidence", best_count)
+            pass  # redrawn; it counts towards the cap only
+        else:
+            hypotheses += 1
+            count = len(residual_inliers(candidate, c_sul, cfg.residual_threshold))
+            if count > best_count:
+                best, best_count = candidate, count
+            if transforms_converged(received_glo, best, ROTATION_AGREEMENT_TOL, cfg.noise_bound):
+                return result("early-termination")
+            if confidence_level(best_count / len(c_sul), hypotheses) >= cfg.confidence_target:
+                return result("confidence")
         if attempts >= cfg.max_local_iterations:
-            return LocalRoundResult(best, t_lcl, t_lcl, attempts - t_lcl, "iteration-cap",
-                                    best_count)
+            if best is None:
+                raise DegenerateInput(
+                    "no well-posed basic line-vector sample found within the iteration cap")
+            return result("iteration-cap")
 
 
 def _full_local_sets(corrs: CorrespondenceSet, counters: dict):
@@ -305,11 +295,14 @@ def run_registration(corrs: CorrespondenceSet, source: PointCloud, target: Point
     exit_reason = "max-rounds"
 
     for _ in range(cfg.r_max):
-        local_res = run_local_ransac(l_sul, local_set, best_global, t_glo, cfg, rng)
+        local_res = run_local_ransac(l_sul, local_set, best_global, cfg, rng)
         cand_count = len(residual_inliers(local_res.transform, corrs, cfg.residual_threshold))
         if cand_count > best_count:
             best_global, best_count = local_res.transform, cand_count
-        t_glo += local_res.iterations
+        # A round that agreed with the global best it received inherits the
+        # global count so far, crediting the rounds that led to that best.
+        t_lcl = local_res.hypotheses + (t_glo if local_res.branch == "early-termination" else 0)
+        t_glo += t_lcl
 
         corrs.prev_residuals = corrs.curr_residuals
         corrs.curr_residuals = residuals(best_global, corrs.source, corrs.target)
@@ -320,8 +313,8 @@ def run_registration(corrs: CorrespondenceSet, source: PointCloud, target: Point
         if not terminated:
             weights[ir_glo] += 1
         trace.append(RoundTrace(
-            round_index=len(trace) + 1, t_glo=t_glo, t_lcl=local_res.iterations,
-            hypotheses=local_res.raw_iterations, degenerate_samples=local_res.degenerate_samples,
+            round_index=len(trace) + 1, t_glo=t_glo, t_lcl=t_lcl,
+            hypotheses=local_res.hypotheses, degenerate_samples=local_res.degenerate_samples,
             branch=local_res.branch, n_global_inliers=len(ir_glo), global_confidence=cl_glo,
             local_set_size=len(local_set), line_vector_count=len(l_sul),
             ir_glo=ir_glo, weights_updated=not terminated,

@@ -131,11 +131,6 @@ def load_correspondences(path, source: PointCloud, target: PointCloud) -> Corres
     return CorrespondenceSet(np.asarray(src), np.asarray(tgt))
 
 
-def write_correspondence_indices(pairs, path):
-    lines = [f"{int(i)} {int(j)}" for i, j in pairs]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def transform_to_dict(t: RigidTransform) -> dict:
     return {
         "rotation": [float(v) for v in t.rotation.reshape(9)],  # row-major

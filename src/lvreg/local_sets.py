@@ -14,17 +14,16 @@ Bin widths follow Scott's rule with the population standard deviation.
 
 The pair layer works on 1-D columns. `build_line_vectors` enumerates the
 row pairs (r, s), r < s, of the upper triangle in row-major order with
-`np.repeat` and one `cumsum` over int64 columns (no n x n mask), gathers
-the endpoint rows with `np.take` and subtracts in place. A pair's norm is
+`np.repeat` and one `cumsum` over int64 columns, gathers the endpoint
+rows with `np.take` and subtracts in place. A pair's norm is
 `sqrt((x*x + y*y) + z*z)`, summed in that order: it is the order in which
 `np.linalg.norm(v, axis=1)` sums an (n, 3) array, and a different order
 (say `x*x + (y*y + z*z)`) changes the last bit of about one norm in nine,
 which moves pairs across ratio-bin edges and so changes the local sets and
 the random draws that follow. The ratio is divided out before pairs with a
 zero-length difference are dropped, so the drop is one `np.take` per column.
-A histogram keeps each item's bin
-index next to the counts, so the filters select rows with one comparison
-over that column, in ascending row order.
+A histogram keeps each item's bin index next to the counts, so the filters
+select rows with one comparison over that column, in ascending row order.
 
 A set of n correspondences has n(n-1)/2 pairs, about 72 bytes each; above
 `PAIR_BUDGET` pairs `check_pair_budget` raises `PairBudgetExceeded`, and

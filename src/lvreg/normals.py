@@ -22,8 +22,6 @@ from scipy.spatial import cKDTree
 from .correspondences import check_coordinates
 from .errors import DegenerateNeighborhood, EmptyCloud
 
-_COINCIDENT = "all neighbors coincide; normal undefined"
-
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
@@ -53,15 +51,11 @@ class SpatialIndex:
     def points(self) -> np.ndarray:
         return self._points
 
-    def knn(self, query, k: int) -> np.ndarray:
-        """Indices of the k nearest points, ascending distance, ties by lower index.
-
-        Returns min(k, N) indices when k exceeds the cloud size.
-        """
-        return self.knn_rows(np.reshape(query, (1, 3)), k)[0]
-
     def knn_rows(self, queries, k: int) -> np.ndarray:
-        """`knn` for every row of a (Q, 3) query array; shape (Q, min(k, N))."""
+        """The k nearest points of every row of a (Q, 3) query array, shape (Q, min(k, N)).
+
+        Each row lists point indices by ascending distance, ties by lower index.
+        """
         if k < 1:
             raise ValueError("k must be positive")
         q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
@@ -96,7 +90,8 @@ def build_index(cloud: PointCloud) -> SpatialIndex:
 
 
 def knn(index: SpatialIndex, query, k: int) -> np.ndarray:
-    return index.knn(query, k)
+    """`knn_rows` for one query point; min(k, N) indices when k exceeds the cloud size."""
+    return index.knn_rows(np.reshape(query, (1, 3)), k)[0]
 
 
 def _normals(index: SpatialIndex, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -118,27 +113,15 @@ def _normals(index: SpatialIndex, queries, k: int) -> tuple[np.ndarray, np.ndarr
     return vec, degenerate
 
 
-def estimate_normal(index: SpatialIndex, point, k: int = 20) -> np.ndarray:
-    """Surface normal at `point` from PCA over its k-neighborhood.
-
-    The normal is the unit eigenvector of the neighborhood covariance with
-    the smallest eigenvalue, sign-canonicalized so the largest-magnitude
-    component is positive. The query point itself is part of the
-    neighborhood whenever it belongs to the cloud (distance 0).
-
-    Raises DegenerateNeighborhood when all neighbors coincide (rank 0).
-    """
-    vec, degenerate = _normals(index, np.reshape(point, (1, 3)), k)
-    if degenerate[0]:
-        raise DegenerateNeighborhood(_COINCIDENT)
-    return vec[0]
-
-
 def annotate_normals(corrs, source_cloud: PointCloud, target_cloud: PointCloud, k: int = 20):
     """Return a copy of `corrs` with per-endpoint normals estimated from the clouds.
 
-    Raises DegenerateNeighborhood tagged with the lowest offending
-    correspondence index.
+    An endpoint's normal is the unit eigenvector of its k-neighborhood's
+    covariance with the smallest eigenvalue, signed so its largest-magnitude
+    component is positive; an endpoint that belongs to its cloud is part of
+    its own neighborhood (distance 0). Raises DegenerateNeighborhood, tagged
+    with the lowest offending correspondence index, when all neighbors of an
+    endpoint coincide.
     """
     if len(corrs) == 0:
         return corrs.with_normals(
@@ -148,5 +131,6 @@ def annotate_normals(corrs, source_cloud: PointCloud, target_cloud: PointCloud, 
     tgt_normals, tgt_bad = _normals(build_index(target_cloud), corrs.target, k)
     bad = np.flatnonzero(src_bad | tgt_bad)
     if len(bad):
-        raise DegenerateNeighborhood(f"correspondence {bad[0]}: {_COINCIDENT}")
+        raise DegenerateNeighborhood(f"correspondence {bad[0]}: all neighbors coincide; "
+                                     "normal undefined")
     return corrs.with_normals(src_normals, tgt_normals)

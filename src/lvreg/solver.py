@@ -26,8 +26,6 @@ as the reference and requires equal bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateInput
@@ -35,20 +33,13 @@ from .geometry import RigidTransform, rotation_from_cross_covariance
 from .local_sets import LineVectorSet
 
 
-@dataclass(frozen=True)
-class GncConfig:
-    """Tuning for the graduated non-convexity rotation solver."""
-
-    noise_bound: float = 0.05
-    mu_update_factor: float = 1.4
-    max_iterations: int = 100
-    convergence_tol: float = 1e-6  # on total weight change between iterations
-
-    def __post_init__(self):
-        if self.noise_bound <= 0 or self.max_iterations <= 0 or self.convergence_tol <= 0:
-            raise ValueError("GncConfig fields must be positive")
-        if self.mu_update_factor <= 1:
-            raise ValueError("mu_update_factor must exceed 1")
+# The annealing schedule of Yang et al., "Graduated Non-Convexity for Robust
+# Spatial Perception" (RA-L 2020): mu grows by MU_FACTOR per iteration, at
+# most MAX_ITERATIONS iterations, converged once the weights move by less
+# than CONVERGENCE_TOL in total.
+MU_FACTOR = 1.4
+MAX_ITERATIONS = 100
+CONVERGENCE_TOL = 1e-6
 
 
 def _tls_weights(res_sq: np.ndarray, mu: float, eps_sq: float) -> np.ndarray:
@@ -83,7 +74,7 @@ def _solve_rotation(b, weighted_a_t) -> np.ndarray:
     return rotation_from_cross_covariance((b.T @ weighted_a_t.T).T)
 
 
-def estimate_rotation_gnc(lvs: LineVectorSet, cfg: GncConfig,
+def estimate_rotation_gnc(lvs: LineVectorSet, noise_bound: float,
                           initial_rotation: np.ndarray | None = None,
                           trace: list | None = None) -> tuple[np.ndarray, bool]:
     """Robust rotation aligning the source line vectors onto the target ones.
@@ -91,12 +82,14 @@ def estimate_rotation_gnc(lvs: LineVectorSet, cfg: GncConfig,
     Minimizes sum_i min(||R v_src_i - v_tgt_i||^2, tau^2) by graduated
     non-convexity: weighted closed-form alignment alternated with the
     truncated-least-squares weight update while the continuation parameter
-    grows geometrically. The best iterate under the truncated loss is
-    returned together with a convergence flag; non-convergence still
-    yields a proper rotation.
+    grows geometrically; tau is `noise_bound`. The best iterate under the
+    truncated loss is returned together with a convergence flag;
+    non-convergence still yields a proper rotation.
 
     Raises DegenerateInput when the source directions are all parallel.
     """
+    if not noise_bound > 0:
+        raise ValueError("noise_bound must be positive")
     if len(lvs) < 2:
         raise DegenerateInput("need at least 2 line vectors to estimate a rotation")
     _check_source_span(lvs.v_source)
@@ -108,7 +101,7 @@ def estimate_rotation_gnc(lvs: LineVectorSet, cfg: GncConfig,
     diff = np.empty_like(a_t)
     weighted_a_t = np.empty_like(a_t)
 
-    eps_sq = cfg.noise_bound ** 2
+    eps_sq = noise_bound ** 2
     rot = np.eye(3) if initial_rotation is None else np.asarray(initial_rotation, dtype=np.float64)
     res_sq = _squared_residuals(rot, a_t, b_t, diff)
 
@@ -123,7 +116,7 @@ def estimate_rotation_gnc(lvs: LineVectorSet, cfg: GncConfig,
     prev_weights = None
     converged = False
 
-    for _ in range(cfg.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         weights = _tls_weights(res_sq, mu, eps_sq)
         if np.count_nonzero(weights) < 2:
             break  # surrogate support collapsed; keep the best iterate
@@ -143,11 +136,11 @@ def estimate_rotation_gnc(lvs: LineVectorSet, cfg: GncConfig,
                           "wsse_before": float(np.sum(weights * res_sq_before)),
                           "wsse_after": float(np.sum(weights * res_sq)),
                           "tls_cost": cost})
-        if prev_weights is not None and float(np.abs(weights - prev_weights).sum()) < cfg.convergence_tol:
+        if prev_weights is not None and float(np.abs(weights - prev_weights).sum()) < CONVERGENCE_TOL:
             converged = True
             break
         prev_weights = weights
-        mu *= cfg.mu_update_factor
+        mu *= MU_FACTOR
 
     return best_rot, converged
 
@@ -166,7 +159,8 @@ def estimate_translation(source: np.ndarray, target: np.ndarray, rotation: np.nd
 
 
 def estimate_local_transform(basic_lvs: LineVectorSet, source: np.ndarray, target: np.ndarray,
-                             cfg: GncConfig, initial_rotation: np.ndarray | None = None) -> RigidTransform:
+                             noise_bound: float,
+                             initial_rotation: np.ndarray | None = None) -> RigidTransform:
     """Rigid transform from a basic line-vector sample plus its endpoint points."""
-    rot, _ = estimate_rotation_gnc(basic_lvs, cfg, initial_rotation=initial_rotation)
+    rot, _ = estimate_rotation_gnc(basic_lvs, noise_bound, initial_rotation=initial_rotation)
     return RigidTransform(rot, estimate_translation(source, target, rot))

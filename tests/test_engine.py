@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,21 +102,13 @@ def all_inlier_setup(seed, n=40):
 
 
 class TestRunLocalRansac:
-    def test_early_termination_inherits_global_count(self):
+    def test_early_termination_on_agreement(self):
         g, corrs, lvs = all_inlier_setup(0)
-        res = run_local_ransac(lvs, corrs, g, t_glo=100, cfg=RansacConfig(rng_seed=0),
+        res = run_local_ransac(lvs, corrs, g, cfg=RansacConfig(rng_seed=0),
                                rng=np.random.default_rng(0))
         assert res.branch == "early-termination"
-        assert res.raw_iterations == 1
-        assert res.iterations == 100 + 1
+        assert res.hypotheses == 1
         assert stable_geodesic(res.transform.rotation, g.rotation) < 1e-5
-
-    def test_iteration_inherit_arithmetic(self):
-        # the reported count is always entry t_glo + local iterations
-        g, corrs, lvs = all_inlier_setup(1)
-        res = run_local_ransac(lvs, corrs, g, t_glo=0, cfg=RansacConfig(rng_seed=1),
-                               rng=np.random.default_rng(1))
-        assert res.iterations == res.raw_iterations  # t_glo = 0 at entry
 
     def test_confidence_branch_iteration_count(self):
         # 90% local inliers and a received transform too far for agreement:
@@ -123,10 +117,9 @@ class TestRunLocalRansac:
         g, corrs, lvs = all_inlier_setup(2, n=40)
         corrs.target[:4] += 5.0  # 10% local outliers
         far = RigidTransform(rotation_about_axis((0, 1, 0), 1.5), (3.0, 3.0, 3.0))
-        res = run_local_ransac(lvs, corrs, far, t_glo=50, cfg=RansacConfig(rng_seed=2),
-                               rng=rng)
+        res = run_local_ransac(lvs, corrs, far, cfg=RansacConfig(rng_seed=2), rng=rng)
         assert res.branch == "confidence"
-        assert res.iterations == res.raw_iterations == 3
+        assert res.hypotheses == 3
         assert confidence_level(res.n_local_inliers / len(corrs), 3) >= 0.995
 
     def test_iteration_cap_branch(self):
@@ -136,16 +129,27 @@ class TestRunLocalRansac:
         lvs = build_line_vectors(corrs)
         far = RigidTransform(rotation_about_axis((0, 1, 0), 1.5), (3.0, 3.0, 3.0))
         cfg = RansacConfig(rng_seed=3, max_local_iterations=10)
-        res = run_local_ransac(lvs, corrs, far, t_glo=0, cfg=cfg, rng=rng)
+        res = run_local_ransac(lvs, corrs, far, cfg=cfg, rng=rng)
         assert res.branch == "iteration-cap"
-        assert res.raw_iterations <= 10
+        assert res.hypotheses <= 10
+
+
+@dataclass(frozen=True)
+class ReferenceRoundResult:
+    transform: RigidTransform
+    iterations: int          # hypotheses, plus the entry t_glo on early termination
+    raw_iterations: int      # hypotheses evaluated
+    degenerate_samples: int
+    branch: str
+    n_local_inliers: int
 
 
 def reference_local_ransac(l_sul, c_sul, received_glo, t_glo, cfg, rng):
-    """The per-hypothesis loop before endpoint rows were mapped once per round.
+    """A per-hypothesis local round, kept as the reference.
 
     Each hypothesis gathers its sample with fancy indexing and looks its
-    endpoints up by id (`np.unique` of both ends, then `rows_for`).
+    endpoints up by id (`np.unique` of both ends, then `rows_for`); the
+    round itself credits an early termination with the entry `t_glo`.
     """
     def take(lvs, rows):
         return LineVectorSet(lvs.i[rows], lvs.j[rows], lvs.v_source[rows],
@@ -155,7 +159,6 @@ def reference_local_ransac(l_sul, c_sul, received_glo, t_glo, cfg, rng):
         raise DegenerateInput("need at least 2 line vectors for local hypotheses")
     if len(c_sul) == 0:
         raise DegenerateInput("local correspondence set is empty")
-    gnc_cfg = cfg.gnc_config()
 
     sub_rows = rng.choice(len(l_sul), _sample_size(cfg.alpha_pct, len(l_sul)), replace=False)
     l_sub = take(l_sul, sub_rows)
@@ -172,29 +175,30 @@ def reference_local_ransac(l_sul, c_sul, received_glo, t_glo, cfg, rng):
         endpoint_rows = c_sul.rows_for(np.unique(np.concatenate([basic.i, basic.j])))
         try:
             candidate = estimate_local_transform(basic, c_sul.source[endpoint_rows],
-                                                 c_sul.target[endpoint_rows], gnc_cfg,
+                                                 c_sul.target[endpoint_rows], cfg.noise_bound,
                                                  initial_rotation=received_glo.rotation)
         except DegenerateInput:
             if attempts >= cfg.max_local_iterations:
                 if best is None:
                     raise DegenerateInput(
                         "no well-posed basic line-vector sample found within the iteration cap")
-                return LocalRoundResult(best, t_lcl, t_lcl, attempts - t_lcl, "iteration-cap",
-                                        best_count)
+                return ReferenceRoundResult(best, t_lcl, t_lcl, attempts - t_lcl,
+                                            "iteration-cap", best_count)
             continue
         t_lcl += 1
         count = len(residual_inliers(candidate, c_sul, cfg.residual_threshold))
         if count > best_count:
             best, best_count = candidate, count
-        if transforms_converged(received_glo, best, cfg.rotation_term_tol, cfg.noise_bound):
-            return LocalRoundResult(best, t_glo + t_lcl, t_lcl, attempts - t_lcl,
-                                    "early-termination", best_count)
+        if transforms_converged(received_glo, best, 0.01, cfg.noise_bound):  # 0.01 rad
+            return ReferenceRoundResult(best, t_glo + t_lcl, t_lcl, attempts - t_lcl,
+                                        "early-termination", best_count)
         cl = confidence_level(best_count / len(c_sul), t_lcl)
         if cl >= cfg.confidence_target:
-            return LocalRoundResult(best, t_lcl, t_lcl, attempts - t_lcl, "confidence", best_count)
+            return ReferenceRoundResult(best, t_lcl, t_lcl, attempts - t_lcl, "confidence",
+                                        best_count)
         if attempts >= cfg.max_local_iterations:
-            return LocalRoundResult(best, t_lcl, t_lcl, attempts - t_lcl, "iteration-cap",
-                                    best_count)
+            return ReferenceRoundResult(best, t_lcl, t_lcl, attempts - t_lcl, "iteration-cap",
+                                        best_count)
 
 
 def local_round_case(seed):
@@ -229,14 +233,25 @@ def local_round_case(seed):
 
 
 def local_round_outcome(run, case, seed):
+    """The round's result, with the reference's two counts, or the raised error; and the RNG state.
+
+    For `run_local_ransac`, the reported count is `run_registration`'s
+    credit: the hypotheses, plus the entry t_glo on early termination.
+    """
+    l_sul, c_sul, received, t_glo, cfg = case
     rng = np.random.default_rng(seed)
     try:
-        res = run(*case, rng)
+        if run is reference_local_ransac:
+            res = run(l_sul, c_sul, received, t_glo, cfg, rng)
+            counts = (res.iterations, res.raw_iterations)
+        else:
+            res = run(l_sul, c_sul, received, cfg, rng)
+            credit = t_glo if res.branch == "early-termination" else 0
+            counts = (res.hypotheses + credit, res.hypotheses)
     except DegenerateInput as exc:
         return (type(exc), str(exc)), rng.bit_generator.state
-    return (res.transform.rotation.tobytes(), res.transform.translation.tobytes(),
-            res.iterations, res.raw_iterations, res.degenerate_samples, res.branch,
-            res.n_local_inliers), rng.bit_generator.state
+    return (res.transform.rotation.tobytes(), res.transform.translation.tobytes(), *counts,
+            res.degenerate_samples, res.branch, res.n_local_inliers), rng.bit_generator.state
 
 
 class TestLocalRansacMatchesReference:
@@ -272,9 +287,9 @@ class TestLocalRansacMatchesReference:
         per_round = []
         for cap in (1, 40):
             calls.clear()
-            res = run_local_ransac(lvs, corrs, far, 0, RansacConfig(max_local_iterations=cap),
+            res = run_local_ransac(lvs, corrs, far, RansacConfig(max_local_iterations=cap),
                                    np.random.default_rng(cap))
-            assert res.raw_iterations == cap
+            assert res.hypotheses == cap
             per_round.append(len(calls))
         assert per_round == [2, 2]
 
@@ -353,6 +368,47 @@ class TestRunRegistration:
             if row.branch == "early-termination":
                 assert row.t_lcl > t_glo_entry
             t_glo_entry = row.t_glo
+
+    def test_early_termination_inherits_global_count(self, monkeypatch):
+        # Scripted local rounds: 100 hypotheses up to the cap, then one that
+        # agrees with the global best it received, so its t_lcl inherits the
+        # 100 counted before it; the confidence round after it does not.
+        rounds = iter([(100, "iteration-cap"), (1, "early-termination"), (7, "confidence")])
+
+        def scripted(l_sul, c_sul, received_glo, cfg, rng):
+            hypotheses, branch = next(rounds)
+            return LocalRoundResult(received_glo, hypotheses, 0, branch, 0)
+
+        monkeypatch.setattr("lvreg.engine.run_local_ransac", scripted)
+        rng = np.random.default_rng(9)
+        src = rng.normal(size=(40, 3))
+        tgt = rng.normal(size=(40, 3))  # all-outlier: the global confidence stays 0
+        cfg = quick_cfg(r_max=3, use_ahs_lvlp=False, use_sus=False)
+        res = run_registration(CorrespondenceSet(src, tgt), PointCloudFrom(src),
+                               PointCloudFrom(tgt), cfg)
+        assert [(r.t_glo, r.t_lcl, r.hypotheses, r.branch) for r in res.per_round_trace] == [
+            (100, 100, 100, "iteration-cap"), (201, 100 + 1, 1, "early-termination"),
+            (208, 7, 7, "confidence")]
+        assert res.total_iterations == 208
+
+    def test_iteration_inherit_arithmetic(self):
+        # every round's t_lcl is its hypotheses, plus the entry t_glo on
+        # early termination, and t_glo sums the t_lcl
+        inherited = 0
+        for seed in range(13, 19):
+            spec = SyntheticSpec(n_points=300, n_correspondences=150, outlier_rate=0.5,
+                                 noise_sigma=0.003, seed=seed)
+            source, target, corrs, gt, _ = synthesize_pair(spec)
+            res = run_registration(corrs, source, target, quick_cfg(rng_seed=seed))
+            t_glo_entry = 0
+            for row in res.per_round_trace:
+                credit = t_glo_entry if row.branch == "early-termination" else 0
+                assert row.t_lcl == row.hypotheses + credit
+                assert row.t_glo == t_glo_entry + row.t_lcl
+                inherited += credit > 0
+                t_glo_entry = row.t_glo
+            assert res.total_iterations == t_glo_entry
+        assert inherited >= 1
 
     def test_trace_reports_hypotheses_apart_from_the_inherited_count(self):
         # Round 2 of this scene ends in early termination, so its t_lcl

@@ -7,7 +7,7 @@ from scipy.spatial import cKDTree
 import lvreg.normals
 from lvreg.correspondences import MAX_COORDINATE, CorrespondenceSet
 from lvreg.errors import DegenerateNeighborhood, EmptyCloud, NonFiniteInput
-from lvreg.normals import PointCloud, annotate_normals, build_index, estimate_normal, knn
+from lvreg.normals import PointCloud, annotate_normals, build_index, knn
 
 from conftest import random_rotation
 
@@ -99,47 +99,51 @@ class TestIndex:
             assert np.array_equal(knn(index, q, 20), brute_force_knn(pts, q, 20))
 
 
+def normal_at(cloud, point, k):
+    """The normal `annotate_normals` gives a one-row set whose two endpoints are `point`."""
+    corrs = CorrespondenceSet([point], [point])
+    out = annotate_normals(corrs, cloud, cloud, k)
+    assert np.array_equal(out.source_normals, out.target_normals)
+    return out.source_normals[0]
+
+
 class TestEstimateNormal:
     def test_plane_z0(self, rng):
         cloud = plane_cloud(rng, normal=(0, 0, 1))
-        index = build_index(cloud)
-        n = estimate_normal(index, cloud.points[0], 20)
+        n = normal_at(cloud, cloud.points[0], 20)
         assert np.allclose(n, (0, 0, 1), atol=1e-9)
 
     def test_plane_x2(self, rng):
         cloud = PointCloud(plane_cloud(rng, normal=(1, 0, 0)).points + [2.0, 0, 0])
-        index = build_index(cloud)
-        n = estimate_normal(index, cloud.points[3], 20)
+        n = normal_at(cloud, cloud.points[3], 20)
         assert np.allclose(n, (1, 0, 0), atol=1e-9)
 
     def test_noisy_plane_within_5_degrees(self, rng):
         cloud = plane_cloud(rng, n=400, noise=0.01)
-        index = build_index(cloud)
-        n = estimate_normal(index, cloud.points[10], 20)
+        n = normal_at(cloud, cloud.points[10], 20)
         angle = np.degrees(np.arccos(np.clip(abs(n[2]), -1, 1)))
         assert angle < 5.0
 
     def test_unit_norm_always(self, rng):
         pts = rng.normal(size=(100, 3))
-        index = build_index(PointCloud(pts))
+        cloud = PointCloud(pts)
         for row in range(0, 100, 7):
-            n = estimate_normal(index, pts[row], 20)
+            n = normal_at(cloud, pts[row], 20)
             assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-9)
 
     def test_coincident_neighbors_rejected(self):
         cloud = PointCloud(np.zeros((10, 3)))
-        index = build_index(cloud)
         with pytest.raises(DegenerateNeighborhood):
-            estimate_normal(index, (0, 0, 0), 5)
+            normal_at(cloud, (0, 0, 0), 5)
 
     def test_rigid_motion_equivariance_up_to_sign(self, rng):
         pts = rng.normal(size=(60, 3))
         rot = random_rotation(rng)
-        i1 = build_index(PointCloud(pts))
-        i2 = build_index(PointCloud(pts @ rot.T))
+        c1 = PointCloud(pts)
+        c2 = PointCloud(pts @ rot.T)
         for row in (0, 13, 41):
-            n1 = estimate_normal(i1, pts[row], 20)
-            n2 = estimate_normal(i2, rot @ pts[row], 20)
+            n1 = normal_at(c1, pts[row], 20)
+            n2 = normal_at(c2, rot @ pts[row], 20)
             aligned = min(np.linalg.norm(n2 - rot @ n1), np.linalg.norm(n2 + rot @ n1))
             assert aligned < 1e-6
 

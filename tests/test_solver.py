@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from lvreg.correspondences import CorrespondenceSet
 from lvreg.errors import DegenerateInput
 from lvreg.geometry import RigidTransform, rotation_from_cross_covariance
 from lvreg.local_sets import LineVectorSet, build_line_vectors
-from lvreg.solver import GncConfig, estimate_local_transform, estimate_rotation_gnc, estimate_translation
+from lvreg import solver
+from lvreg.solver import estimate_local_transform, estimate_rotation_gnc, estimate_translation
 
 from conftest import random_rotation, random_transform, stable_geodesic
 
@@ -33,7 +36,7 @@ class TestRotationGnc:
             rng = np.random.default_rng(seed)
             g = random_rotation(rng)
             lvs = make_line_vectors(rng, g, 40)
-            rot, converged = estimate_rotation_gnc(lvs, GncConfig())
+            rot, converged = estimate_rotation_gnc(lvs, 0.05)
             assert converged
             assert stable_geodesic(rot, g) < 1e-6
 
@@ -41,7 +44,7 @@ class TestRotationGnc:
         g = random_rotation(np.random.default_rng(7))
         v_src = np.array([[1.0, 0, 0], [0, 1.0, 0]])
         lvs = LineVectorSet([0, 1], [2, 3], v_src, v_src @ g.T, [1.0, 1.0])
-        rot, _ = estimate_rotation_gnc(lvs, GncConfig())
+        rot, _ = estimate_rotation_gnc(lvs, 0.05)
         assert stable_geodesic(rot, g) < 1e-6
 
     def test_sixty_percent_outliers(self):
@@ -49,21 +52,28 @@ class TestRotationGnc:
             rng = np.random.default_rng(1000 + seed)
             g = random_rotation(rng)
             lvs = make_line_vectors(rng, g, 100, outlier_fraction=0.6, noise=0.002)
-            rot, _ = estimate_rotation_gnc(lvs, GncConfig(noise_bound=0.05))
+            rot, _ = estimate_rotation_gnc(lvs, 0.05)
             assert np.degrees(stable_geodesic(rot, g)) < 0.5, f"seed {seed}"
 
     def test_parallel_sources_rejected(self, rng):
         v_src = np.outer(np.linspace(1, 2, 10), [1.0, 1.0, 0.0])
         lvs = LineVectorSet(np.arange(10), np.arange(10) + 10, v_src, v_src, np.ones(10))
         with pytest.raises(DegenerateInput):
-            estimate_rotation_gnc(lvs, GncConfig())
+            estimate_rotation_gnc(lvs, 0.05)
 
-    def test_output_always_proper_rotation(self):
+    @pytest.mark.parametrize("noise_bound", [0.0, -0.05, np.nan])
+    def test_non_positive_noise_bound_rejected(self, rng, noise_bound):
+        lvs = make_line_vectors(rng, random_rotation(rng), 10)
+        with pytest.raises(ValueError, match="noise_bound"):
+            estimate_rotation_gnc(lvs, noise_bound)
+
+    def test_output_always_proper_rotation(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 5)
         for seed in range(10):
             rng = np.random.default_rng(seed)
             g = random_rotation(rng)
             lvs = make_line_vectors(rng, g, 30, outlier_fraction=0.9)
-            rot, _ = estimate_rotation_gnc(lvs, GncConfig(max_iterations=5))
+            rot, _ = estimate_rotation_gnc(lvs, 0.05)
             assert np.allclose(rot.T @ rot, np.eye(3), atol=1e-9)
             assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-9)
 
@@ -71,7 +81,7 @@ class TestRotationGnc:
         g = random_rotation(rng)
         lvs = make_line_vectors(rng, g, 60, outlier_fraction=0.4, noise=0.003)
         trace = []
-        estimate_rotation_gnc(lvs, GncConfig(), trace=trace)
+        estimate_rotation_gnc(lvs, 0.05, trace=trace)
         assert len(trace) > 0
         for step in trace:
             assert np.all(step["weights"] >= 0.0) and np.all(step["weights"] <= 1.0)
@@ -82,15 +92,15 @@ class TestRotationGnc:
         g = random_rotation(rng)
         q = random_rotation(rng)
         lvs = make_line_vectors(rng, g, 30)
-        rot, _ = estimate_rotation_gnc(lvs, GncConfig())
+        rot, _ = estimate_rotation_gnc(lvs, 0.05)
         rotated = LineVectorSet(lvs.i, lvs.j, lvs.v_source, lvs.v_target @ q.T, lvs.scale_ratio)
-        rot2, _ = estimate_rotation_gnc(rotated, GncConfig())
+        rot2, _ = estimate_rotation_gnc(rotated, 0.05)
         assert stable_geodesic(rot2, q @ rot) < 1e-6
 
     def test_initial_rotation_accepted(self, rng):
         g = random_rotation(rng)
         lvs = make_line_vectors(rng, g, 40, noise=0.001)
-        rot, converged = estimate_rotation_gnc(lvs, GncConfig(), initial_rotation=g)
+        rot, converged = estimate_rotation_gnc(lvs, 0.05, initial_rotation=g)
         assert converged
         assert stable_geodesic(rot, g) < 1e-3
 
@@ -154,7 +164,7 @@ class TestLocalTransform:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             g, corrs, lvs = self._setup(rng, 25, 0.0, 0.0)
-            est = estimate_local_transform(lvs, corrs.source, corrs.target, GncConfig())
+            est = estimate_local_transform(lvs, corrs.source, corrs.target, 0.05)
             assert stable_geodesic(est.rotation, g.rotation) < 1e-6
             assert np.linalg.norm(est.translation - g.translation) < 1e-6
 
@@ -164,7 +174,7 @@ class TestLocalTransform:
         for seed in range(20):
             rng = np.random.default_rng(500 + seed)
             g, corrs, lvs = self._setup(rng, 40, 0.29, 0.002)
-            est = estimate_local_transform(lvs, corrs.source, corrs.target, GncConfig())
+            est = estimate_local_transform(lvs, corrs.source, corrs.target, 0.05)
             assert np.degrees(stable_geodesic(est.rotation, g.rotation)) < 1.0, f"seed {seed}"
             assert np.linalg.norm(est.translation - g.translation) < 0.02, f"seed {seed}"
 
@@ -173,16 +183,26 @@ class TestLocalTransform:
         corrs = CorrespondenceSet(src, src + [0.0, 0.0, 1.0])
         lvs = build_line_vectors(corrs)
         with pytest.raises(DegenerateInput):
-            estimate_local_transform(lvs, corrs.source, corrs.target, GncConfig())
+            estimate_local_transform(lvs, corrs.source, corrs.target, 0.05)
 
     def test_result_satisfies_transform_invariants(self, rng):
         g, corrs, lvs = self._setup(rng, 30, 0.3, 0.003)
-        est = estimate_local_transform(lvs, corrs.source, corrs.target, GncConfig())
+        est = estimate_local_transform(lvs, corrs.source, corrs.target, 0.05)
         assert isinstance(est, RigidTransform)  # constructor validates orthonormality
 
 
-# The (n, 3) GNC solver as it was before the (3, n) rework, kept as the
-# reference: the reworked solver must return the same bytes.
+# The (n, 3) GNC solver, kept as the reference: the (3, n) solver must
+# return the same bytes.
+
+
+@dataclass(frozen=True)
+class ReferenceGncConfig:
+    """The reference solver's settings; the defaults are the solver's schedule."""
+
+    noise_bound: float = 0.05
+    mu_update_factor: float = 1.4
+    max_iterations: int = 100
+    convergence_tol: float = 1e-6
 
 def reference_tls_weights(res_sq, mu, eps_sq):
     lo = mu / (mu + 1.0) * eps_sq
@@ -256,19 +276,24 @@ def reference_gnc(lvs, cfg, initial_rotation=None, trace=None):
     return best_rot, converged
 
 
-def run_both(lvs, cfg, initial_rotation=None):
-    """(rotation bytes, converged, trace) or the raised (type, message), for both solvers."""
+def run_both(lvs, cfg=ReferenceGncConfig(), initial_rotation=None):
+    """(rotation bytes, converged, trace) or the raised (type, message), for both solvers.
+
+    The solver runs with its iteration cap set to `cfg.max_iterations`.
+    """
     outs = []
-    for solve in (reference_gnc, estimate_rotation_gnc):
-        trace = []
-        try:
-            rot, converged = solve(lvs, cfg, initial_rotation=initial_rotation, trace=trace)
-        except DegenerateInput as exc:
-            outs.append((type(exc), str(exc)))
-            continue
-        outs.append((rot.tobytes(), converged, [
-            {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in step.items()}
-            for step in trace]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "MAX_ITERATIONS", cfg.max_iterations)
+        for solve, arg in ((reference_gnc, cfg), (estimate_rotation_gnc, cfg.noise_bound)):
+            trace = []
+            try:
+                rot, converged = solve(lvs, arg, initial_rotation=initial_rotation, trace=trace)
+            except DegenerateInput as exc:
+                outs.append((type(exc), str(exc)))
+                continue
+            outs.append((rot.tobytes(), converged, [
+                {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in step.items()}
+                for step in trace]))
     return outs
 
 
@@ -284,7 +309,7 @@ class TestGncMatchesReference:
         g = random_rotation(rng)
         lvs = make_line_vectors(rng, g, n, outlier_fraction=outlier_fraction, noise=0.003)
         initial = random_rotation(rng) if seeded else None
-        ref, got = run_both(lvs, GncConfig(max_iterations=max_iterations), initial)
+        ref, got = run_both(lvs, ReferenceGncConfig(max_iterations=max_iterations), initial)
         assert got == ref
 
     def test_within_noise_fast_path(self):
@@ -292,7 +317,7 @@ class TestGncMatchesReference:
             rng = np.random.default_rng(seed)
             g = random_rotation(rng)
             lvs = make_line_vectors(rng, g, 50, noise=1e-4)
-            ref, got = run_both(lvs, GncConfig(), g)
+            ref, got = run_both(lvs, initial_rotation=g)
             assert ref[1] is True and ref[2] == []  # the one-solve path
             assert got == ref
 
@@ -301,9 +326,8 @@ class TestGncMatchesReference:
         # above the noise bound, so the band shrinks past them.
         lvs = LineVectorSet([0, 1], [2, 3], [[1.0, 0, 0], [0, 1.0, 0]],
                             [[1.0, 0, 0], [0, -3.0, 2.0]], [1.0, 1.0])
-        cfg = GncConfig(max_iterations=100)
-        ref, got = run_both(lvs, cfg)
-        assert ref[1] is False and 0 < len(ref[2]) < cfg.max_iterations
+        ref, got = run_both(lvs)
+        assert ref[1] is False and 0 < len(ref[2]) < solver.MAX_ITERATIONS
         assert got == ref
 
     def test_rank_deficient_cross_covariance_in_loop(self):
@@ -311,28 +335,28 @@ class TestGncMatchesReference:
         # degenerate, so the loop stops with the initial rotation.
         src = np.eye(3)
         lvs = LineVectorSet([0, 1, 2], [3, 4, 5], src, [[2.0, 0, 0]] * 3, [0.5, 0.5, 0.5])
-        ref, got = run_both(lvs, GncConfig())
+        ref, got = run_both(lvs)
         assert ref[0] == np.eye(3).tobytes() and ref[1] is False and ref[2] == []
         assert got == ref
 
     def test_rank_deficient_cross_covariance_on_fast_path(self):
         lvs = LineVectorSet([0, 1], [2, 3], [[1e-3, 0, 0], [0, 1e-3, 0]],
                             [[1e-3, 0, 0], [1e-3, 0, 0]], [1.0, 1.0])
-        ref, got = run_both(lvs, GncConfig())
+        ref, got = run_both(lvs)
         assert ref[0] is DegenerateInput and "cross-covariance" in ref[1]
         assert got == ref
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_too_few_line_vectors(self, n):
         lvs = LineVectorSet(np.arange(n), np.arange(n) + 5, np.ones((n, 3)), np.ones((n, 3)), np.ones(n))
-        ref, got = run_both(lvs, GncConfig())
+        ref, got = run_both(lvs)
         assert ref[0] is DegenerateInput
         assert got == ref
 
     def test_parallel_sources(self):
         v_src = np.outer(np.linspace(1, 2, 10), [1.0, 1.0, 0.0])
         lvs = LineVectorSet(np.arange(10), np.arange(10) + 10, v_src, v_src, np.ones(10))
-        ref, got = run_both(lvs, GncConfig())
+        ref, got = run_both(lvs)
         assert ref[0] is DegenerateInput and "parallel" in ref[1]
         assert got == ref
 
@@ -350,6 +374,6 @@ class TestGncMatchesReference:
         contiguous = LineVectorSet(*args, np.ascontiguousarray(strided.v_source),
                                    np.ascontiguousarray(strided.v_target), base.scale_ratio[::2])
         initial = random_rotation(rng)
-        ref, _ = run_both(contiguous, GncConfig(), initial)
-        _, got = run_both(strided, GncConfig(), np.asfortranarray(initial))
+        ref, _ = run_both(contiguous, initial_rotation=initial)
+        _, got = run_both(strided, initial_rotation=np.asfortranarray(initial))
         assert got == ref
