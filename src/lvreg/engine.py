@@ -161,7 +161,8 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
     The endpoints of the round sample are mapped to `c_sul` rows once per
     round (`rows_for`, which rejects an id not in `c_sul`); each basic
     subset then marks its endpoint rows in a reused mask, so the solver's
-    translation step sees the sorted, unique rows of its endpoints.
+    translation step sees the sorted, unique rows of its endpoints, and
+    gathers only the two vector columns the solver reads (`take_vectors`).
     """
     if len(l_sul) < 2:
         raise DegenerateInput("need at least 2 line vectors for local hypotheses")
@@ -190,7 +191,8 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
         endpoint_rows = np.flatnonzero(is_endpoint)
         is_endpoint[endpoint_rows] = False
         try:
-            candidate = estimate_local_transform(l_sub.take(rows), c_sul.source[endpoint_rows],
+            candidate = estimate_local_transform(l_sub.take_vectors(rows),
+                                                 c_sul.source[endpoint_rows],
                                                  c_sul.target[endpoint_rows], cfg.noise_bound,
                                                  initial_rotation=received_glo.rotation)
         except DegenerateInput:

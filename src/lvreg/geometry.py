@@ -10,10 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DegenerateInput
 
 _ORTHO_TOL = 1e-9
+
+# The full-matrices SVD kernel behind `np.linalg.svd`, and the two values of
+# diag(1, 1, d) the rotation can need.
+_svd_f = _umath_linalg.svd_f
+_KEEP = np.eye(3)
+_FLIP = np.diag([1.0, 1.0, -1.0])
 
 
 def as_vec3(p) -> np.ndarray:
@@ -80,6 +87,10 @@ def residuals(t: RigidTransform, source: np.ndarray, target: np.ndarray) -> np.n
     return np.linalg.norm(diff, axis=1)
 
 
+def _svd_did_not_converge(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
 def rotation_from_cross_covariance(h: np.ndarray) -> np.ndarray:
     """Best rotation R maximizing tr(R h) where h = sum w_i a_i b_i^T.
 
@@ -87,15 +98,34 @@ def rotation_from_cross_covariance(h: np.ndarray) -> np.ndarray:
     The reflection case (det = -1) is corrected by flipping the singular
     vector of the smallest singular value, so the result is always proper.
 
+    The result is `vt.T @ diag(1, 1, d) @ u.T` with `u, s, vt =
+    np.linalg.svd(h)` and d the sign of det(vt.T @ u.T), computed without
+    the wrappers' overhead and with the same bytes:
+
+    * the SVD calls the LAPACK gufunc `np.linalg.svd` calls for a float64
+      matrix (`svd_f`, signature 'd->ddd') under the same error state, so
+      `u`, `s` and `vt` are its bytes, and a non-finite result still raises
+      `LinAlgError("SVD did not converge")`;
+    * vt.T @ u.T is orthogonal, so its determinant is +-1 up to rounding
+      and the sign of a cofactor expansion equals the LU determinant's;
+    * diag(1, 1, d) is one of two constant matrices, the same bytes as
+      `np.diag` builds, in the same product order.
+
+    `tests/test_geometry.py` pins these bytes to the `np.linalg` form.
+
     Raises DegenerateInput when rank(h) < 2 (rotation not determined).
     """
-    u, s, vt = np.linalg.svd(h)
-    if s[0] <= 0.0 or s[1] <= s[0] * 1e-12:
+    with np.errstate(call=_svd_did_not_converge, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        u, s, vt = _svd_f(h, signature="d->ddd")
+    s0, s1, _ = s.tolist()
+    if s0 <= 0.0 or s1 <= s0 * 1e-12:
         raise DegenerateInput("cross-covariance rank < 2; rotation is underdetermined")
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    if d == 0:
-        d = 1.0
-    return vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    v = vt.T
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = (v @ u.T).tolist()
+    det = (m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20)
+           + m02 * (m10 * m21 - m11 * m20))
+    return v @ (_FLIP if det < 0.0 else _KEEP) @ u.T
 
 
 def weighted_kabsch(source: np.ndarray, target: np.ndarray, weights) -> RigidTransform:

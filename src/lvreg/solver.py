@@ -8,8 +8,7 @@ residual vectors, robust to up to 50% outliers per axis.
 
 Layout. Each GNC call copies the source line vectors once into a
 contiguous (3, n) array `a_t`, and the targets into `b_t`, while keeping
-the targets `b` as a C-contiguous (n, 3) array; every iteration reuses two
-(3, n) scratch buffers. Per iteration:
+the targets `b` as a C-contiguous (n, 3) array. Per iteration:
 
 * squared residuals are `R @ a_t - b_t`, squared in place and summed as
   `(d[0] + d[1]) + d[2]`;
@@ -22,6 +21,22 @@ solver's output does not depend on the layout. `d[0] + (d[1] + d[2])`,
 `einsum`, `(w * a_t) @ b`, or a (3, n) copy of `b` as the left operand
 each round differently. `tests/test_solver.py` keeps the (n, 3) solver
 as the reference and requires equal bytes.
+
+Buffers. A call allocates its arrays once and the iterations write into
+them: two (3, n) scratch arrays (the residual differences and w * a_t),
+two residual vectors and two weight vectors used in turn (the previous
+ones are still read: the weights for the convergence test, the residuals
+for the trace), one scratch vector and one boolean band mask. The
+weights are written in place (`_tls_weights`); the support count is taken
+on the mask `w > 0`, which counts what `count_nonzero(w)` would (the
+weights hold no NaN or -0.0) in a fraction of the time. The truncated cost
+and the convergence sum reduce a contiguous scratch vector with
+`np.add.reduce`, the pairwise summation `ndarray.sum` uses, so they keep
+their bits.
+
+Span check. The parallel-sources test is the exact SVD's decision, but a
+Gram-matrix screen settles almost every sample without the (n, 3) SVD;
+see `_check_source_span`.
 """
 
 from __future__ import annotations
@@ -41,32 +56,76 @@ MU_FACTOR = 1.4
 MAX_ITERATIONS = 100
 CONVERGENCE_TOL = 1e-6
 
+# The ufunc `np.clip` calls for float bounds, without the wrapper's dispatch.
+_clip = np._core.umath.clip
 
-def _tls_weights(res_sq: np.ndarray, mu: float, eps_sq: float) -> np.ndarray:
-    """Closed-form weights of the truncated-least-squares surrogate at mu."""
+
+def _tls_weights(res_sq: np.ndarray, mu: float, eps_sq: float, out: np.ndarray,
+                 band: np.ndarray) -> np.ndarray:
+    """Closed-form weights of the truncated-least-squares surrogate at mu, into `out`.
+
+    `band` is boolean scratch space. The middle-band formula is computed on
+    every entry (elementwise, so the same bits as on the band alone), then
+    the two outer bands are written over it and the result is clipped.
+    """
     lo = mu / (mu + 1.0) * eps_sq
     hi = (mu + 1.0) / mu * eps_sq
-    # The middle-band formula on every entry (elementwise, so the same bits
-    # as on the band alone), then the two outer bands written over it.
     with np.errstate(divide="ignore", over="ignore"):
-        w = np.sqrt(eps_sq * mu * (mu + 1.0) / res_sq) - mu
-    w[~(res_sq < hi)] = 0.0
-    w[res_sq <= lo] = 1.0
-    return np.clip(w, 0.0, 1.0, out=w)
+        np.divide(eps_sq * mu * (mu + 1.0), res_sq, out=out)
+    np.sqrt(out, out=out)
+    np.subtract(out, mu, out=out)
+    np.less(res_sq, hi, out=band)
+    np.logical_not(band, out=band)  # not below hi, NaN included
+    np.copyto(out, 0.0, where=band)
+    np.less_equal(res_sq, lo, out=band)
+    np.copyto(out, 1.0, where=band)
+    return _clip(out, 0.0, 1.0, out=out)
 
 
-def _check_source_span(v_source: np.ndarray):
+# Spanning screen of `_check_source_span`: the Gram matrix's eigenvalues are
+# the squared singular values, so a second eigenvalue above this fraction of
+# the largest (a singular-value ratio near 1e-4) is far from the 1e-9 bound.
+_SPAN_SCREEN_RATIO = 1e-8
+# Below this largest Gram eigenvalue, underflow in the Gram products could
+# matter; such sources take the exact test.
+_SPAN_SCREEN_FLOOR = 1e-250
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _check_source_span(v_source: np.ndarray, a_t: np.ndarray):
+    """Raise DegenerateInput unless the (n, 3) source directions span a plane.
+
+    `a_t` is `v_source.T` as a contiguous (3, n) array. The decision is the
+    exact SVD's: singular values s0 >= s1 of `v_source`, degenerate when
+    s1 <= 1e-9 * s0 or s0 == 0. A cheap screen passes most samples first:
+    the eigenvalues of the 3x3 Gram matrix `a_t @ v_source` are s**2,
+    computed with an absolute error of at most about 3 n eps s0**2 (the
+    products) plus eps s0**2 (the symmetric eigensolver). A second
+    eigenvalue above (1e-8 + 4 n eps) times the largest therefore means
+    s1 / s0 > ~1e-4, which the exact SVD, accurate to about eps s0, cannot
+    put at or below 1e-9. A non-finite Gram matrix (overflow, NaN), a
+    largest eigenvalue near the underflow range or a ratio below the margin
+    is not conclusive and runs the exact SVD.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a_t @ v_source  # a GEMM: `a_t @ a_t.T` takes a slower path
+    if np.isfinite(gram).all():
+        _, mid, top = np.linalg.eigvalsh(gram).tolist()
+        margin = _SPAN_SCREEN_RATIO + 4.0 * len(v_source) * _EPS
+        if top >= _SPAN_SCREEN_FLOOR and mid > margin * top:
+            return
     s = np.linalg.svd(v_source, compute_uv=False)
     if len(s) < 2 or s[1] <= s[0] * 1e-9 or s[0] == 0.0:
         raise DegenerateInput("line-vector source directions are parallel; rotation underdetermined")
 
 
-def _squared_residuals(rot, a_t, b_t, diff) -> np.ndarray:
-    """||R a_i - b_i||^2 per column of the (3, n) arrays; `diff` is scratch space."""
+def _squared_residuals(rot, a_t, b_t, diff, out) -> np.ndarray:
+    """||R a_i - b_i||^2 per column of the (3, n) arrays, into `out`; `diff` is scratch space."""
     np.matmul(rot, a_t, out=diff)
     np.subtract(diff, b_t, out=diff)
     np.multiply(diff, diff, out=diff)
-    return (diff[0] + diff[1]) + diff[2]
+    np.add(diff[0], diff[1], out=out)
+    return np.add(out, diff[2], out=out)
 
 
 def _solve_rotation(b, weighted_a_t) -> np.ndarray:
@@ -92,18 +151,23 @@ def estimate_rotation_gnc(lvs: LineVectorSet, noise_bound: float,
         raise ValueError("noise_bound must be positive")
     if len(lvs) < 2:
         raise DegenerateInput("need at least 2 line vectors to estimate a rotation")
-    _check_source_span(lvs.v_source)
-
-    # See the module docstring for the layout and the fixed operand order.
-    b = np.ascontiguousarray(lvs.v_target)
+    # See the module docstring for the layout, the buffers and the fixed
+    # operand and summation orders.
     a_t = np.ascontiguousarray(lvs.v_source.T)
+    _check_source_span(lvs.v_source, a_t)
+    b = np.ascontiguousarray(lvs.v_target)
     b_t = np.ascontiguousarray(b.T)
     diff = np.empty_like(a_t)
     weighted_a_t = np.empty_like(a_t)
+    n = a_t.shape[1]
+    res_bufs = (np.empty(n), np.empty(n))
+    weight_bufs = (np.empty(n), np.empty(n))
+    scratch = np.empty(n)
+    band = np.empty(n, dtype=bool)
 
     eps_sq = noise_bound ** 2
     rot = np.eye(3) if initial_rotation is None else np.asarray(initial_rotation, dtype=np.float64)
-    res_sq = _squared_residuals(rot, a_t, b_t, diff)
+    res_sq = _squared_residuals(rot, a_t, b_t, diff, res_bufs[0])
 
     max_res_sq = float(res_sq.max())
     if 2.0 * max_res_sq <= eps_sq:
@@ -112,13 +176,13 @@ def estimate_rotation_gnc(lvs: LineVectorSet, noise_bound: float,
 
     mu = eps_sq / (2.0 * max_res_sq - eps_sq)
     best_rot = rot
-    best_cost = float(np.minimum(res_sq, eps_sq).sum())
+    best_cost = float(np.add.reduce(np.minimum(res_sq, eps_sq, out=scratch)))
     prev_weights = None
     converged = False
 
-    for _ in range(MAX_ITERATIONS):
-        weights = _tls_weights(res_sq, mu, eps_sq)
-        if np.count_nonzero(weights) < 2:
+    for k in range(MAX_ITERATIONS):
+        weights = _tls_weights(res_sq, mu, eps_sq, weight_bufs[k % 2], band)
+        if np.count_nonzero(np.greater(weights, 0.0, out=band)) < 2:
             break  # surrogate support collapsed; keep the best iterate
         np.multiply(a_t, weights, out=weighted_a_t)
         try:
@@ -126,8 +190,8 @@ def estimate_rotation_gnc(lvs: LineVectorSet, noise_bound: float,
         except DegenerateInput:
             break
         res_sq_before = res_sq
-        res_sq = _squared_residuals(rot, a_t, b_t, diff)
-        cost = float(np.minimum(res_sq, eps_sq).sum())
+        res_sq = _squared_residuals(rot, a_t, b_t, diff, res_bufs[(k + 1) % 2])
+        cost = float(np.add.reduce(np.minimum(res_sq, eps_sq, out=scratch)))
         if cost < best_cost:
             best_cost = cost
             best_rot = rot
@@ -136,9 +200,11 @@ def estimate_rotation_gnc(lvs: LineVectorSet, noise_bound: float,
                           "wsse_before": float(np.sum(weights * res_sq_before)),
                           "wsse_after": float(np.sum(weights * res_sq)),
                           "tls_cost": cost})
-        if prev_weights is not None and float(np.abs(weights - prev_weights).sum()) < CONVERGENCE_TOL:
-            converged = True
-            break
+        if prev_weights is not None:
+            np.subtract(weights, prev_weights, out=scratch)
+            if float(np.add.reduce(np.abs(scratch, out=scratch))) < CONVERGENCE_TOL:
+                converged = True
+                break
         prev_weights = weights
         mu *= MU_FACTOR
 

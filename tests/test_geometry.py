@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numpy.linalg import _umath_linalg
+
 from lvreg.errors import DegenerateInput
 from lvreg.geometry import (
     RigidTransform,
@@ -10,6 +12,7 @@ from lvreg.geometry import (
     residual,
     residuals,
     rotation_about_axis,
+    rotation_from_cross_covariance,
     rotation_geodesic_angle,
     weighted_kabsch,
 )
@@ -153,3 +156,124 @@ class TestGeodesicAngle:
         angle = rotation_geodesic_angle(r, r)
         assert np.isfinite(angle)
         assert angle == pytest.approx(0.0, abs=1e-7)
+
+
+# The np.linalg form of the 3x3 solve, kept as the reference: the direct
+# LAPACK form must return the same bytes, or raise the same error.
+
+
+def reference_rotation_from_cross_covariance(h):
+    u, s, vt = np.linalg.svd(h)
+    if s[0] <= 0.0 or s[1] <= s[0] * 1e-12:
+        raise DegenerateInput("cross-covariance rank < 2; rotation is underdetermined")
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    if d == 0:
+        d = 1.0
+    return vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+
+
+def solve_both(h):
+    """Rotation bytes, or the raised (type, message), from the reference and the solver."""
+    outs = []
+    for solve in (reference_rotation_from_cross_covariance, rotation_from_cross_covariance):
+        try:
+            outs.append(solve(h).tobytes())
+        except (DegenerateInput, np.linalg.LinAlgError) as exc:
+            outs.append((type(exc), str(exc)))
+    return outs
+
+
+def random_cross_covariances(rng, count):
+    """3x3 matrices of several kinds: dense, scaled, rank 2, near rank 2, sparse, integer."""
+    for k in range(count):
+        kind = k % 6
+        if kind == 0:
+            h = rng.normal(size=(3, 3))
+        elif kind == 1:
+            h = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-150, 150)
+        elif kind == 2:
+            x, y = rng.normal(size=(2, 3, 2))
+            h = x @ y.T  # rank 2
+        elif kind == 3:
+            h = rng.normal(size=(3, 3))
+            h[2] = h[0] * rng.normal() + h[1] * rng.normal() + rng.normal(size=3) * 1e-13
+        elif kind == 4:
+            h = rng.normal(size=(3, 3)) * (rng.random((3, 3)) < 0.5)
+        else:
+            h = rng.integers(-3, 4, size=(3, 3)).astype(float)
+        yield np.asfortranarray(h) if k % 7 == 0 else h
+
+
+class TestRotationFromCrossCovarianceMatchesReference:
+    def test_random_matrices(self):
+        rng = np.random.default_rng(2026)
+        kinds = {"rotation": 0, "reflection": 0, "degenerate": 0}
+        for h in random_cross_covariances(rng, 12000):
+            ref, got = solve_both(h)
+            assert got == ref, h
+            if isinstance(ref, tuple):
+                kinds["degenerate"] += 1
+            else:
+                u, _, vt = np.linalg.svd(h)
+                kinds["reflection" if np.linalg.det(vt.T @ u.T) < 0 else "rotation"] += 1
+        assert min(kinds.values()) >= 100, kinds
+
+    def test_reflection(self):
+        h = np.diag([3.0, 2.0, -1.0])
+        ref, got = solve_both(h)
+        assert got == ref
+        rot = rotation_from_cross_covariance(h)
+        assert np.linalg.det(rot) == pytest.approx(1.0)
+
+    def test_rank_two(self):
+        for h in (np.diag([2.0, 1.0, 0.0]), np.diag([1.0, 0.0, 5.0]),
+                  np.outer([1.0, 2, 3], [0, 1.0, 1]) + np.outer([0, 1.0, 0], [1.0, 0, 0])):
+            ref, got = solve_both(h)
+            assert isinstance(ref, bytes) and got == ref
+
+    def test_signed_zeros(self):
+        for h in (np.diag([1.0, 2.0, -0.0]), -np.eye(3), np.where(np.eye(3) > 0, 1.0, -0.0),
+                  np.array([[0.0, -0.0, 1.0], [-0.0, 1.0, 0.0], [1.0, 0.0, -0.0]])):
+            ref, got = solve_both(h)
+            assert isinstance(ref, bytes) and got == ref
+
+    @pytest.mark.parametrize("h", [np.zeros((3, 3)), np.outer([1.0, 2, 3], [3.0, -1, 2]),
+                                   np.diag([1.0, 1e-13, 0.0])])
+    def test_rank_below_two_raises(self, h):
+        ref, got = solve_both(h)
+        assert ref[0] is DegenerateInput and got == ref
+
+    def test_nan_raises_linalg_error(self):
+        h = np.eye(3)
+        h[1, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            rotation_from_cross_covariance(h)
+        ref, got = solve_both(h)
+        assert got == ref
+
+    def test_infinite_entry_as_reference(self):
+        h = np.eye(3)
+        h[1, 2] = np.inf
+        with np.errstate(invalid="ignore"):  # the reference's det of a NaN matrix
+            ref, got = solve_both(h)
+        assert got == ref
+
+
+class TestPrivateKernelsMatchPublicApi:
+    """The solver calls two NumPy internals directly; a NumPy upgrade that changes them fails here."""
+
+    def test_svd_f_gufunc_is_np_linalg_svd(self):
+        rng = np.random.default_rng(11)
+        for h in random_cross_covariances(rng, 600):
+            u, s, vt = _umath_linalg.svd_f(h, signature="d->ddd")
+            ref = np.linalg.svd(h)
+            assert (u.tobytes(), s.tobytes(), vt.tobytes()) == tuple(a.tobytes() for a in ref)
+
+    def test_clip_ufunc_is_np_clip(self):
+        from lvreg import solver
+        rng = np.random.default_rng(12)
+        w = np.concatenate([rng.normal(size=1000), [0.0, -0.0, 1.0, np.inf, -np.inf, np.nan]])
+        expected = np.clip(w, 0.0, 1.0)
+        got = w.copy()
+        assert solver._clip(got, 0.0, 1.0, out=got) is got
+        assert got.tobytes() == expected.tobytes()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lvreg.correspondences import CorrespondenceSet
+from lvreg.correspondences import MAX_COORDINATE, CorrespondenceSet
 from lvreg.errors import DegenerateInput
 from lvreg.geometry import RigidTransform, rotation_from_cross_covariance
 from lvreg.local_sets import LineVectorSet, build_line_vectors
@@ -377,3 +377,70 @@ class TestGncMatchesReference:
         ref, _ = run_both(contiguous, initial_rotation=initial)
         _, got = run_both(strided, initial_rotation=np.asfortranarray(initial))
         assert got == ref
+
+
+def span_decisions(v_source):
+    """The raised message or None, from the exact reference and from the screened check."""
+    outs = []
+    for check in (reference_check_source_span,
+                  lambda v: solver._check_source_span(v, np.ascontiguousarray(v.T))):
+        try:
+            check(v_source)
+            outs.append(None)
+        except DegenerateInput as exc:
+            outs.append(str(exc))
+    return outs
+
+
+def sources_with_ratio(rng, n, ratio, scale=1.0):
+    """(n, 3) sources whose second singular value is `ratio` times the first."""
+    u, _ = np.linalg.qr(rng.normal(size=(n, 3)))
+    v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    s = np.array([1.0, ratio, ratio * rng.uniform(0.0, 1.0)])
+    return (u * s) @ v.T * scale
+
+
+class TestSourceSpanScreenMatchesExactSvd:
+    """The Gram screen never changes the exact SVD's raise-or-pass decision."""
+
+    def test_ratio_sweep(self):
+        rng = np.random.default_rng(77)
+        raised = passed = 0
+        for ratio in np.concatenate([np.logspace(-12, -3, 91), 1e-9 * (1 + np.linspace(-1e-6, 1e-6, 9))]):
+            for n in (3, 5, 40, 2300):
+                ref, got = span_decisions(sources_with_ratio(rng, n, ratio))
+                assert got == ref, (ratio, n)
+                raised += ref is not None
+                passed += ref is None
+        assert raised and passed
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_two_and_three_rows(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(300):
+            v = rng.normal(size=(n, 3))
+            if rng.random() < 0.5:
+                v[1] = v[0] * rng.normal()  # parallel rows
+            ref, got = span_decisions(v)
+            assert got == ref
+        assert span_decisions(np.eye(3)[:n]) == [None, None]
+
+    def test_all_zero(self):
+        ref, got = span_decisions(np.zeros((10, 3)))
+        assert ref is not None and got == ref
+
+    @pytest.mark.parametrize("scale", [2 * MAX_COORDINATE, 1e100, 1e-150, 1e-160, 1e-300])
+    def test_extreme_magnitudes(self, scale):
+        rng = np.random.default_rng(9)
+        for ratio in (1e-12, 1e-9, 1e-6, 1e-3, 0.5):
+            ref, got = span_decisions(sources_with_ratio(rng, 50, ratio, scale=scale))
+            assert got == ref, (scale, ratio)
+
+    def test_well_spread_sources_skip_the_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the screen should have been conclusive")
+
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=(500, 3))
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        solver._check_source_span(v, np.ascontiguousarray(v.T))
