@@ -237,6 +237,19 @@ class TestRotationFromCrossCovarianceMatchesReference:
             ref, got = solve_both(h)
             assert isinstance(ref, bytes) and got == ref
 
+    def test_rank_boundary_sweep(self):
+        # Second singular value around the 1e-12 degeneracy bound.
+        rng = np.random.default_rng(5)
+        raised = 0
+        for ratio in np.logspace(-13, -11, 201):
+            u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            h = (u * [1.0, ratio, ratio * rng.random()]) @ v.T
+            ref, got = solve_both(h)
+            assert got == ref, ratio
+            raised += isinstance(ref, tuple)
+        assert 0 < raised < 201
+
     @pytest.mark.parametrize("h", [np.zeros((3, 3)), np.outer([1.0, 2, 3], [3.0, -1, 2]),
                                    np.diag([1.0, 1e-13, 0.0])])
     def test_rank_below_two_raises(self, h):

@@ -147,8 +147,7 @@ class TestEstimateNormal:
             aligned = min(np.linalg.norm(n2 - rot @ n1), np.linalg.norm(n2 + rot @ n1))
             assert aligned < 1e-6
 
-    @pytest.mark.parametrize("k", [3, 8, 20])
-    def test_every_normal_is_smallest_eigenvector_of_its_neighbourhood(self, rng, k):
+    def test_normals_are_neighbourhood_smallest_eigenvectors(self, rng):
         # Brute force per endpoint: the k nearest points by a full distance
         # sort, their covariance, and its smallest-eigenvalue eigenvector from
         # an SVD of the centred neighbours (not the symmetric eigensolver).
@@ -156,17 +155,19 @@ class TestEstimateNormal:
         tgt = rng.normal(size=(90, 3))
         rows = rng.integers(0, 90, size=60)
         corrs = CorrespondenceSet(src[rows], tgt[rows])
-        out = annotate_normals(corrs, PointCloud(src), PointCloud(tgt), k=k)
-        for cloud, ends, normals in ((src, corrs.source, out.source_normals),
-                                     (tgt, corrs.target, out.target_normals)):
-            for point, normal in zip(ends, normals):
-                nbrs = cloud[brute_force_knn(cloud, point, k)]
-                centered = nbrs - nbrs.mean(axis=0)
-                cov = centered.T @ centered / len(nbrs)
-                _, sv, vt = np.linalg.svd(centered)
-                assert np.linalg.norm(normal) == pytest.approx(1.0, abs=1e-12)
-                assert abs(normal @ vt[2]) == pytest.approx(1.0, abs=1e-9)
-                assert normal @ cov @ normal == pytest.approx(sv[2] ** 2 / len(nbrs), abs=1e-12)
+        for k in (3, 8, 20):
+            out = annotate_normals(corrs, PointCloud(src), PointCloud(tgt), k=k)
+            for cloud, ends, normals in ((src, corrs.source, out.source_normals),
+                                         (tgt, corrs.target, out.target_normals)):
+                for point, normal in zip(ends, normals):
+                    nbrs = cloud[brute_force_knn(cloud, point, k)]
+                    centered = nbrs - nbrs.mean(axis=0)
+                    cov = centered.T @ centered / len(nbrs)
+                    _, sv, vt = np.linalg.svd(centered)
+                    assert np.linalg.norm(normal) == pytest.approx(1.0, abs=1e-12)
+                    assert abs(normal @ vt[2]) == pytest.approx(1.0, abs=1e-9)
+                    assert normal @ cov @ normal == pytest.approx(sv[2] ** 2 / len(nbrs),
+                                                                  abs=1e-12)
 
 
 class TestAnnotateNormals:

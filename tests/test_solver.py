@@ -380,15 +380,15 @@ class TestGncMatchesReference:
 
 
 def span_decisions(v_source):
-    """The raised message or None, from the exact reference and from the screened check."""
+    """The raised (type, message) or None, from the exact reference and the screened check."""
     outs = []
     for check in (reference_check_source_span,
                   lambda v: solver._check_source_span(v, np.ascontiguousarray(v.T))):
         try:
             check(v_source)
             outs.append(None)
-        except DegenerateInput as exc:
-            outs.append(str(exc))
+        except (DegenerateInput, np.linalg.LinAlgError) as exc:
+            outs.append((type(exc), str(exc)))
     return outs
 
 
@@ -429,12 +429,24 @@ class TestSourceSpanScreenMatchesExactSvd:
         ref, got = span_decisions(np.zeros((10, 3)))
         assert ref is not None and got == ref
 
+    # Line vectors of points within MAX_COORDINATE reach 2 * MAX_COORDINATE.
     @pytest.mark.parametrize("scale", [2 * MAX_COORDINATE, 1e100, 1e-150, 1e-160, 1e-300])
     def test_extreme_magnitudes(self, scale):
         rng = np.random.default_rng(9)
         for ratio in (1e-12, 1e-9, 1e-6, 1e-3, 0.5):
             ref, got = span_decisions(sources_with_ratio(rng, 50, ratio, scale=scale))
             assert got == ref, (scale, ratio)
+
+    def test_gram_overflow_and_non_finite_sources(self):
+        for bad in (np.nan, np.inf):
+            v = np.eye(3)
+            v[2, 1] = bad
+            ref, got = span_decisions(v)
+            assert got == ref
+        overflow = np.array([[1e160, 0.0, 0.0], [0.0, 1e160, 0.0], [1e160, 1e160, 0.0]])
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(overflow.T @ overflow).all()
+        assert span_decisions(overflow) == [None, None]
 
     def test_well_spread_sources_skip_the_svd(self, monkeypatch):
         def no_svd(*args, **kwargs):
