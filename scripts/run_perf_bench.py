@@ -5,10 +5,12 @@
 
 For each checkout given with --root, runs that checkout's own
 `perfbench/run.py` (which imports the checkout's src/, as
-`fingerprint_workloads.py` does) on every workload: --runs untraced runs
-of --seconds each, then one traced run. Repetitions alternate the order
-of the checkouts, so drift of a shared machine falls on each side
-evenly; with a parent and a change given, each repetition is one pair.
+`fingerprint_workloads.py` does) on every workload: RUNS untraced runs,
+then one traced run, each as long as BENCHMARK.json's `run_seconds`.
+Repetitions alternate the order of the checkouts, so drift of a shared
+machine falls on each side evenly; with a parent and a change given,
+each repetition is one pair, and RUNS = 10 pairs is what a claimed gain
+needs. Run it once per seed: 1, and the hold-out 9001.
 
 The output file holds the provenance (nproc, Python, NumPy and SciPy
 versions and the BLAS thread pinning, as perfbench reports them) and,
@@ -31,15 +33,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+RUNS = 10
+
 
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--root", type=Path, action="append", required=True,
                    help="checkout to measure; repeat for several, parent first")
     p.add_argument("--out", type=Path, required=True, help="output JSON, e.g. BENCH_7.json")
-    p.add_argument("--runs", type=int, default=5, help="untraced runs per checkout and workload")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=45.0)
+    p.add_argument("--seed", type=int, default=1, help="workload seed: 1, or the hold-out 9001")
     return p.parse_args(argv)
 
 
@@ -55,8 +57,10 @@ def identity(root: Path) -> dict:
             "uncommitted_changes": bool(git(root, "status", "--porcelain", "--", "src"))}
 
 
-def workload_names(root: Path) -> list[str]:
-    return [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+def benchmark(root: Path) -> tuple[list[str], float]:
+    """The workload names and the run length BENCHMARK.json declares."""
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    return [w["name"] for w in spec["workloads"]], spec["run_seconds"]
 
 
 def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -76,8 +80,7 @@ def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: i
 
 
 def summary(values: list[float]) -> dict:
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 \
-        else (values[0],) * 3
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1,
             "runs": values}
 
@@ -85,18 +88,18 @@ def summary(values: list[float]) -> dict:
 def main(argv=None) -> int:
     args = parse_args(argv)
     roots = [r.resolve() for r in args.root]
-    workloads = workload_names(roots[0])
+    workloads, seconds = benchmark(roots[0])
     untraced = {(r, w): [] for r in roots for w in workloads}
     traced = {}
     provenance = None
     correct = True
 
-    for rep in range(args.runs + 1):
+    for rep in range(RUNS + 1):
         order = roots if rep % 2 == 0 else roots[::-1]
-        trace = int(rep == args.runs)  # the last repetition is the traced one
+        trace = int(rep == RUNS)  # the last repetition is the traced one
         for w in workloads:
             for r in order:
-                result = run_perfbench(r, w, args.seed, args.seconds, trace)
+                result = run_perfbench(r, w, args.seed, seconds, trace)
                 correct &= result["correct"]
                 prov = result.pop("provenance")
                 provenance = provenance or {k: prov[k] for k in
@@ -124,7 +127,7 @@ def main(argv=None) -> int:
             }
         checkouts.append(entry)
 
-    record = {"seed": args.seed, "seconds": args.seconds, "runs": args.runs,
+    record = {"seed": args.seed, "seconds": seconds, "runs": RUNS,
               "provenance": provenance, "checkouts": checkouts}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0 if correct else 1

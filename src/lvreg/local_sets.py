@@ -154,8 +154,19 @@ def reduction_ratio(n_before: int, n_after: int) -> float:
     return (n_before - n_after) / n_before
 
 
-_NO_IDS = np.zeros(0, dtype=np.int64)
-_NO_RATIOS = np.zeros(0)
+@dataclass(frozen=True, eq=False)
+class LineVectors:
+    """The source and target vectors of some line vectors, without their ids or ratios.
+
+    This is what the GNC solver reads; `LineVectorSet.take_vectors` gathers
+    it without the other three columns.
+    """
+
+    v_source: np.ndarray
+    v_target: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.v_source)
 
 
 class LineVectorSet:
@@ -186,7 +197,7 @@ class LineVectorSet:
                    n_zero_skipped=len(ratio) - len(rows))
 
     def __len__(self) -> int:
-        return len(self.v_source)
+        return len(self.i)
 
     def take(self, rows) -> "LineVectorSet":
         """The line vectors at the given row positions (or boolean mask), in that order."""
@@ -200,15 +211,14 @@ class LineVectorSet:
         return LineVectorSet(*(np.take(a, rows, axis=0) for a in (
             self.i, self.j, self.v_source, self.v_target, self.scale_ratio)))
 
-    def take_vectors(self, rows) -> "LineVectorSet":
-        """Only the source and target vectors at the given row positions, in that order.
+    def take_vectors(self, rows) -> LineVectors:
+        """The source and target vectors at the given row positions, in that order.
 
-        The ids and ratios are left empty, so the set is for the GNC solver,
-        which reads the vectors alone; gathering two of the five columns
-        saves most of a sample's gather.
+        The GNC solver reads the vectors alone; gathering two of the five
+        columns saves most of a sample's gather.
         """
-        return LineVectorSet(_NO_IDS, _NO_IDS, np.take(self.v_source, rows, axis=0),
-                             np.take(self.v_target, rows, axis=0), _NO_RATIOS)
+        return LineVectors(np.take(self.v_source, rows, axis=0),
+                           np.take(self.v_target, rows, axis=0))
 
     def extend(self, other: "LineVectorSet") -> "LineVectorSet":
         return LineVectorSet(

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DegenerateInput
 from .geometry import RigidTransform, rotation_from_cross_covariance
-from .local_sets import LineVectorSet
+from .local_sets import LineVectors, LineVectorSet
 
 
 # The annealing schedule of Yang et al., "Graduated Non-Convexity for Robust
@@ -133,7 +133,7 @@ def _solve_rotation(b, weighted_a_t) -> np.ndarray:
     return rotation_from_cross_covariance((b.T @ weighted_a_t.T).T)
 
 
-def estimate_rotation_gnc(lvs: LineVectorSet, noise_bound: float,
+def estimate_rotation_gnc(lvs: LineVectors | LineVectorSet, noise_bound: float,
                           initial_rotation: np.ndarray | None = None,
                           trace: list | None = None) -> tuple[np.ndarray, bool]:
     """Robust rotation aligning the source line vectors onto the target ones.
@@ -143,7 +143,8 @@ def estimate_rotation_gnc(lvs: LineVectorSet, noise_bound: float,
     truncated-least-squares weight update while the continuation parameter
     grows geometrically; tau is `noise_bound`. The best iterate under the
     truncated loss is returned together with a convergence flag;
-    non-convergence still yields a proper rotation.
+    non-convergence still yields a proper rotation. Only `lvs.v_source`
+    and `lvs.v_target` are read.
 
     Raises DegenerateInput when the source directions are all parallel.
     """
@@ -224,8 +225,8 @@ def estimate_translation(source: np.ndarray, target: np.ndarray, rotation: np.nd
     return np.median(candidates, axis=0)
 
 
-def estimate_local_transform(basic_lvs: LineVectorSet, source: np.ndarray, target: np.ndarray,
-                             noise_bound: float,
+def estimate_local_transform(basic_lvs: LineVectors | LineVectorSet, source: np.ndarray,
+                             target: np.ndarray, noise_bound: float,
                              initial_rotation: np.ndarray | None = None) -> RigidTransform:
     """Rigid transform from a basic line-vector sample plus its endpoint points."""
     rot, _ = estimate_rotation_gnc(basic_lvs, noise_bound, initial_rotation=initial_rotation)

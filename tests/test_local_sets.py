@@ -206,6 +206,17 @@ class TestBuildLineVectors:
         with pytest.raises(IndexError):
             lvs.take(mask[:-1])
 
+    def test_take_vectors_matches_take(self, rng):
+        lvs = build_line_vectors(self._corrs(rng.normal(size=(12, 3)), rng.normal(size=(12, 3))))
+        rows = rng.choice(len(lvs), 20, replace=False)
+        for sel in (rows, rows[:0]):
+            got, full = lvs.take_vectors(sel), lvs.take(sel)
+            assert len(got) == len(full) == len(sel)
+            for name in ("v_source", "v_target"):
+                assert getattr(got, name).tobytes() == getattr(full, name).tobytes()
+        # Only the vectors: no ids or ratios to take, extend or pair up by mistake.
+        assert not hasattr(got, "i") and not hasattr(got, "take")
+
 
 def lvlp_oracle(lvs):
     """Straight-line reimplementation: histogram by loop, pick max bin + neighbors."""
