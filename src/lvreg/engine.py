@@ -96,7 +96,6 @@ class RoundTrace:
     global_confidence: float
     local_set_size: int
     line_vector_count: int
-    ir_glo: np.ndarray
     weights_updated: bool
 
 
@@ -112,11 +111,11 @@ class RegistrationResult:
     accumulated_weights: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     angle_histogram: Histogram | None = None
     scale_ratio_histogram: Histogram | None = None
-    sus_decisions: list = field(default_factory=list)  # one decision list per updated round
-    # local_sets_rung: "filtered" | "unfiltered-pairs" | "full-set", the fallback rung
-    # that built the initial local sets; zero_length_skipped: pairs dropped for zero
-    # length by that build and by full-set rebuilds; full_set_rebuilds: how often the
-    # self-update emptied the local sets and they were rebuilt from the full set
+    sus_decisions: list = field(default_factory=list)  # one list per round another round followed
+    # local_sets_rung: "filtered" | "full-set", the rung that built the local sets;
+    # zero_length_skipped: pairs dropped for a zero length or an overflowed ratio
+    # by that build and by full-set rebuilds; full_set_rebuilds: how often the
+    # self-update left fewer than 2 line vectors, rebuilt from the full set
     counters: dict = field(default_factory=dict)
 
 
@@ -214,7 +213,7 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
 
 
 def _full_local_sets(corrs: CorrespondenceSet, counters: dict):
-    """Last rung of the fallback ladder: the full set with all its usable pairs.
+    """The "full-set" rung: the full set with all its usable pairs.
 
     Adds the pairs it dropped for zero length to `counters`.
     """
@@ -226,37 +225,34 @@ def _full_local_sets(corrs: CorrespondenceSet, counters: dict):
 
 
 def _initial_local_sets(corrs: CorrespondenceSet, cfg: RansacConfig, counters: dict):
-    """Build the filtered local sets with graceful fallbacks on degenerate input.
+    """The initial local sets, from one of two rungs.
 
-    Fallback ladder: filtered sets -> unfiltered pairs of the filtered
-    correspondences -> unfiltered pairs of the full set. A filter that
-    retains nothing (or cannot discriminate) must not abort registration.
-    The rung used ("filtered", "unfiltered-pairs" or "full-set") and the
+    "filtered" when the angle-filtered set has 2 or more usable pairs,
+    else "full-set" (the full set and all its usable pairs). An angle
+    filter that keeps nothing (or cannot discriminate) keeps the full
+    set. The length-ratio filter keeps 2 or more of any 2 or more
+    pairs: n ratios with population std sigma > 0 span at most
+    sigma * sqrt(2n), so Scott's width 3.49 sigma / cbrt(n) makes fewer
+    than n bins, the fullest holding 2 or more; zero spread, an overflowed
+    sigma and the `MAX_BINS` path keep every pair. The rung and the
     zero-length pairs its build dropped go into `counters`.
     """
     if not cfg.use_ahs_lvlp:
         return (*_full_local_sets(corrs, counters), None, None)
-    angle_hist = sr_hist = None
+    angle_hist = None
     local = corrs
     try:
         angle_hist = build_angle_histogram(corrs)
         local = angle_histogram_filter(corrs, angle_hist)
     except (EmptyResult, DegenerateDistribution) as exc:
         log.debug("angle filter fell back to the full set: %s", exc)
-    try:
+    if len(local) >= 2:
         pairs = build_line_vectors(local)
-    except TooFewCorrespondences:  # the angle filter kept fewer than 2 correspondences
-        return (*_full_local_sets(corrs, counters), angle_hist, None)
-    if len(pairs):
-        l_sul, ratio_range, sr_hist = length_ratio_filter(pairs)
-        if len(l_sul) >= 2:
+        if len(pairs) >= 2:
+            l_sul, ratio_range, sr_hist = length_ratio_filter(pairs)
             counters.update(local_sets_rung="filtered", zero_length_skipped=pairs.n_zero_skipped)
             return local, l_sul, ratio_range, angle_hist, sr_hist
-    if len(pairs) >= 2:
-        counters.update(local_sets_rung="unfiltered-pairs",
-                        zero_length_skipped=pairs.n_zero_skipped)
-        return local, pairs, RatioRange.everything(), angle_hist, sr_hist
-    return (*_full_local_sets(corrs, counters), angle_hist, sr_hist)
+    return (*_full_local_sets(corrs, counters), angle_hist, None)
 
 
 def run_registration(corrs: CorrespondenceSet, source: PointCloud, target: PointCloud,
@@ -264,10 +260,10 @@ def run_registration(corrs: CorrespondenceSet, source: PointCloud, target: Point
     """Full registration pipeline; deterministic for a fixed rng_seed.
 
     Normal annotation, local-set construction, the round loop with
-    confidence/round-cap termination, per-round weight accumulation and
-    self-update, and the final weighted alignment of the full set. With
-    the self-update on, a full set over the pair budget raises
-    PairBudgetExceeded before any round runs.
+    confidence/round-cap termination, per-round weight accumulation, the
+    self-update before every round but the first, and the final weighted
+    alignment of the full set. With the self-update on, a full set over
+    the pair budget raises PairBudgetExceeded before any round runs.
     """
     n = len(corrs)
     if n < 3:
@@ -296,7 +292,7 @@ def run_registration(corrs: CorrespondenceSet, source: PointCloud, target: Point
     sus_decisions: list = []
     exit_reason = "max-rounds"
 
-    for _ in range(cfg.r_max):
+    for round_index in range(1, cfg.r_max + 1):
         local_res = run_local_ransac(l_sul, local_set, best_global, cfg, rng)
         cand_count = len(residual_inliers(local_res.transform, corrs, cfg.residual_threshold))
         if cand_count > best_count:
@@ -315,44 +311,43 @@ def run_registration(corrs: CorrespondenceSet, source: PointCloud, target: Point
         if not terminated:
             weights[ir_glo] += 1
         trace.append(RoundTrace(
-            round_index=len(trace) + 1, t_glo=t_glo, t_lcl=t_lcl,
+            round_index=round_index, t_glo=t_glo, t_lcl=t_lcl,
             hypotheses=local_res.hypotheses, degenerate_samples=local_res.degenerate_samples,
             branch=local_res.branch, n_global_inliers=len(ir_glo), global_confidence=cl_glo,
             local_set_size=len(local_set), line_vector_count=len(l_sul),
-            ir_glo=ir_glo, weights_updated=not terminated,
+            weights_updated=not terminated,
         ))
         if terminated:
             exit_reason = "confidence"
             break
-        if cfg.use_sus:
+        if cfg.use_sus and round_index < cfg.r_max:
             local_set, l_sul, decisions = update_local_sets(
                 corrs, local_set, l_sul, ir_glo, cfg.residual_threshold,
                 ratio_range, rng, sigma_mode=cfg.sigma_mode)
             sus_decisions.append(decisions)
-            if len(l_sul) < 2 or len(local_set) == 0:
-                # The update emptied the local sets; rebuild from the full set,
-                # whose pair count was checked against the budget on entry and
-                # whose pairs are a superset of the initial local ones.
+            if len(l_sul) < 2:
+                # The update left too few line vectors; rebuild from the full
+                # set, whose pair count was checked against the budget on entry
+                # and whose pairs are a superset of the initial local ones.
                 counters["full_set_rebuilds"] += 1
                 local_set, l_sul, ratio_range = _full_local_sets(corrs, counters)
 
     final_weights = weights
     if final_weights.sum() == 0:
+        # No round updated the weights: weight the last round's global inliers.
         final_weights = np.zeros(n, dtype=np.int64)
-        ir_last = trace[-1].ir_glo if trace else np.arange(0)
-        final_weights[ir_last] = 1
+        final_weights[ir_glo] = 1
     try:
         final = weighted_kabsch(corrs.source, corrs.target, final_weights)
     except DegenerateInput:
         log.debug("weighted alignment degenerate; returning the best sampled transform")
         final = best_global
 
-    final_cl = trace[-1].global_confidence if trace else 0.0
     return RegistrationResult(
         transform=final,
         rounds=len(trace),
         total_iterations=t_glo,
-        final_confidence=final_cl,
+        final_confidence=cl_glo,
         inlier_indices=residual_inliers(final, corrs, cfg.residual_threshold),
         per_round_trace=trace,
         exit_reason=exit_reason,

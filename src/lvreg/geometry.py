@@ -113,13 +113,14 @@ def rotation_from_cross_covariance(h: np.ndarray) -> np.ndarray:
 
     `tests/test_geometry.py` pins these bytes to the `np.linalg` form.
 
-    Raises DegenerateInput when rank(h) < 2 (rotation not determined).
+    Raises DegenerateInput when rank(h) < 2 (rotation not determined) and
+    when an inf entry makes the singular values NaN.
     """
     with np.errstate(call=_svd_did_not_converge, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
         u, s, vt = _svd_f(h, signature="d->ddd")
     s0, s1, _ = s.tolist()
-    if s0 <= 0.0 or s1 <= s0 * 1e-12:
+    if not (s0 > 0.0 and s1 > s0 * 1e-12):  # NaN singular values (an inf entry) fail too
         raise DegenerateInput("cross-covariance rank < 2; rotation is underdetermined")
     v = vt.T
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = (v @ u.T).tolist()

@@ -21,7 +21,8 @@ rows with `np.take` and subtracts in place. A pair's norm is
 (say `x*x + (y*y + z*z)`) changes the last bit of about one norm in nine,
 which moves pairs across ratio-bin edges and so changes the local sets and
 the random draws that follow. The ratio is divided out before pairs with a
-zero-length difference are dropped, so the drop is one `np.take` per column.
+zero-length difference or an overflowed ratio are dropped, so the drop is one
+test on the ratio column and one `np.take` per column.
 A histogram keeps each item's bin index next to the counts, so the filters
 select rows with one comparison over that column, in ascending row order.
 
@@ -185,14 +186,16 @@ class LineVectorSet:
         """Line vectors from per-pair difference vectors, v = x_i - x_j.
 
         Pairs whose source or target difference has zero norm are dropped
-        and counted in `n_zero_skipped`; the set owns its arrays.
+        and counted in `n_zero_skipped`, and so are pairs whose ratio
+        overflows to inf; the set owns its arrays. One test on the ratio
+        finds both: 0/x is 0, x/0 and an overflow are inf, 0/0 is NaN. A
+        positive ratio of points within `MAX_COORDINATE` cannot underflow
+        to 0, so every other pair is kept.
         """
         ratio = _row_norms(v_source)
-        nt = _row_norms(v_target)
-        rows = np.flatnonzero((ratio > 0.0) & (nt > 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):  # only dropped pairs divide by 0
-            ratio /= nt
-        del nt
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio /= _row_norms(v_target)
+        rows = np.flatnonzero((ratio > 0.0) & (ratio < np.inf))
         return cls(*(np.take(a, rows, axis=0) for a in (i, j, v_source, v_target, ratio)),
                    n_zero_skipped=len(ratio) - len(rows))
 
@@ -271,8 +274,9 @@ def build_line_vectors(c_sul: CorrespondenceSet) -> LineVectorSet:
 
     Pairs whose source or target difference has zero norm are skipped and
     counted in `n_zero_skipped` (duplicate feature points occur in real
-    correspondence sets). More than `PAIR_BUDGET` pairs raise
-    PairBudgetExceeded before anything is allocated.
+    correspondence sets), as are pairs whose length ratio overflows. More
+    than `PAIR_BUDGET` pairs raise PairBudgetExceeded before anything is
+    allocated.
     """
     n = len(c_sul)
     if n < 2:

@@ -24,12 +24,12 @@ as the reference and requires equal bytes.
 
 Buffers. A call allocates its arrays once and the iterations write into
 them: two (3, n) scratch arrays (the residual differences and w * a_t),
-two residual vectors and two weight vectors used in turn (the previous
-ones are still read: the weights for the convergence test, the residuals
-for the trace), one scratch vector and one boolean band mask. The
-weights are written in place (`_tls_weights`); the support count is taken
-on the mask `w > 0`, which counts what `count_nonzero(w)` would (the
-weights hold no NaN or -0.0) in a fraction of the time. The truncated cost
+one residual vector, two weight vectors used in turn (the previous
+weights are still read by the convergence test), one scratch vector and
+one boolean band mask. The weights are written in place (`_tls_weights`);
+the support count is taken on the mask `w > 0`, which counts what
+`count_nonzero(w)` would (the weights hold no NaN or -0.0) in a fraction
+of the time. The truncated cost
 and the convergence sum reduce a contiguous scratch vector with
 `np.add.reduce`, the pairwise summation `ndarray.sum` uses, so they keep
 their bits.
@@ -96,8 +96,9 @@ def _check_source_span(v_source: np.ndarray, a_t: np.ndarray):
     """Raise DegenerateInput unless the (n, 3) source directions span a plane.
 
     `a_t` is `v_source.T` as a contiguous (3, n) array. The decision is the
-    exact SVD's: singular values s0 >= s1 of `v_source`, degenerate when
-    s1 <= 1e-9 * s0 or s0 == 0. A cheap screen passes most samples first:
+    exact SVD's: singular values s0 >= s1 of `v_source`, degenerate unless
+    s1 > 1e-9 * s0 (so also when s0 == 0, or when an inf entry makes the
+    singular values NaN). A cheap screen passes most samples first:
     the eigenvalues of the 3x3 Gram matrix `a_t @ v_source` are s**2,
     computed with an absolute error of at most about 3 n eps s0**2 (the
     products) plus eps s0**2 (the symmetric eigensolver). A second
@@ -115,7 +116,7 @@ def _check_source_span(v_source: np.ndarray, a_t: np.ndarray):
         if top >= _SPAN_SCREEN_FLOOR and mid > margin * top:
             return
     s = np.linalg.svd(v_source, compute_uv=False)
-    if len(s) < 2 or s[1] <= s[0] * 1e-9 or s[0] == 0.0:
+    if not s[1] > s[0] * 1e-9:  # NaN singular values (an inf entry) fail too
         raise DegenerateInput("line-vector source directions are parallel; rotation underdetermined")
 
 
@@ -134,8 +135,7 @@ def _solve_rotation(b, weighted_a_t) -> np.ndarray:
 
 
 def estimate_rotation_gnc(lvs: LineVectors | LineVectorSet, noise_bound: float,
-                          initial_rotation: np.ndarray | None = None,
-                          trace: list | None = None) -> tuple[np.ndarray, bool]:
+                          initial_rotation: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
     """Robust rotation aligning the source line vectors onto the target ones.
 
     Minimizes sum_i min(||R v_src_i - v_tgt_i||^2, tau^2) by graduated
@@ -144,7 +144,9 @@ def estimate_rotation_gnc(lvs: LineVectors | LineVectorSet, noise_bound: float,
     grows geometrically; tau is `noise_bound`. The best iterate under the
     truncated loss is returned together with a convergence flag;
     non-convergence still yields a proper rotation. Only `lvs.v_source`
-    and `lvs.v_target` are read.
+    and `lvs.v_target` are read. Each iteration looks up the module globals
+    `_tls_weights` and then `_solve_rotation` at call time, so a test can
+    wrap them to see every iterate.
 
     Raises DegenerateInput when the source directions are all parallel.
     """
@@ -161,14 +163,13 @@ def estimate_rotation_gnc(lvs: LineVectors | LineVectorSet, noise_bound: float,
     diff = np.empty_like(a_t)
     weighted_a_t = np.empty_like(a_t)
     n = a_t.shape[1]
-    res_bufs = (np.empty(n), np.empty(n))
     weight_bufs = (np.empty(n), np.empty(n))
     scratch = np.empty(n)
     band = np.empty(n, dtype=bool)
 
     eps_sq = noise_bound ** 2
     rot = np.eye(3) if initial_rotation is None else np.asarray(initial_rotation, dtype=np.float64)
-    res_sq = _squared_residuals(rot, a_t, b_t, diff, res_bufs[0])
+    res_sq = _squared_residuals(rot, a_t, b_t, diff, np.empty(n))
 
     max_res_sq = float(res_sq.max())
     if 2.0 * max_res_sq <= eps_sq:
@@ -190,17 +191,11 @@ def estimate_rotation_gnc(lvs: LineVectors | LineVectorSet, noise_bound: float,
             rot = _solve_rotation(b, weighted_a_t)
         except DegenerateInput:
             break
-        res_sq_before = res_sq
-        res_sq = _squared_residuals(rot, a_t, b_t, diff, res_bufs[(k + 1) % 2])
+        _squared_residuals(rot, a_t, b_t, diff, res_sq)
         cost = float(np.add.reduce(np.minimum(res_sq, eps_sq, out=scratch)))
         if cost < best_cost:
             best_cost = cost
             best_rot = rot
-        if trace is not None:
-            trace.append({"mu": mu, "weights": weights.copy(),
-                          "wsse_before": float(np.sum(weights * res_sq_before)),
-                          "wsse_after": float(np.sum(weights * res_sq)),
-                          "tls_cost": cost})
         if prev_weights is not None:
             np.subtract(weights, prev_weights, out=scratch)
             if float(np.add.reduce(np.abs(scratch, out=scratch))) < CONVERGENCE_TOL:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lvreg
@@ -121,7 +122,26 @@ class TestRegister:
                          "--seed", "3", "--out", str(out)]) == 0
         counters = json.loads(out.read_text())["counters"]
         assert set(counters) == {"local_sets_rung", "zero_length_skipped", "full_set_rebuilds"}
-        assert counters["local_sets_rung"] in ("filtered", "unfiltered-pairs", "full-set")
+        assert counters["local_sets_rung"] in ("filtered", "full-set")
+
+    def test_overflowing_length_ratio_registers(self, tmp_path):
+        # Every coordinate is finite and within MAX_COORDINATE, but the pair of
+        # rows 0 and 1 has the length ratio 1e150 / 1e-160, which overflows.
+        rng = np.random.default_rng(5)
+        plane = np.c_[rng.uniform(-1.0, 1.0, size=(60, 2)), np.zeros(60)]
+        cloud = tmp_path / "cloud.xyz"
+        points = np.vstack([plane, [[1e150, 0, 0], [1e-160, 0, 0], [0, 0, 0]]])
+        cloud.write_text("".join(" ".join(repr(float(v)) for v in p) + "\n" for p in points))
+        rows = np.hstack([plane[:30], plane[:30]])
+        rows[0] = [1e150, 0, 0, 1e-160, 0, 0]
+        rows[1] = 0.0
+        corr = tmp_path / "corr.txt"
+        corr.write_text("".join(" ".join(repr(float(v)) for v in r) + "\n" for r in rows))
+        out = tmp_path / "r.json"
+        proc = run_cli("register", "--source", str(cloud), "--target", str(cloud),
+                       "--corr", str(corr), "--tr", "0.01", "--seed", "1", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.read_text())["counters"]["zero_length_skipped"] >= 1
 
     def test_degenerate_geometry_exits_3(self, tmp_path):
         cloud = tmp_path / "line.xyz"

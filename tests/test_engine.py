@@ -29,7 +29,7 @@ from lvreg.errors import (
 from lvreg.geometry import RigidTransform, rotation_about_axis
 from lvreg.io import result_to_dict
 from lvreg import local_sets
-from lvreg.local_sets import LineVectorSet, RatioRange, build_line_vectors
+from lvreg.local_sets import LineVectorSet, build_line_vectors
 from lvreg.self_update import UpdateAction, UpdateRule
 from lvreg.synthetic import SyntheticSpec, synthesize_pair
 
@@ -349,13 +349,34 @@ class TestRunRegistration:
         res = run_registration(corrs, source, target, quick_cfg(rng_seed=11, r_max=5))
         counts = [row.n_global_inliers for row in res.per_round_trace]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
-        # the engine's weights must equal the trace reconstruction: one
-        # increment per round whose end saw the item in the inlier set and
-        # whose weights were updated
-        expected = np.zeros(len(corrs), dtype=np.int64)
-        for row in res.per_round_trace:
-            if row.weights_updated:
-                expected[row.ir_glo] += 1
+        # one increment per global inlier of every round whose weights were updated
+        updated = [row for row in res.per_round_trace if row.weights_updated]
+        assert res.accumulated_weights.sum() == sum(row.n_global_inliers for row in updated)
+        assert res.accumulated_weights.max() <= len(updated)
+
+    def test_weights_count_the_rounds_each_row_was_a_global_inlier(self, monkeypatch):
+        # Scripted rounds propose identity, the true transform, then identity
+        # again; the global best stays the true transform from round 2 on,
+        # and no round reaches the confidence target, so all three add weight.
+        rng = np.random.default_rng(4)
+        g = random_transform(rng)
+        src = rng.normal(size=(40, 3))
+        tgt = g.apply(src)
+        tgt[20:] = rng.normal(size=(20, 3))
+        proposals = iter([RigidTransform.identity(), g, RigidTransform.identity()])
+
+        def scripted(l_sul, c_sul, received_glo, cfg, rng):
+            return LocalRoundResult(next(proposals), 1, 0, "iteration-cap", 0)
+
+        monkeypatch.setattr("lvreg.engine.run_local_ransac", scripted)
+        corrs = CorrespondenceSet(src, tgt)
+        cfg = quick_cfg(r_max=3, use_ahs_lvlp=False, use_sus=False)
+        res = run_registration(corrs, PointCloudFrom(src), PointCloudFrom(tgt), cfg)
+        expected = np.zeros(40, dtype=np.int64)
+        expected[residual_inliers(RigidTransform.identity(), corrs, cfg.residual_threshold)] += 1
+        expected[residual_inliers(g, corrs, cfg.residual_threshold)] += 2
+        assert expected[:20].tolist() == [2] * 20
+        assert [row.weights_updated for row in res.per_round_trace] == [True] * 3
         assert np.array_equal(res.accumulated_weights, expected)
 
     def test_eq6_branch_reported_count_exceeds_entry(self):
@@ -461,9 +482,9 @@ class TestRunRegistration:
 
     def test_counters_report_rung_zero_length_pairs_and_rebuilds(self):
         # The all-outlier scene above, with four coincident target points
-        # (6 zero-length pairs per build of the full set). Every one of the
-        # three self-updates empties the local set, the last one after the
-        # final round, so the full set is built 1 + 3 times.
+        # (6 zero-length pairs per build of the full set). The self-update
+        # runs after rounds 1 and 2, not after the last, and empties the
+        # local set both times, so the full set is built 1 + 2 times.
         rng = np.random.default_rng(9)
         src = rng.normal(size=(40, 3))
         tgt = rng.normal(size=(40, 3))
@@ -472,9 +493,23 @@ class TestRunRegistration:
         cfg = quick_cfg(r_max=3, max_local_iterations=15, use_ahs_lvlp=False)
         res = run_registration(corrs, PointCloudFrom(src), PointCloudFrom(tgt), cfg)
         assert [row.local_set_size for row in res.per_round_trace] == [40, 40, 40]
-        assert res.counters == {"local_sets_rung": "full-set", "zero_length_skipped": 24,
-                                "full_set_rebuilds": 3}
+        assert res.counters == {"local_sets_rung": "full-set", "zero_length_skipped": 18,
+                                "full_set_rebuilds": 2}
+        assert len(res.sus_decisions) == 2
         assert result_to_dict(res)["counters"] == res.counters
+
+    @pytest.mark.parametrize("r_max", [1, 2, 5])
+    def test_no_self_update_after_the_last_round(self, r_max):
+        # All-outlier scene: every run ends at max-rounds, and only the
+        # rounds another round followed get a self-update.
+        rng = np.random.default_rng(9)
+        src = rng.normal(size=(40, 3))
+        tgt = rng.normal(size=(40, 3))
+        cfg = quick_cfg(r_max=r_max, max_local_iterations=15)
+        res = run_registration(CorrespondenceSet(src, tgt), PointCloudFrom(src),
+                               PointCloudFrom(tgt), cfg)
+        assert (res.exit_reason, res.rounds) == ("max-rounds", r_max)
+        assert len(res.sus_decisions) == r_max - 1
 
     def test_counters_report_the_filtered_rung(self):
         spec = SyntheticSpec(n_points=300, n_correspondences=150, outlier_rate=0.5,
@@ -483,17 +518,6 @@ class TestRunRegistration:
         res = run_registration(corrs, source, target, quick_cfg())
         assert res.counters["local_sets_rung"] == "filtered"
         assert res.counters["full_set_rebuilds"] == 0
-
-    def test_counters_report_the_unfiltered_pairs_rung(self, monkeypatch):
-        # a ratio filter that keeps no pair sends the ladder to its second rung
-        monkeypatch.setattr("lvreg.engine.length_ratio_filter",
-                            lambda pairs: (pairs.take(np.arange(0)), RatioRange.everything(), None))
-        spec = SyntheticSpec(n_points=300, n_correspondences=150, outlier_rate=0.5,
-                             noise_sigma=0.003, seed=2)
-        source, target, corrs, gt, _ = synthesize_pair(spec)
-        res = run_registration(corrs, source, target, quick_cfg())
-        assert res.counters["local_sets_rung"] == "unfiltered-pairs"
-        assert res.per_round_trace[0].local_set_size < len(corrs)
 
     def test_full_set_over_pair_budget_refused_before_any_round(self, monkeypatch):
         # A budget that fits the angle-filtered local set but not the full

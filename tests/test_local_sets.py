@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lvreg.correspondences import CorrespondenceSet
@@ -16,6 +16,7 @@ from lvreg.errors import (
 from lvreg.geometry import RigidTransform
 from lvreg.local_sets import (
     Histogram,
+    LineVectorSet,
     angle_histogram_filter,
     build_angle_histogram,
     build_line_vectors,
@@ -179,6 +180,19 @@ class TestBuildLineVectors:
         assert lvs.n_zero_skipped == 1
         assert (0, 1) not in lvs.pair_set()
 
+    def test_overflowed_ratio_pair_excluded(self):
+        # Every coordinate is within MAX_COORDINATE, but pair (0, 1) has the
+        # length ratio 1e150 / 1e-160, which overflows to inf; it is dropped
+        # and counted with the zero-length pairs.
+        src = [[1e150, 0, 0], [0, 0, 0], [1.0, 0, 0]]
+        tgt = [[1e-160, 0, 0], [0, 0, 0], [1.0, 0, 0]]
+        lvs = build_line_vectors(self._corrs(src, tgt))
+        assert lvs.pair_set() == {(0, 2), (1, 2)}
+        assert lvs.n_zero_skipped == 1
+        assert lvs.scale_ratio.tolist() == [1e150, 1.0]
+        kept, _, _ = length_ratio_filter(lvs)
+        assert len(kept) == 2
+
     def test_scale_ratio_definition(self, rng):
         src = rng.normal(size=(5, 3))
         tgt = rng.normal(size=(5, 3))
@@ -232,6 +246,50 @@ def lvlp_oracle(lvs):
     chosen = {b for b in (top - 1, top, top + 1) if 0 <= b < n_bins}
     return {row for row in range(len(ratios))
             if int(np.floor((ratios[row] - lower) / w)) in chosen}
+
+
+def ratio_set(ratios):
+    """A line-vector set with the given scale ratios; the ratio filter reads nothing else."""
+    n = len(ratios)
+    return LineVectorSet(np.arange(n), np.arange(n) + n, np.ones((n, 3)), np.ones((n, 3)), ratios)
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_RATIO_LISTS = st.one_of(
+    st.lists(_POSITIVE, min_size=2, max_size=80),
+    # heavy tails: magnitudes spread over the whole float range
+    st.lists(st.floats(-323.0, 308.0).map(lambda e: 10.0 ** e).filter(lambda r: r > 0.0),
+             min_size=2, max_size=80),
+    # ties, including neighbouring floats
+    st.lists(st.sampled_from([1.0, float(np.nextafter(1.0, 2.0)), 2.0, 1e-300, 1e300]),
+             min_size=2, max_size=80),
+    # values near 1e-300 and 1e300
+    st.lists(st.floats(1e-301, 1e-299) | st.floats(1e299, 1e301), min_size=2, max_size=80),
+    # one outlier among equal values, at any position
+    st.tuples(_POSITIVE, _POSITIVE, st.integers(1, 300), st.integers(0, 300)).map(
+        lambda t: [t[0]] * t[3] + [t[1]] + [t[0]] * (t[2] - min(t[3], t[2]))
+        if t[3] <= t[2] else [t[0]] * t[2] + [t[1]]),
+)
+
+
+class TestLengthRatioFilterKeepsTwo:
+    """The filter keeps at least 2 of any 2 or more finite positive ratios.
+
+    n ratios with population std sigma > 0 span at most sigma * sqrt(2n);
+    Scott's width 3.49 sigma / cbrt(n) then gives fewer than n bins, so the
+    fullest holds at least 2. Zero spread, an overflowed sigma and the
+    MAX_BINS path keep every ratio. This is why the engine needs no rung
+    between the filtered sets and the full set.
+    """
+
+    @given(_RATIO_LISTS)
+    @example([5e-324, 1.7976931348623157e308])
+    @example([1e-300, 1e300, 1e300])
+    @settings(max_examples=600, deadline=None)
+    def test_keeps_at_least_two(self, ratios):
+        with np.errstate(over="ignore", invalid="ignore"):  # sigma may overflow to inf
+            kept, _, _ = length_ratio_filter(ratio_set(ratios))
+        assert len(kept) >= 2
 
 
 class TestLengthRatioFilter:

@@ -77,16 +77,23 @@ class TestRotationGnc:
             assert np.allclose(rot.T @ rot, np.eye(3), atol=1e-9)
             assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-9)
 
-    def test_weights_in_unit_interval_and_ls_step_descends(self, rng):
+    def test_weights_in_unit_interval_and_ls_step_descends(self, rng, monkeypatch):
         g = random_rotation(rng)
         lvs = make_line_vectors(rng, g, 60, outlier_fraction=0.4, noise=0.003)
-        trace = []
-        estimate_rotation_gnc(lvs, 0.05, trace=trace)
-        assert len(trace) > 0
-        for step in trace:
-            assert np.all(step["weights"] >= 0.0) and np.all(step["weights"] <= 1.0)
+        steps = []
+        record_solver_steps(monkeypatch, steps)
+        estimate_rotation_gnc(lvs, 0.05)
+        # each rotation with the weights it was solved for and the residuals those came from
+        iterates = [(steps[k - 1], step[1]) for k, step in enumerate(steps) if step[0] == "rotation"]
+        assert len(iterates) > 1
+        for (_, _, res_sq_before, weights), rot in iterates:
+            weights, res_sq_before = np.frombuffer(weights), np.frombuffer(res_sq_before)
+            rot = np.frombuffer(rot).reshape(3, 3)
+            assert np.all(weights >= 0.0) and np.all(weights <= 1.0)
             # the weighted solve is a global optimum: never worse than the prior iterate
-            assert step["wsse_after"] <= step["wsse_before"] * (1 + 1e-12) + 1e-15
+            res_sq_after = np.sum((lvs.v_source @ rot.T - lvs.v_target) ** 2, axis=1)
+            wsse_before = float(np.sum(weights * res_sq_before))
+            assert float(np.sum(weights * res_sq_after)) <= wsse_before * (1 + 1e-12) + 1e-15
 
     def test_equivariance_under_target_rotation(self, rng):
         g = random_rotation(rng)
@@ -214,10 +221,13 @@ def reference_tls_weights(res_sq, mu, eps_sq):
     return np.clip(w, 0.0, 1.0)
 
 
+PARALLEL_MESSAGE = "line-vector source directions are parallel; rotation underdetermined"
+
+
 def reference_check_source_span(v_source):
     s = np.linalg.svd(v_source, compute_uv=False)
     if len(s) < 2 or s[1] <= s[0] * 1e-9 or s[0] == 0.0:
-        raise DegenerateInput("line-vector source directions are parallel; rotation underdetermined")
+        raise DegenerateInput(PARALLEL_MESSAGE)
 
 
 def reference_solve_rotation(v_source, v_target, weights):
@@ -225,7 +235,8 @@ def reference_solve_rotation(v_source, v_target, weights):
     return rotation_from_cross_covariance(h)
 
 
-def reference_gnc(lvs, cfg, initial_rotation=None, trace=None):
+def reference_gnc(lvs, cfg, initial_rotation, steps):
+    """The (n, 3) solver; appends its weight and rotation steps to `steps` (see `run_both`)."""
     a = lvs.v_source
     b = lvs.v_target
     if len(lvs) < 2:
@@ -240,6 +251,7 @@ def reference_gnc(lvs, cfg, initial_rotation=None, trace=None):
     if 2.0 * max_res_sq <= eps_sq:
         # Everything already within the noise bound: one plain solve suffices.
         rot = reference_solve_rotation(a, b, np.ones(len(a)))
+        steps.append(("rotation", rot.tobytes()))
         return rot, True
 
     mu = eps_sq / (2.0 * max_res_sq - eps_sq)
@@ -250,23 +262,19 @@ def reference_gnc(lvs, cfg, initial_rotation=None, trace=None):
 
     for _ in range(cfg.max_iterations):
         weights = reference_tls_weights(res_sq, mu, eps_sq)
+        steps.append(("weights", mu, res_sq.tobytes(), weights.tobytes()))
         if np.count_nonzero(weights) < 2:
             break  # surrogate support collapsed; keep the best iterate
-        wsse_before = float(np.sum(weights * res_sq))
         try:
             rot = reference_solve_rotation(a, b, weights)
         except DegenerateInput:
             break
+        steps.append(("rotation", rot.tobytes()))
         res_sq = np.sum((a @ rot.T - b) ** 2, axis=1)
-        wsse_after = float(np.sum(weights * res_sq))
         cost = float(np.minimum(res_sq, eps_sq).sum())
         if cost < best_cost:
             best_cost = cost
             best_rot = rot
-        if trace is not None:
-            trace.append({"mu": mu, "weights": weights.copy(),
-                          "wsse_before": wsse_before, "wsse_after": wsse_after,
-                          "tls_cost": cost})
         if prev_weights is not None and float(np.abs(weights - prev_weights).sum()) < cfg.convergence_tol:
             converged = True
             break
@@ -276,29 +284,55 @@ def reference_gnc(lvs, cfg, initial_rotation=None, trace=None):
     return best_rot, converged
 
 
-def run_both(lvs, cfg=ReferenceGncConfig(), initial_rotation=None):
-    """(rotation bytes, converged, trace) or the raised (type, message), for both solvers.
+def record_solver_steps(mp, steps):
+    """Wrap the solver's weight and rotation steps to append what the reference appends.
 
-    The solver runs with its iteration cap set to `cfg.max_iterations`.
+    Both are module globals that `estimate_rotation_gnc` looks up at call
+    time. A solve that raises appends nothing, as in the reference.
+    """
+    tls_weights, solve_rotation = solver._tls_weights, solver._solve_rotation
+
+    def recording_weights(res_sq, mu, *args):
+        weights = tls_weights(res_sq, mu, *args)
+        # bytes now: the solver reuses both buffers
+        steps.append(("weights", mu, res_sq.tobytes(), weights.tobytes()))
+        return weights
+
+    def recording_solve(*args):
+        rot = solve_rotation(*args)
+        steps.append(("rotation", rot.tobytes()))
+        return rot
+
+    mp.setattr(solver, "_tls_weights", recording_weights)
+    mp.setattr(solver, "_solve_rotation", recording_solve)
+
+
+def run_both(lvs, cfg=ReferenceGncConfig(), initial_rotation=None):
+    """(rotation bytes, converged, steps) or the raised (type, message), for both solvers.
+
+    `steps` holds each iteration's ("weights", mu, residual bytes, weight
+    bytes) and ("rotation", rotation bytes), in call order. The solver runs
+    with its iteration cap set to `cfg.max_iterations`.
     """
     outs = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "MAX_ITERATIONS", cfg.max_iterations)
-        for solve, arg in ((reference_gnc, cfg), (estimate_rotation_gnc, cfg.noise_bound)):
-            trace = []
+        ref_steps, solver_steps = [], []
+        record_solver_steps(mp, solver_steps)
+        for solve, steps in (
+                (lambda: reference_gnc(lvs, cfg, initial_rotation, ref_steps), ref_steps),
+                (lambda: estimate_rotation_gnc(lvs, cfg.noise_bound, initial_rotation), solver_steps)):
             try:
-                rot, converged = solve(lvs, arg, initial_rotation=initial_rotation, trace=trace)
+                rot, converged = solve()
             except DegenerateInput as exc:
                 outs.append((type(exc), str(exc)))
                 continue
-            outs.append((rot.tobytes(), converged, [
-                {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in step.items()}
-                for step in trace]))
+            outs.append((rot.tobytes(), converged, steps))
     return outs
 
 
 class TestGncMatchesReference:
-    """The (3, n) solver returns the reference's rotation bytes, flag and trace."""
+    """The (3, n) solver returns the reference's rotation bytes and flag, through the same iterates."""
 
     @pytest.mark.parametrize("max_iterations", [1, 5, 100])
     @pytest.mark.parametrize("seeded", [False, True])
@@ -318,7 +352,7 @@ class TestGncMatchesReference:
             g = random_rotation(rng)
             lvs = make_line_vectors(rng, g, 50, noise=1e-4)
             ref, got = run_both(lvs, initial_rotation=g)
-            assert ref[1] is True and ref[2] == []  # the one-solve path
+            assert ref[1] is True and ref[2] == [("rotation", ref[0])]  # the one-solve path
             assert got == ref
 
     def test_support_collapse(self):
@@ -327,7 +361,9 @@ class TestGncMatchesReference:
         lvs = LineVectorSet([0, 1], [2, 3], [[1.0, 0, 0], [0, 1.0, 0]],
                             [[1.0, 0, 0], [0, -3.0, 2.0]], [1.0, 1.0])
         ref, got = run_both(lvs)
-        assert ref[1] is False and 0 < len(ref[2]) < solver.MAX_ITERATIONS
+        kinds = [step[0] for step in ref[2]]
+        assert ref[1] is False and 0 < kinds.count("rotation") < solver.MAX_ITERATIONS
+        assert kinds[-2:] == ["rotation", "weights"]  # the last weights stopped the loop
         assert got == ref
 
     def test_rank_deficient_cross_covariance_in_loop(self):
@@ -336,7 +372,8 @@ class TestGncMatchesReference:
         src = np.eye(3)
         lvs = LineVectorSet([0, 1, 2], [3, 4, 5], src, [[2.0, 0, 0]] * 3, [0.5, 0.5, 0.5])
         ref, got = run_both(lvs)
-        assert ref[0] == np.eye(3).tobytes() and ref[1] is False and ref[2] == []
+        assert ref[0] == np.eye(3).tobytes() and ref[1] is False
+        assert [step[0] for step in ref[2]] == ["weights"]  # its solve raised
         assert got == ref
 
     def test_rank_deficient_cross_covariance_on_fast_path(self):
@@ -438,11 +475,15 @@ class TestSourceSpanScreenMatchesExactSvd:
             assert got == ref, (scale, ratio)
 
     def test_gram_overflow_and_non_finite_sources(self):
-        for bad in (np.nan, np.inf):
-            v = np.eye(3)
-            v[2, 1] = bad
-            ref, got = span_decisions(v)
-            assert got == ref
+        v = np.eye(3)
+        v[2, 1] = np.nan
+        ref, got = span_decisions(v)
+        assert ref[0] is np.linalg.LinAlgError and got == ref
+        # An inf entry gives NaN singular values, which pass the reference's
+        # `<=` tests; the check's `not >` test raises instead.
+        v[2, 1] = np.inf
+        ref, got = span_decisions(v)
+        assert ref is None and got == (DegenerateInput, PARALLEL_MESSAGE)
         overflow = np.array([[1e160, 0.0, 0.0], [0.0, 1e160, 0.0], [1e160, 1e160, 0.0]])
         with np.errstate(over="ignore"):
             assert not np.isfinite(overflow.T @ overflow).all()
