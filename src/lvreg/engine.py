@@ -169,7 +169,9 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
         raise DegenerateInput("local correspondence set is empty")
 
     sub_rows = rng.choice(len(l_sul), _sample_size(cfg.alpha_pct, len(l_sul)), replace=False)
-    l_sub = l_sul.take(sub_rows)
+    # Gathered once, so each basic subset gathers from the round sample and
+    # not from the whole pair table.
+    l_sub = l_sul.take(sub_rows).gathered()
     basic_size = _sample_size(cfg.beta_pct, len(l_sub))
     i_rows, j_rows = c_sul.rows_for(l_sub.i), c_sul.rows_for(l_sub.j)
     is_endpoint = np.zeros(len(c_sul), dtype=bool)

@@ -22,7 +22,9 @@ rows with `np.take` and subtracts in place. A pair's norm is
 which moves pairs across ratio-bin edges and so changes the local sets and
 the random draws that follow. The ratio is divided out before pairs with a
 zero-length difference or an overflowed ratio are dropped, so the drop is one
-test on the ratio column and one `np.take` per column.
+test on the ratio column and one `np.take` per 1-D column: the vectors stay
+in the difference arrays, behind a row index that each `take` composes, and
+are gathered once, where they are read (`LineVectorSet`).
 A histogram keeps each item's bin index next to the counts, so the filters
 select rows with one comparison over that column, in ascending row order.
 
@@ -171,15 +173,31 @@ class LineVectors:
 
 
 class LineVectorSet:
-    """Struct-of-arrays collection of line vectors keyed by correspondence ids."""
+    """Struct-of-arrays collection of line vectors keyed by correspondence ids.
 
-    def __init__(self, i, j, v_source, v_target, scale_ratio, n_zero_skipped: int = 0):
+    `i`, `j` and `scale_ratio` are columns. The two vector columns are kept
+    as the (n, 3) arrays the set was built from plus a row index into them
+    (`rows`; None means every row, in order), and are gathered only where
+    they are read:
+
+    * `take` moves the three 1-D columns and composes the row index;
+    * `take_vectors` gathers its rows straight from the base arrays;
+    * `v_source` and `v_target` gather the set's rows on first read (both
+      at once) and keep them, and so does `extend`.
+
+    A gather copies values, so every column holds the same bytes as if
+    each step had copied all five columns.
+    """
+
+    def __init__(self, i, j, v_source, v_target, scale_ratio, n_zero_skipped: int = 0,
+                 rows=None):
         self.i = np.asarray(i, dtype=np.int64)
         self.j = np.asarray(j, dtype=np.int64)
-        self.v_source = np.asarray(v_source, dtype=np.float64).reshape(-1, 3)
-        self.v_target = np.asarray(v_target, dtype=np.float64).reshape(-1, 3)
         self.scale_ratio = np.asarray(scale_ratio, dtype=np.float64)
         self.n_zero_skipped = n_zero_skipped
+        self._vectors = tuple(np.asarray(v, dtype=np.float64).reshape(-1, 3)
+                              for v in (v_source, v_target))
+        self._rows = rows
 
     @classmethod
     def from_differences(cls, i, j, v_source, v_target) -> "LineVectorSet":
@@ -187,32 +205,51 @@ class LineVectorSet:
 
         Pairs whose source or target difference has zero norm are dropped
         and counted in `n_zero_skipped`, and so are pairs whose ratio
-        overflows to inf; the set owns its arrays. One test on the ratio
-        finds both: 0/x is 0, x/0 and an overflow are inf, 0/0 is NaN. A
-        positive ratio of points within `MAX_COORDINATE` cannot underflow
-        to 0, so every other pair is kept.
+        overflows to inf. One test on the ratio finds both: 0/x is 0, x/0
+        and an overflow are inf, 0/0 is NaN. A positive ratio of points
+        within `MAX_COORDINATE` cannot underflow to 0, so every other pair
+        is kept. The difference arrays become the set's base arrays, with
+        the kept rows as its row index: nothing (n, 3) is copied.
         """
         ratio = _row_norms(v_source)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratio /= _row_norms(v_target)
         rows = np.flatnonzero((ratio > 0.0) & (ratio < np.inf))
-        return cls(*(np.take(a, rows, axis=0) for a in (i, j, v_source, v_target, ratio)),
-                   n_zero_skipped=len(ratio) - len(rows))
+        return cls(np.take(i, rows), np.take(j, rows), v_source, v_target, np.take(ratio, rows),
+                   n_zero_skipped=len(ratio) - len(rows), rows=rows)
 
     def __len__(self) -> int:
         return len(self.i)
 
+    @property
+    def v_source(self) -> np.ndarray:
+        return self._gather()[0]
+
+    @property
+    def v_target(self) -> np.ndarray:
+        return self._gather()[1]
+
+    def _gather(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._rows is not None:
+            # np.take gathers the rows of an (n, 3) array several times faster
+            # than fancy indexing does, with the same values.
+            self._vectors = tuple(np.take(v, self._rows, axis=0) for v in self._vectors)
+            self._rows = None
+        return self._vectors
+
     def take(self, rows) -> "LineVectorSet":
-        """The line vectors at the given row positions (or boolean mask), in that order."""
+        """The line vectors at the given row positions (or boolean mask), in that order.
+
+        Gathers the ids and ratios; the vectors are gathered when read.
+        """
         rows = np.asarray(rows)
         if rows.dtype == bool:
             if rows.shape != (len(self),):
                 raise IndexError("boolean mask does not match the number of line vectors")
             rows = np.flatnonzero(rows)
-        # np.take gathers the rows of an (n, 3) array several times faster
-        # than fancy indexing does, with the same values.
-        return LineVectorSet(*(np.take(a, rows, axis=0) for a in (
-            self.i, self.j, self.v_source, self.v_target, self.scale_ratio)))
+        return LineVectorSet(np.take(self.i, rows), np.take(self.j, rows), *self._vectors,
+                             np.take(self.scale_ratio, rows),
+                             rows=rows if self._rows is None else np.take(self._rows, rows))
 
     def take_vectors(self, rows) -> LineVectors:
         """The source and target vectors at the given row positions, in that order.
@@ -220,10 +257,17 @@ class LineVectorSet:
         The GNC solver reads the vectors alone; gathering two of the five
         columns saves most of a sample's gather.
         """
-        return LineVectors(np.take(self.v_source, rows, axis=0),
-                           np.take(self.v_target, rows, axis=0))
+        if self._rows is not None:
+            rows = np.take(self._rows, rows)
+        return LineVectors(*(np.take(v, rows, axis=0) for v in self._vectors))
+
+    def gathered(self) -> "LineVectorSet":
+        """These line vectors with their vectors gathered, so later gathers read only these rows."""
+        return LineVectorSet(self.i, self.j, self.v_source, self.v_target, self.scale_ratio,
+                             self.n_zero_skipped)
 
     def extend(self, other: "LineVectorSet") -> "LineVectorSet":
+        """These line vectors followed by `other`'s; gathers the vectors of both."""
         return LineVectorSet(
             np.concatenate([self.i, other.i]),
             np.concatenate([self.j, other.j]),
@@ -336,7 +380,11 @@ def length_ratio_filter(lvs: LineVectorSet) -> tuple[LineVectorSet, RatioRange, 
     updates.
 
     When every ratio is identical the full set is returned with a
-    zero-width exact range (and no histogram).
+    zero-width exact range (and no histogram). When the ratios differ but
+    Scott's sigma is still 0 (every squared deviation from the mean
+    underflows), or the histogram would need more than `MAX_BINS` bins, the
+    full set is returned with `RatioRange.everything()`, so the range
+    contains every kept ratio.
     """
     if len(lvs) == 0:
         raise TooFewCorrespondences("cannot filter an empty line-vector set")
@@ -344,7 +392,9 @@ def length_ratio_filter(lvs: LineVectorSet) -> tuple[LineVectorSet, RatioRange, 
     try:
         w = scotts_bin_width(ratios)
     except DegenerateDistribution:
-        return lvs, RatioRange.exact(float(ratios[0])), None
+        if ratios.min() == ratios.max():
+            return lvs, RatioRange.exact(float(ratios[0])), None
+        return lvs, RatioRange.everything(), None
     lower = float(ratios.min())
     n_bins = int(np.floor((ratios.max() - lower) / w)) + 1
     if n_bins > MAX_BINS:

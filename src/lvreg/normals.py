@@ -10,6 +10,15 @@ one per doubling of the candidate count, for the rows whose k-th and
 (k+1)-th candidates tie), then one stacked covariance and one batched
 `eigh`. A single query is a one-row batch, so every caller shares one code
 path, and each row's arithmetic is the same as it would be alone.
+A candidate's squared distance is summed as `(dx*dx + dy*dy) + dz*dz`
+over coordinate columns, the order `np.sum` takes over a length-3 axis.
+
+The tree only proposes candidates: the result order is fixed by the
+(distance, index) sort and the tie re-query, so the tree's shape cannot
+change a result, and it is built unbalanced (`balanced_tree=False`), which
+builds faster. `annotate_normals` queries each distinct endpoint of a cloud
+once (endpoints compared by their bytes) and scatters the normals back to
+the correspondences that share it.
 """
 
 from __future__ import annotations
@@ -45,7 +54,8 @@ class SpatialIndex:
         if len(cloud) == 0:
             raise EmptyCloud("cannot index an empty point cloud")
         self._points = cloud.points
-        self._tree = cKDTree(self._points)
+        self._columns = np.ascontiguousarray(cloud.points.T)  # x, y and z, for the distances
+        self._tree = cKDTree(self._points, balanced_tree=False)
 
     @property
     def points(self) -> np.ndarray:
@@ -70,7 +80,7 @@ class SpatialIndex:
         while len(rows):
             _, idx = self._tree.query(q[rows], k=m)
             idx = idx.reshape(len(rows), m)
-            d2 = np.sum((self._points[idx] - q[rows, None, :]) ** 2, axis=2)
+            d2 = self._squared_distances(idx, q[rows])
             order = np.lexsort((idx, d2), axis=-1)
             idx = np.take_along_axis(idx, order, axis=-1)
             if m == n:
@@ -82,6 +92,16 @@ class SpatialIndex:
             rows = rows[~strict]
             m = min(n, 2 * m)
         return out
+
+    def _squared_distances(self, idx: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Squared distance from query row r to point idx[r, c], as (dx*dx + dy*dy) + dz*dz."""
+        dx, dy, dz = (np.take(column, idx) for column in self._columns)
+        for axis, d in enumerate((dx, dy, dz)):
+            d -= q[:, axis, None]
+            d *= d
+        dx += dy
+        dx += dz
+        return dx
 
 
 def build_index(cloud: PointCloud) -> SpatialIndex:
@@ -99,7 +119,7 @@ def _normals(index: SpatialIndex, queries, k: int) -> tuple[np.ndarray, np.ndarr
 
     Rows of the mask that are set hold no meaningful normal.
     """
-    nbrs = index.points[index.knn_rows(queries, k)]
+    nbrs = np.take(index.points, index.knn_rows(queries, k), axis=0)
     centered = nbrs - nbrs.mean(axis=1, keepdims=True)
     cov = np.matmul(centered.transpose(0, 2, 1), centered) / nbrs.shape[1]
     degenerate = ~np.any(np.abs(cov) > 0, axis=(1, 2))
@@ -111,6 +131,14 @@ def _normals(index: SpatialIndex, queries, k: int) -> tuple[np.ndarray, np.ndarr
     flip = vec[rows, np.argmax(np.abs(vec), axis=1)] < 0
     vec[flip] = -vec[flip]
     return vec, degenerate
+
+
+def _endpoint_normals(cloud: PointCloud, endpoints: np.ndarray, k: int):
+    """`_normals` at every endpoint row, computed once per distinct endpoint."""
+    keys = np.ascontiguousarray(endpoints).view(np.dtype((np.void, 3 * endpoints.itemsize)))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    vec, degenerate = _normals(build_index(cloud), np.take(endpoints, first, axis=0), k)
+    return np.take(vec, inverse, axis=0), np.take(degenerate, inverse)
 
 
 def annotate_normals(corrs, source_cloud: PointCloud, target_cloud: PointCloud, k: int = 20):
@@ -127,8 +155,8 @@ def annotate_normals(corrs, source_cloud: PointCloud, target_cloud: PointCloud, 
         return corrs.with_normals(
             np.empty((0, 3), dtype=np.float64), np.empty((0, 3), dtype=np.float64)
         )
-    src_normals, src_bad = _normals(build_index(source_cloud), corrs.source, k)
-    tgt_normals, tgt_bad = _normals(build_index(target_cloud), corrs.target, k)
+    src_normals, src_bad = _endpoint_normals(source_cloud, corrs.source, k)
+    tgt_normals, tgt_bad = _endpoint_normals(target_cloud, corrs.target, k)
     bad = np.flatnonzero(src_bad | tgt_bad)
     if len(bad):
         raise DegenerateNeighborhood(f"correspondence {bad[0]}: all neighbors coincide; "

@@ -232,6 +232,69 @@ class TestBuildLineVectors:
         assert not hasattr(got, "i") and not hasattr(got, "take")
 
 
+# An eager reference for the pair layer's deferred gathers: every step
+# copies all five columns, as LineVectorSet did before it kept its vectors
+# behind a row index.
+COLUMNS = ("i", "j", "v_source", "v_target", "scale_ratio")
+
+
+def eager_from_differences(i, j, vs, vt):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.linalg.norm(vs, axis=1) / np.linalg.norm(vt, axis=1)
+    keep = (ratio > 0.0) & (ratio < np.inf)
+    return [i[keep], j[keep], vs[keep], vt[keep], ratio[keep]]
+
+
+def drawn_sets(data):
+    """A lazy set from drawn difference vectors (some zero) and its eager copy."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = data.draw(st.integers(0, 25))
+    i = rng.integers(0, 100, size=n)
+    j = i + rng.integers(1, 100, size=n)
+    vs, vt = (rng.integers(-2, 3, size=(n, 3)).astype(float) for _ in range(2))
+    vs[rng.random(n) < 0.2] = 0.0
+    vt[rng.random(n) < 0.2] = -0.0
+    return LineVectorSet.from_differences(i, j, vs, vt), eager_from_differences(i, j, vs, vt)
+
+
+def drawn_rows(data, n):
+    """Row positions (with repeats, in any order) or a boolean mask over n rows."""
+    if data.draw(st.booleans()):
+        return np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    return np.array(data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=2 * n)),
+                    dtype=np.int64)
+
+
+class TestDeferredGathersMatchEagerCopies:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_chains_give_the_same_bytes(self, data):
+        lazy, eager = drawn_sets(data)
+        for step in data.draw(st.lists(st.sampled_from(["take", "take_vectors", "extend", "read"]),
+                                       max_size=8)):
+            rows = drawn_rows(data, len(lazy))
+            if step == "take":
+                lazy, eager = lazy.take(rows), [c[rows] for c in eager]
+            elif step == "take_vectors" and rows.dtype != bool:
+                got = lazy.take_vectors(rows)
+                assert got.v_source.tobytes() == eager[2][rows].tobytes()
+                assert got.v_target.tobytes() == eager[3][rows].tobytes()
+            elif step == "extend":
+                other, other_eager = drawn_sets(data)
+                if data.draw(st.booleans()):
+                    rows = drawn_rows(data, len(other))
+                    other, other_eager = other.take(rows), [c[rows] for c in other_eager]
+                lazy = lazy.extend(other)
+                eager = [np.concatenate([a, b]) for a, b in zip(eager, other_eager)]
+            elif step == "read":  # gathers the vectors now; later takes start from them
+                assert lazy.v_source.tobytes() == eager[2].tobytes()
+        assert len(lazy) == len(eager[0])
+        for name, want in zip(COLUMNS, eager):
+            got = getattr(lazy, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
+
+
 def lvlp_oracle(lvs):
     """Straight-line reimplementation: histogram by loop, pick max bin + neighbors."""
     ratios = lvs.scale_ratio
@@ -288,8 +351,22 @@ class TestLengthRatioFilterKeepsTwo:
     @settings(max_examples=600, deadline=None)
     def test_keeps_at_least_two(self, ratios):
         with np.errstate(over="ignore", invalid="ignore"):  # sigma may overflow to inf
-            kept, _, _ = length_ratio_filter(ratio_set(ratios))
+            kept, ratio_range, _ = length_ratio_filter(ratio_set(ratios))
         assert len(kept) >= 2
+        # the self-update admits new pairs by this range: it must hold every kept ratio
+        assert np.all(ratio_range.contains(kept.scale_ratio))
+
+    def test_underflowed_spread_keeps_everything_in_range(self):
+        # Every squared deviation from the mean underflows to 0, so Scott's
+        # sigma is 0 although the ratios differ: an exact range at the first
+        # ratio would exclude the second.
+        ratios = [3.28e-270, 5e-324]
+        with pytest.raises(DegenerateDistribution):
+            scotts_bin_width(ratios)
+        kept, ratio_range, hist = length_ratio_filter(ratio_set(ratios))
+        assert len(kept) == 2 and hist is None
+        assert ratio_range.mode == "everything"
+        assert ratio_range.contains(np.asarray(ratios)).tolist() == [True, True]
 
 
 class TestLengthRatioFilter:

@@ -389,6 +389,51 @@ class TestBatchedMatchesLoop:
             f"correspondence {want}: all neighbors coincide; normal undefined")
 
 
+class TestDistinctEndpoints:
+    """Each distinct endpoint of a cloud is queried once; its normal goes to every row that shares it."""
+
+    def test_one_query_row_per_distinct_endpoint(self, counting_tree):
+        rng = np.random.default_rng(7)
+        src, tgt = _duplicates(rng, 400)
+        # the clouds hold each point once, so no k-th neighbor ties and no re-query
+        src_cloud, tgt_cloud = np.unique(src, axis=0), np.unique(tgt, axis=0)
+        corrs = CorrespondenceSet(src, tgt)
+        out = annotate_normals(corrs, PointCloud(src_cloud), PointCloud(tgt_cloud), 20)
+        assert counting_tree.queries == 2
+        assert counting_tree.rows == len(src_cloud) + len(tgt_cloud) < 2 * len(corrs)
+        want = loop_annotate(corrs, src_cloud, tgt_cloud, 20)
+        assert np.array_equal(out.source_normals, want[0])
+        assert np.array_equal(out.target_normals, want[1])
+
+    def test_signed_zero_endpoints(self, rng):
+        cloud = np.vstack([np.zeros((1, 3)), rng.normal(size=(30, 3))])
+        ends = np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [0.0, 0.0, 0.0]])
+        corrs = CorrespondenceSet(ends, ends[::-1])
+        out = annotate_normals(corrs, PointCloud(cloud), PointCloud(cloud), 8)
+        want = loop_annotate(corrs, cloud, cloud, 8)
+        assert out.source_normals.tobytes() == want[0].tobytes()
+        assert out.target_normals.tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("src_rows, tgt_rows, want", [((5, 3), (), 3), ((6, 2), (4,), 2),
+                                                          ((7,), (6, 1), 1), ((), (7, 5, 6), 5)])
+    def test_duplicated_degenerate_endpoint_names_lowest_row(self, src_rows, tgt_rows, want):
+        # rows that query the coincident cluster share one endpoint, and so one query
+        rng = np.random.default_rng(1)
+        spread = rng.normal(size=(40, 3))
+        cloud = np.vstack([spread, np.full((10, 3), 100.0)])
+        src = spread[:8].copy()
+        tgt = spread[8:16].copy()
+        src[list(src_rows)] = 100.0
+        tgt[list(tgt_rows)] = 100.0
+        corrs = CorrespondenceSet(src, tgt)
+        with pytest.raises(DegenerateNeighborhood) as want_exc:
+            loop_annotate(corrs, cloud, cloud, 5)
+        with pytest.raises(DegenerateNeighborhood) as got:
+            annotate_normals(corrs, PointCloud(cloud), PointCloud(cloud), 5)
+        assert str(got.value) == str(want_exc.value) == (
+            f"correspondence {want}: all neighbors coincide; normal undefined")
+
+
 def test_one_kd_tree_query_per_cloud(counting_tree):
     # a return to per-endpoint queries would make 2 * 2000 calls here
     rng = np.random.default_rng(0)
