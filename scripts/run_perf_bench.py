@@ -6,11 +6,11 @@
 For each checkout given with --root, runs that checkout's own
 `perfbench/run.py` (which imports the checkout's src/, as
 `fingerprint_workloads.py` does) on every workload: RUNS untraced runs,
-then one traced run, each as long as BENCHMARK.json's `run_seconds`.
-Repetitions alternate the order of the checkouts, so drift of a shared
-machine falls on each side evenly; with a parent and a change given,
-each repetition is one pair, and RUNS = 10 pairs is what a claimed gain
-needs. Run it once per seed: 1, and the hold-out 9001.
+each as long as BENCHMARK.json's `run_seconds`, then TRACED_RUNS traced
+runs. Repetitions alternate the order of the checkouts, so drift of a
+shared machine falls on each side evenly; with a parent and a change
+given, each repetition is one pair, and RUNS = 10 pairs is what a claimed
+gain needs. Run it once per seed: 1, and the hold-out 9001.
 
 The output file holds the provenance (nproc, Python, NumPy and SciPy
 versions and the BLAS thread pinning, as perfbench reports them) and,
@@ -19,7 +19,8 @@ per checkout and workload:
 * the commit, the tree hash of src/ and whether the checkout had
   uncommitted changes;
 * every end-to-end metric's runs, median, quartiles and IQR;
-* every per-layer metric of the traced run (busy_s, counts, ratios).
+* the same for every per-layer metric of the traced runs (busy_s, counts,
+  ratios), so a layer's delta can be told from the drift between runs.
 
 The exit code is 1 when any run failed its correctness check.
 """
@@ -34,6 +35,7 @@ import sys
 from pathlib import Path
 
 RUNS = 10
+TRACED_RUNS = 3
 
 
 def parse_args(argv=None):
@@ -85,18 +87,32 @@ def summary(values: list[float]) -> dict:
             "runs": values}
 
 
+def summaries(runs: list[dict]) -> dict:
+    """Every metric of perfbench's `metrics` over several runs: its summary and unit."""
+    names = runs[0]["metrics"]
+    return {k: summary([x["metrics"][k]["value"] for x in runs]) | {"unit": names[k]["unit"]}
+            for k in names}
+
+
+def workload_record(untraced: list[dict], traced: list[dict]) -> dict:
+    """One checkout's record of one workload, from its untraced and traced perfbench results."""
+    return {"attempted": sum(x["attempted"] for x in untraced),
+            "failed": sum(x["failed"] for x in untraced),
+            "end_to_end": summaries(untraced),
+            "layers": summaries(traced)}
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     roots = [r.resolve() for r in args.root]
     workloads, seconds = benchmark(roots[0])
-    untraced = {(r, w): [] for r in roots for w in workloads}
-    traced = {}
+    results = {(r, w, t): [] for r in roots for w in workloads for t in (0, 1)}
     provenance = None
     correct = True
 
-    for rep in range(RUNS + 1):
+    for rep in range(RUNS + TRACED_RUNS):
         order = roots if rep % 2 == 0 else roots[::-1]
-        trace = int(rep == RUNS)  # the last repetition is the traced one
+        trace = int(rep >= RUNS)  # the last TRACED_RUNS repetitions are traced
         for w in workloads:
             for r in order:
                 result = run_perfbench(r, w, args.seed, seconds, trace)
@@ -104,30 +120,15 @@ def main(argv=None) -> int:
                 prov = result.pop("provenance")
                 provenance = provenance or {k: prov[k] for k in
                                             ("python", "numpy", "scipy", "nproc", "threads")}
-                if trace:
-                    traced[r, w] = result
-                else:
-                    untraced[r, w].append(result)
+                results[r, w, trace].append(result)
                 print(f"rep {rep} {w} trace={trace} {r.name}: "
                       + (f"{result['metrics']['registrations_per_s']['value']:.3f} /s"
                          if not trace else "traced"), file=sys.stderr, flush=True)
 
-    checkouts = []
-    for r in roots:
-        entry = identity(r) | {"workloads": {}}
-        for w in workloads:
-            runs = untraced[r, w]
-            names = runs[0]["metrics"]
-            entry["workloads"][w] = {
-                "attempted": sum(x["attempted"] for x in runs),
-                "failed": sum(x["failed"] for x in runs),
-                "end_to_end": {k: summary([x["metrics"][k]["value"] for x in runs])
-                               | {"unit": names[k]["unit"]} for k in names},
-                "layers": traced[r, w]["metrics"],
-            }
-        checkouts.append(entry)
-
-    record = {"seed": args.seed, "seconds": seconds, "runs": RUNS,
+    checkouts = [identity(r) | {"workloads": {w: workload_record(results[r, w, 0], results[r, w, 1])
+                                              for w in workloads}}
+                 for r in roots]
+    record = {"seed": args.seed, "seconds": seconds, "runs": RUNS, "traced_runs": TRACED_RUNS,
               "provenance": provenance, "checkouts": checkouts}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0 if correct else 1

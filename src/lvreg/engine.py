@@ -169,8 +169,8 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
         raise DegenerateInput("local correspondence set is empty")
 
     sub_rows = rng.choice(len(l_sul), _sample_size(cfg.alpha_pct, len(l_sul)), replace=False)
-    # Gathered once, so each basic subset gathers from the round sample and
-    # not from the whole pair table.
+    # Its vectors are computed once, so each basic subset gathers them from
+    # the round sample.
     l_sub = l_sul.take(sub_rows).gathered()
     basic_size = _sample_size(cfg.beta_pct, len(l_sub))
     i_rows, j_rows = c_sul.rows_for(l_sub.i), c_sul.rows_for(l_sub.j)

@@ -12,25 +12,31 @@ RANSAC loop:
 
 Bin widths follow Scott's rule with the population standard deviation.
 
-The pair layer works on 1-D columns. `build_line_vectors` enumerates the
-row pairs (r, s), r < s, of the upper triangle in row-major order with
-`np.repeat` and one `cumsum` over int64 columns, gathers the endpoint
-rows with `np.take` and subtracts in place. A pair's norm is
-`sqrt((x*x + y*y) + z*z)`, summed in that order: it is the order in which
+The pair layer works on 1-D columns. A `LineVectorSet` stores each pair as
+two int32 row positions into an endpoint table (the source and target
+points and item ids of the correspondences it came from: a few thousand
+rows), its float64 ratio and, for the self-update's pairs, a bool flip
+flag: 16 or 17 bytes a pair, against 72 for the ids, ratio and two
+float64 vectors. Its vectors are computed where they are read.
+`build_line_vectors` works through the row pairs (r, s), r < s, of the
+upper triangle in row-major order, one block of about `PAIR_BLOCK` pairs
+at a time: it makes the block's rows with `np.repeat` and one `cumsum`,
+gathers the endpoint rows with `np.take`, subtracts in place and writes the
+kept rows into preallocated columns, so no array spans every pair but
+those columns. A pair's norm is `sqrt((x*x + y*y) + z*z)`, summed in that
+order: it is the order in which
 `np.linalg.norm(v, axis=1)` sums an (n, 3) array, and a different order
 (say `x*x + (y*y + z*z)`) changes the last bit of about one norm in nine,
 which moves pairs across ratio-bin edges and so changes the local sets and
-the random draws that follow. The ratio is divided out before pairs with a
-zero-length difference or an overflowed ratio are dropped, so the drop is one
-test on the ratio column and one `np.take` per 1-D column: the vectors stay
-in the difference arrays, behind a row index that each `take` composes, and
-are gathered once, where they are read (`LineVectorSet`).
+the random draws that follow. Pairs with a zero-length difference or an
+overflowed ratio are dropped by one test on the block's ratios.
 A histogram keeps each item's bin index next to the counts, so the filters
 select rows with one comparison over that column, in ascending row order.
 
-A set of n correspondences has n(n-1)/2 pairs, about 72 bytes each; above
-`PAIR_BUDGET` pairs `check_pair_budget` raises `PairBudgetExceeded`, and
-`build_line_vectors` calls it before it allocates anything.
+A set of n correspondences has n(n-1)/2 pairs; above `PAIR_BUDGET` pairs
+`check_pair_budget` raises `PairBudgetExceeded`, and `build_line_vectors`
+calls it before it allocates anything. The build peaks at about 17 bytes a
+pair plus one block's temporaries (tracemalloc, 1.1 M pairs).
 """
 
 from __future__ import annotations
@@ -54,9 +60,14 @@ SCOTT_FACTOR = 3.49
 # usable spread (e.g. angles differing only by float noise); treat it as
 # degenerate instead of allocating an absurd number of bins.
 MAX_BINS = 100_000
-# Largest pair set `build_line_vectors` builds: about 1.2 GB of line vectors,
-# far above the 2.0 M pairs of an unfiltered set of 2000 correspondences.
+# Largest pair set `build_line_vectors` builds: 16.8 M pairs, or n = 5,793
+# correspondences, far above the 2.0 M pairs of an unfiltered set of 2000.
+# At 16 bytes a pair that is about 270 MB of columns, and 1.2 GB once every
+# pair's two vectors are read.
 PAIR_BUDGET = 2**24
+# Pairs that `build_line_vectors` makes and measures at a time: its
+# temporaries take a few MB whatever the set's size.
+PAIR_BLOCK = 2**14
 
 
 def normal_angles(corrs: CorrespondenceSet) -> np.ndarray:
@@ -161,8 +172,8 @@ def reduction_ratio(n_before: int, n_after: int) -> float:
 class LineVectors:
     """The source and target vectors of some line vectors, without their ids or ratios.
 
-    This is what the GNC solver reads; `LineVectorSet.take_vectors` gathers
-    it without the other three columns.
+    This is what the GNC solver reads; `LineVectorSet.take_vectors` computes
+    it without the other columns.
     """
 
     v_source: np.ndarray
@@ -175,51 +186,83 @@ class LineVectors:
 class LineVectorSet:
     """Struct-of-arrays collection of line vectors keyed by correspondence ids.
 
-    `i`, `j` and `scale_ratio` are columns. The two vector columns are kept
-    as the (n, 3) arrays the set was built from plus a row index into them
-    (`rows`; None means every row, in order), and are gathered only where
-    they are read:
+    A set stores 1-D columns over an endpoint table: the source points, the
+    target points and the item ids of the correspondences its pairs came
+    from (`build_line_vectors`'s input, or the self-update's full set).
+    Row k is the pair of table rows `p[k]` (id `i`) and `q[k]` (id `j`),
+    with `scale_ratio[k]`; its vectors are x[p] - x[q] in each cloud, or
+    -(x[q] - x[p]) where `flip[k]` is set (the self-update's pairs, whose
+    sign was flipped to put the smaller id first; `flip` is None when no
+    row is flipped). `i` and `j` are read through the table's ids.
 
-    * `take` moves the three 1-D columns and composes the row index;
-    * `take_vectors` gathers its rows straight from the base arrays;
-    * `v_source` and `v_target` gather the set's rows on first read (both
-      at once) and keep them, and so does `extend`.
+    * `take` and `extend` move only the 1-D columns; `extend` appends the
+      other set's table to this one's and offsets its rows;
+    * `take_vectors` computes the vectors of the given rows;
+    * `v_source` and `v_target` compute every row's vectors on first read
+      (both at once) and keep them, and `gathered` does so on purpose;
+      later `take_vectors` calls then gather from them.
 
-    A gather copies values, so every column holds the same bytes as if
-    each step had copied all five columns.
+    Every path subtracts the same two points in the same order, so every
+    column holds the same bytes as if each step had copied all five.
     """
 
-    def __init__(self, i, j, v_source, v_target, scale_ratio, n_zero_skipped: int = 0,
-                 rows=None):
-        self.i = np.asarray(i, dtype=np.int64)
-        self.j = np.asarray(j, dtype=np.int64)
-        self.scale_ratio = np.asarray(scale_ratio, dtype=np.float64)
+    def __init__(self, i, j, v_source, v_target, scale_ratio, n_zero_skipped: int = 0):
+        """A set holding the given vectors: its table is those vectors over zero rows."""
+        vectors = tuple(np.asarray(v, dtype=np.float64).reshape(-1, 3) for v in (v_source, v_target))
+        n = len(vectors[0])
+        zeros = np.zeros((n, 3))  # x - (+0.0) is x, signed zeros included
+        source, target = (np.concatenate([v, zeros]) for v in vectors)
+        ids = np.concatenate([np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)])
+        rows = np.arange(n, dtype=np.int32)
+        self._set((source, target, ids), rows, rows + n, np.asarray(scale_ratio, dtype=np.float64),
+                  None, n_zero_skipped)
+        self._vectors = vectors
+
+    @classmethod
+    def over(cls, table, p, q, scale_ratio, flip=None, n_zero_skipped: int = 0) -> "LineVectorSet":
+        """The pairs of rows (p, q) of `table`, (source points, target points, item ids).
+
+        `p` and `q` are int32 row positions, `flip` a bool column or None;
+        nothing is copied.
+        """
+        lvs = cls.__new__(cls)
+        lvs._set(table, p, q, scale_ratio, flip, n_zero_skipped)
+        return lvs
+
+    def _set(self, table, p, q, scale_ratio, flip, n_zero_skipped):
+        self._table = table  # (source points, target points, item ids), by row
+        self._p, self._q, self._flip = p, q, flip
+        self.scale_ratio = scale_ratio
         self.n_zero_skipped = n_zero_skipped
-        self._vectors = tuple(np.asarray(v, dtype=np.float64).reshape(-1, 3)
-                              for v in (v_source, v_target))
-        self._rows = rows
+        self._vectors = None
 
     @classmethod
     def from_differences(cls, i, j, v_source, v_target) -> "LineVectorSet":
         """Line vectors from per-pair difference vectors, v = x_i - x_j.
 
-        Pairs whose source or target difference has zero norm are dropped
-        and counted in `n_zero_skipped`, and so are pairs whose ratio
-        overflows to inf. One test on the ratio finds both: 0/x is 0, x/0
-        and an overflow are inf, 0/0 is NaN. A positive ratio of points
-        within `MAX_COORDINATE` cannot underflow to 0, so every other pair
-        is kept. The difference arrays become the set's base arrays, with
-        the kept rows as its row index: nothing (n, 3) is copied.
+        Pairs whose ratio is not finite and positive (a zero-length
+        difference or an overflow) are dropped and counted in
+        `n_zero_skipped`, as `build_line_vectors` drops them.
         """
-        ratio = _row_norms(v_source)
+        vs, vt = (np.asarray(v, dtype=np.float64).reshape(-1, 3) for v in (v_source, v_target))
+        ratio = _row_norms(vs)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio /= _row_norms(v_target)
-        rows = np.flatnonzero((ratio > 0.0) & (ratio < np.inf))
-        return cls(np.take(i, rows), np.take(j, rows), v_source, v_target, np.take(ratio, rows),
-                   n_zero_skipped=len(ratio) - len(rows), rows=rows)
+            ratio /= _row_norms(vt)
+        rows = np.flatnonzero(usable_ratios(ratio))
+        kept = cls(i, j, vs, vt, ratio).take(rows)
+        kept.n_zero_skipped = len(ratio) - len(rows)
+        return kept
 
     def __len__(self) -> int:
-        return len(self.i)
+        return len(self._p)
+
+    @property
+    def i(self) -> np.ndarray:
+        return np.take(self._table[2], self._p)
+
+    @property
+    def j(self) -> np.ndarray:
+        return np.take(self._table[2], self._q)
 
     @property
     def v_source(self) -> np.ndarray:
@@ -230,54 +273,93 @@ class LineVectorSet:
         return self._gather()[1]
 
     def _gather(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._rows is not None:
-            # np.take gathers the rows of an (n, 3) array several times faster
-            # than fancy indexing does, with the same values.
-            self._vectors = tuple(np.take(v, self._rows, axis=0) for v in self._vectors)
-            self._rows = None
+        if self._vectors is None:
+            vectors = self._vectors_at(self._p, self._q, self._flip)
+            self._vectors = (vectors.v_source, vectors.v_target)
         return self._vectors
 
-    def take(self, rows) -> "LineVectorSet":
-        """The line vectors at the given row positions (or boolean mask), in that order.
+    def _vectors_at(self, p, q, flip) -> LineVectors:
+        """x[p] - x[q] in each cloud, and -(x[q] - x[p]) on the flipped rows."""
+        if flip is not None:
+            p, q = np.where(flip, q, p), np.where(flip, p, q)
+        vectors = [_differences(x, p, q) for x in self._table[:2]]
+        if flip is not None:
+            for v in vectors:
+                np.negative(v, out=v, where=flip[:, None])
+        return LineVectors(*vectors)
 
-        Gathers the ids and ratios; the vectors are gathered when read.
-        """
+    def _positions(self, rows) -> np.ndarray:
         rows = np.asarray(rows)
         if rows.dtype == bool:
             if rows.shape != (len(self),):
                 raise IndexError("boolean mask does not match the number of line vectors")
             rows = np.flatnonzero(rows)
-        return LineVectorSet(np.take(self.i, rows), np.take(self.j, rows), *self._vectors,
-                             np.take(self.scale_ratio, rows),
-                             rows=rows if self._rows is None else np.take(self._rows, rows))
+        return rows
+
+    def _pairs_at(self, rows) -> tuple:
+        """The p, q and flip columns at the given row positions."""
+        return (np.take(self._p, rows), np.take(self._q, rows),
+                None if self._flip is None else np.take(self._flip, rows))
+
+    def take(self, rows) -> "LineVectorSet":
+        """The line vectors at the given row positions (or boolean mask), in that order.
+
+        Moves the 1-D columns only; the vectors are computed when read.
+        """
+        rows = self._positions(rows)
+        p, q, flip = self._pairs_at(rows)
+        return LineVectorSet.over(self._table, p, q, np.take(self.scale_ratio, rows), flip)
 
     def take_vectors(self, rows) -> LineVectors:
-        """The source and target vectors at the given row positions, in that order.
+        """The source and target vectors at the given row positions (or boolean mask), in that order.
 
-        The GNC solver reads the vectors alone; gathering two of the five
+        The GNC solver reads the vectors alone; computing two of the five
         columns saves most of a sample's gather.
         """
-        if self._rows is not None:
-            rows = np.take(self._rows, rows)
-        return LineVectors(*(np.take(v, rows, axis=0) for v in self._vectors))
+        rows = self._positions(rows)
+        if self._vectors is not None:
+            return LineVectors(*(np.take(v, rows, axis=0) for v in self._vectors))
+        return self._vectors_at(*self._pairs_at(rows))
 
     def gathered(self) -> "LineVectorSet":
-        """These line vectors with their vectors gathered, so later gathers read only these rows."""
-        return LineVectorSet(self.i, self.j, self.v_source, self.v_target, self.scale_ratio,
-                             self.n_zero_skipped)
+        """This set with its vectors computed, so later `take_vectors` calls gather from them."""
+        self._gather()
+        return self
 
     def extend(self, other: "LineVectorSet") -> "LineVectorSet":
-        """These line vectors followed by `other`'s; gathers the vectors of both."""
-        return LineVectorSet(
-            np.concatenate([self.i, other.i]),
-            np.concatenate([self.j, other.j]),
-            np.concatenate([self.v_source, other.v_source]),
-            np.concatenate([self.v_target, other.v_target]),
-            np.concatenate([self.scale_ratio, other.scale_ratio]),
-        )
+        """These line vectors followed by `other`'s; computes no vectors.
+
+        The result's table is this set's table followed by `other`'s, so a
+        set the self-update extends each round gains one full set's rows a
+        round.
+        """
+        offset = len(self._table[2])
+        flip = None
+        if self._flip is not None or other._flip is not None:
+            flip = np.concatenate([np.zeros(len(s), dtype=bool) if s._flip is None else s._flip
+                                   for s in (self, other)])
+        return LineVectorSet.over(
+            tuple(np.concatenate([a, b]) for a, b in zip(self._table, other._table)),
+            np.concatenate([self._p, other._p + offset]),
+            np.concatenate([self._q, other._q + offset]),
+            np.concatenate([self.scale_ratio, other.scale_ratio]), flip)
+
+    def incident(self, ids) -> np.ndarray:
+        """Mask of the line vectors with an endpoint among the given item ids."""
+        hit = np.isin(self._table[2], ids)
+        return np.take(hit, self._p) | np.take(hit, self._q)
 
     def pair_set(self) -> set:
         return set(zip(self.i.tolist(), self.j.tolist()))
+
+
+def usable_ratios(ratio: np.ndarray) -> np.ndarray:
+    """Ratios of pairs that are kept: finite and positive.
+
+    0/x is 0, x/0 and an overflow are inf and 0/0 is NaN; a positive ratio
+    of points within `MAX_COORDINATE` cannot underflow to 0.
+    """
+    return (ratio > 0.0) & (ratio < np.inf)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -288,21 +370,45 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(norms, out=norms)
 
 
-def _pair_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row pairs (r, s) with r < s, in row-major upper-triangle order."""
-    counts = np.arange(n - 1, 0, -1)
-    r = np.repeat(np.arange(n - 1), counts)
+def _differences(x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """x[p] - x[q] for an (n, 3) array, gathered with np.take and subtracted in place.
+
+    np.take gathers the rows of an (n, 3) array several times faster than
+    fancy indexing does, with the same values.
+    """
+    v = np.take(x, p, axis=0)
+    v -= np.take(x, q, axis=0)
+    return v
+
+
+def pair_ratios(source: np.ndarray, target: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """|source[p] - source[q]| / |target[p] - target[q]| (inf or NaN for a zero target norm)."""
+    ratio = _row_norms(_differences(source, p, q))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio /= _row_norms(_differences(target, p, q))
+    return ratio
+
+
+def _row_blocks(n: int) -> np.ndarray:
+    """Bounds of runs of upper-triangle rows of about `PAIR_BLOCK` pairs each.
+
+    Row r holds the n - 1 - r pairs (r, s), s > r; a run ends at the first
+    row that brings it to `PAIR_BLOCK` pairs or more.
+    """
+    ends = np.cumsum(np.arange(n - 1, 0, -1))  # pairs in rows 0 .. r
+    cuts = np.searchsorted(ends, np.arange(PAIR_BLOCK, ends[-1], PAIR_BLOCK)) + 1
+    return np.unique(np.concatenate([[0], cuts, [n - 1]]))
+
+
+def _pair_rows(n: int, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs (r, s), r0 <= r < r1 and r < s < n, in row-major upper-triangle order."""
+    counts = np.arange(n - 1 - r0, n - 1 - r1, -1)
+    r = np.repeat(np.arange(r0, r1), counts)
     # s climbs by one along a row and drops back to r + 1 where row r starts.
     s = np.ones(len(r), dtype=np.int64)
-    s[np.cumsum(counts[:-1])] = np.arange(3 - n, 1)  # (r + 1) - (n - 1) for r = 1 .. n-2
+    s[0] = r0 + 1
+    s[np.cumsum(counts[:-1])] = np.arange(r0 + 3 - n, r1 + 2 - n)  # (r + 1) - (n - 1)
     return r, np.cumsum(s, out=s)
-
-
-def pair_differences(x: np.ndarray, r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """x[r] - x[s] for an (n, 3) array, gathered with np.take and subtracted in place."""
-    v = np.take(x, r, axis=0)
-    v -= np.take(x, s, axis=0)
-    return v
 
 
 def check_pair_budget(n: int) -> None:
@@ -314,24 +420,34 @@ def check_pair_budget(n: int) -> None:
 
 
 def build_line_vectors(c_sul: CorrespondenceSet) -> LineVectorSet:
-    """All unordered pairs (i < j by item id) as line vectors.
+    """All unordered pairs (i < j by item id) as line vectors over `c_sul`'s rows.
 
     Pairs whose source or target difference has zero norm are skipped and
     counted in `n_zero_skipped` (duplicate feature points occur in real
     correspondence sets), as are pairs whose length ratio overflows. More
     than `PAIR_BUDGET` pairs raise PairBudgetExceeded before anything is
-    allocated.
+    allocated. The pairs are made, measured and written into the set's
+    columns one block of rows at a time.
     """
     n = len(c_sul)
     if n < 2:
         raise TooFewCorrespondences("need at least 2 correspondences for line vectors")
     check_pair_budget(n)
-    r, s = _pair_rows(n)
-    i, j = np.take(c_sul.indices, r), np.take(c_sul.indices, s)
-    vs = pair_differences(c_sul.source, r, s)
-    vt = pair_differences(c_sul.target, r, s)
-    del r, s  # quadratic in n: free the row pairs before the norms are computed
-    return LineVectorSet.from_differences(i, j, vs, vt)
+    n_pairs = n * (n - 1) // 2
+    p, q = np.empty(n_pairs, dtype=np.int32), np.empty(n_pairs, dtype=np.int32)
+    ratio = np.empty(n_pairs)
+    kept = 0
+    bounds = _row_blocks(n).tolist()
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        r, s = _pair_rows(n, r0, r1)
+        block = pair_ratios(c_sul.source, c_sul.target, r, s)
+        keep = usable_ratios(block)
+        end = kept + int(np.count_nonzero(keep))
+        for column, values in ((p, r), (q, s), (ratio, block)):
+            np.compress(keep, values, out=column[kept:end])
+        kept = end
+    return LineVectorSet.over((c_sul.source, c_sul.target, c_sul.indices), p[:kept], q[:kept],
+                               ratio[:kept], n_zero_skipped=n_pairs - kept)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from scipy.special import gammaincc
 
 from .correspondences import CorrespondenceSet
 from .errors import MissingResidual
-from .local_sets import LineVectorSet, RatioRange, pair_differences
+from .local_sets import LineVectorSet, RatioRange, pair_ratios, usable_ratios
 
 SIGMA_MODES = ("per-eval", "per-round", "fixed-half-tr")
 
@@ -135,7 +135,7 @@ def _decide(classify, corrs: CorrespondenceSet, ids: np.ndarray, action: UpdateA
 def _admission_block(corrs: CorrespondenceSet, admitted: np.ndarray, retained: np.ndarray,
                      current: np.ndarray, current_rows: np.ndarray,
                      ratio_range: RatioRange) -> LineVectorSet:
-    """The new line vectors of the admitted ids whose scale ratio is in the band.
+    """The new line vectors of the admitted ids whose scale ratio is in the band, over `corrs`.
 
     Admitted id a pairs with every retained member and every admitted id
     below it; np.nonzero walks the mask row-major, so rows come out by a,
@@ -145,17 +145,18 @@ def _admission_block(corrs: CorrespondenceSet, admitted: np.ndarray, retained: n
     mask = (current != a_col) & (np.isin(current, retained) | (current < a_col))
     a_pos, m_pos = np.nonzero(mask)
     del mask
-    a, m = admitted[a_pos], current[m_pos]
     rows_a, rows_m = corrs.rows_for(admitted)[a_pos], current_rows[m_pos]
-    # v = x_i - x_j with i < j by item id (canonical pair orientation); the
-    # sign flips x_a - x_m, so a zero component keeps the sign it has always had
-    sign = np.where(m > a, 1.0, -1.0)[:, None]
-    vs = pair_differences(corrs.source, rows_a, rows_m)
-    vs *= sign
-    vt = pair_differences(corrs.target, rows_a, rows_m)
-    vt *= sign
-    block = LineVectorSet.from_differences(np.minimum(a, m), np.maximum(a, m), vs, vt)
-    return block.take(ratio_range.contains(block.scale_ratio))
+    # p is the row of the smaller id (canonical orientation, v = x_i - x_j).
+    # Where m < a the vector is -(x_a - x_m), the sign flip of x_a - x_m, so
+    # a zero component keeps the sign it has always had: those rows are flipped.
+    flip = current[m_pos] < admitted[a_pos]
+    p = np.where(flip, rows_m, rows_a).astype(np.int32)
+    q = np.where(flip, rows_a, rows_m).astype(np.int32)
+    ratio = pair_ratios(corrs.source, corrs.target, p, q)
+    usable = np.flatnonzero(usable_ratios(ratio))
+    rows = usable[ratio_range.contains(ratio[usable])]
+    return LineVectorSet.over((corrs.source, corrs.target, corrs.indices), p[rows], q[rows],
+                              ratio[rows], flip[rows])
 
 
 def update_local_sets(corrs: CorrespondenceSet, local_set: CorrespondenceSet,
@@ -192,6 +193,5 @@ def update_local_sets(corrs: CorrespondenceSet, local_set: CorrespondenceSet,
     current_rows = corrs.rows_for(current)
     block = _admission_block(corrs, admitted, retained, current, current_rows, ratio_range)
 
-    evicted = np.isin(lvs.i, removed) | np.isin(lvs.j, removed)
-    new_lvs = lvs.take(~evicted).extend(block)
+    new_lvs = lvs.take(~lvs.incident(removed)).extend(block)
     return corrs.subset(current_rows), new_lvs, evict_decisions + admit_decisions

@@ -17,6 +17,7 @@ from lvreg.geometry import RigidTransform
 from lvreg.local_sets import (
     Histogram,
     LineVectorSet,
+    RatioRange,
     angle_histogram_filter,
     build_angle_histogram,
     build_line_vectors,
@@ -26,6 +27,7 @@ from lvreg.local_sets import (
     scotts_bin_width,
 )
 from lvreg.normals import annotate_normals
+from lvreg.self_update import _admission_block
 from lvreg.synthetic import SyntheticSpec, synthesize_pair
 
 
@@ -231,10 +233,23 @@ class TestBuildLineVectors:
         # Only the vectors: no ids or ratios to take, extend or pair up by mistake.
         assert not hasattr(got, "i") and not hasattr(got, "take")
 
+    def test_take_vectors_applies_a_mask_as_take_does(self, rng):
+        # A boolean mask once went through np.take as row positions 0 and 1.
+        lvs = build_line_vectors(self._corrs(rng.normal(size=(12, 3)), rng.normal(size=(12, 3))))
+        mask = rng.random(len(lvs)) < 0.5
+        for base in (lvs, lvs.take(np.arange(len(lvs))).gathered()):
+            got, full = base.take_vectors(mask), base.take(mask)
+            assert len(got) == int(mask.sum())
+            for name in ("v_source", "v_target"):
+                assert getattr(got, name).tobytes() == getattr(full, name).tobytes()
+                assert getattr(got, name).tobytes() == getattr(lvs, name)[mask].tobytes()
+            with pytest.raises(IndexError):
+                base.take_vectors(mask[:-1])
 
-# An eager reference for the pair layer's deferred gathers: every step
-# copies all five columns, as LineVectorSet did before it kept its vectors
-# behind a row index.
+
+# An eager reference for the pair layer's computed vectors: every step
+# copies all five columns, as LineVectorSet did before it stored row pairs
+# over an endpoint table.
 COLUMNS = ("i", "j", "v_source", "v_target", "scale_ratio")
 
 
@@ -245,16 +260,64 @@ def eager_from_differences(i, j, vs, vt):
     return [i[keep], j[keep], vs[keep], vt[keep], ratio[keep]]
 
 
+def signed_zero_points(rng, n):
+    """Grid points in {-1, 0, 1}^3 whose zero components carry either sign.
+
+    Points coincide and share components, so differences hold +0.0, -0.0
+    and zero-length pairs.
+    """
+    x = rng.integers(-1, 2, size=(n, 3)).astype(float)
+    x[(x == 0.0) & (rng.random((n, 3)) < 0.5)] = -0.0
+    return x
+
+
 def drawn_sets(data):
-    """A lazy set from drawn difference vectors (some zero) and its eager copy."""
+    """A lazy set and its eager copy: from difference vectors, built, or a self-update block.
+
+    Each kind has its own endpoint table: the drawn vectors over zero rows,
+    the built correspondences, or the self-update's full set.
+    """
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    n = data.draw(st.integers(0, 25))
-    i = rng.integers(0, 100, size=n)
-    j = i + rng.integers(1, 100, size=n)
-    vs, vt = (rng.integers(-2, 3, size=(n, 3)).astype(float) for _ in range(2))
-    vs[rng.random(n) < 0.2] = 0.0
-    vt[rng.random(n) < 0.2] = -0.0
-    return LineVectorSet.from_differences(i, j, vs, vt), eager_from_differences(i, j, vs, vt)
+    kind = data.draw(st.sampled_from(["differences", "built", "admission"]))
+    if kind == "differences":
+        n = data.draw(st.integers(0, 25))
+        i = rng.integers(0, 100, size=n)
+        j = i + rng.integers(1, 100, size=n)
+        vs, vt = (rng.integers(-2, 3, size=(n, 3)).astype(float) for _ in range(2))
+        vs[rng.random(n) < 0.2] = 0.0
+        vt[rng.random(n) < 0.2] = -0.0
+        return LineVectorSet.from_differences(i, j, vs, vt), eager_from_differences(i, j, vs, vt)
+    n = data.draw(st.integers(2, 9))
+    src, tgt = signed_zero_points(rng, n), signed_zero_points(rng, n)
+    ids = np.sort(rng.choice(50, size=n, replace=False))
+    corrs = CorrespondenceSet(src, tgt, indices=ids)
+    if kind == "built":
+        r, s = np.triu_indices(n, k=1)
+        return build_line_vectors(corrs), eager_from_differences(
+            ids[r], ids[s], src[r] - src[s], tgt[r] - tgt[s])
+    admitted = np.sort(rng.choice(ids, size=int(rng.integers(0, n + 1)), replace=False))
+    rest = np.setdiff1d(ids, admitted)
+    return admission_sets(corrs, admitted, rest[rng.random(len(rest)) < 0.7])
+
+
+def admission_sets(corrs, admitted, retained):
+    """The self-update's new pairs, lazy and eager, with every ratio in band.
+
+    Each admitted id a pairs with the retained ids and the admitted ids
+    below it; the eager copy is x_a - x_m with the sign flipped where
+    m < a, the self-update's construction before its pairs were row pairs.
+    """
+    current = np.union1d(retained, admitted)
+    lazy = _admission_block(corrs, admitted, retained, current, corrs.rows_for(current),
+                            RatioRange.everything())
+    a_col = admitted[:, None]
+    a_pos, m_pos = np.nonzero((current != a_col) & (np.isin(current, retained) | (current < a_col)))
+    a, m = admitted[a_pos], current[m_pos]
+    rows_a, rows_m = corrs.rows_for(a), corrs.rows_for(m)
+    sign = np.where(m > a, 1.0, -1.0)[:, None]
+    return lazy, eager_from_differences(np.minimum(a, m), np.maximum(a, m),
+                                        sign * (corrs.source[rows_a] - corrs.source[rows_m]),
+                                        sign * (corrs.target[rows_a] - corrs.target[rows_m]))
 
 
 def drawn_rows(data, n):
@@ -263,6 +326,14 @@ def drawn_rows(data, n):
         return np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
     return np.array(data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=2 * n)),
                     dtype=np.int64)
+
+
+def assert_eager_bytes(lazy, eager):
+    assert len(lazy) == len(eager[0])
+    for name, want in zip(COLUMNS, eager):
+        got = getattr(lazy, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), name
 
 
 class TestDeferredGathersMatchEagerCopies:
@@ -275,7 +346,7 @@ class TestDeferredGathersMatchEagerCopies:
             rows = drawn_rows(data, len(lazy))
             if step == "take":
                 lazy, eager = lazy.take(rows), [c[rows] for c in eager]
-            elif step == "take_vectors" and rows.dtype != bool:
+            elif step == "take_vectors":
                 got = lazy.take_vectors(rows)
                 assert got.v_source.tobytes() == eager[2][rows].tobytes()
                 assert got.v_target.tobytes() == eager[3][rows].tobytes()
@@ -286,13 +357,33 @@ class TestDeferredGathersMatchEagerCopies:
                     other, other_eager = other.take(rows), [c[rows] for c in other_eager]
                 lazy = lazy.extend(other)
                 eager = [np.concatenate([a, b]) for a, b in zip(eager, other_eager)]
-            elif step == "read":  # gathers the vectors now; later takes start from them
+            elif step == "read":  # computes the vectors now; later take_vectors gather from them
                 assert lazy.v_source.tobytes() == eager[2].tobytes()
-        assert len(lazy) == len(eager[0])
-        for name, want in zip(COLUMNS, eager):
-            got = getattr(lazy, name)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), name
+        assert_eager_bytes(lazy, eager)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_signed_zero_blocks_extend_a_set_over_another_table(self, seed):
+        # The built local set's table is the local correspondences and the
+        # block's is the full set. Admitting every non-member flips most
+        # block pairs, so the zero components of x_a - x_m change sign.
+        rng = np.random.default_rng(seed)
+        n = 12
+        corrs = CorrespondenceSet(signed_zero_points(rng, n), signed_zero_points(rng, n),
+                                  indices=np.sort(rng.choice(40, size=n, replace=False)))
+        members = np.sort(rng.choice(n, size=5, replace=False))
+        local = corrs.subset(members)
+        block, eager_block = admission_sets(corrs, np.setdiff1d(corrs.indices, local.indices),
+                                            local.indices)
+        assert_eager_bytes(block, eager_block)
+        r, s = np.triu_indices(len(members), k=1)
+        eager = [np.concatenate([a, b]) for a, b in zip(eager_from_differences(
+            local.indices[r], local.indices[s], local.source[r] - local.source[s],
+            local.target[r] - local.target[s]), eager_block)]
+        joined = build_line_vectors(local).extend(block)
+        assert_eager_bytes(joined, eager)
+        rows = rng.permutation(len(joined))
+        assert joined.take_vectors(rows).v_target.tobytes() == eager[3][rows].tobytes()
+        assert_eager_bytes(joined.take(rows), [c[rows] for c in eager])
 
 
 def lvlp_oracle(lvs):

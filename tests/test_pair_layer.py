@@ -429,3 +429,56 @@ class TestPairBudget:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000  # one pair column alone would take 134 MB
+
+
+# --- pair layer memory ------------------------------------------------------------
+
+def traced(step):
+    """(result, bytes the step left allocated, peak bytes the step allocated), by tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = step()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held, peak
+
+
+class TestPairLayerMemory:
+    """No pair-layer step allocates an (n_pairs, 3) array, 24 bytes a pair, until vectors are read."""
+
+    N = 1500  # 1,124,250 pairs
+
+    @pytest.fixture(scope="class")
+    def corrs(self):
+        rng = np.random.default_rng(11)
+        return CorrespondenceSet(rng.normal(size=(self.N, 3)), rng.normal(size=(self.N, 3)))
+
+    def test_build_peaks_below_40_bytes_a_pair(self, corrs):
+        n_pairs = self.N * (self.N - 1) // 2
+        lvs, held, peak = traced(lambda: build_line_vectors(corrs))
+        assert len(lvs) == n_pairs
+        # One block of rows: its pair rows, differences, squares and norms.
+        block = 256 * (local_sets.PAIR_BLOCK + self.N)
+        assert peak < 40 * n_pairs + block
+        assert held < 24 * n_pairs
+
+    def test_take_extend_and_round_sample_allocate_no_vector_array(self, corrs):
+        lvs = build_line_vectors(corrs)
+        n_pairs = len(lvs)
+        rng = np.random.default_rng(3)
+        every, mask = rng.permutation(n_pairs), rng.random(n_pairs) < 0.5
+        half = lvs.take(mask)
+        steps = {
+            "take positions": lambda: lvs.take(every),
+            "take mask": lambda: lvs.take(mask),
+            "extend": lambda: half.extend(lvs),
+            # as run_local_ransac draws it: 10% of the pairs, vectors computed
+            "round sample": lambda: lvs.take(
+                rng.choice(n_pairs, n_pairs // 10, replace=False)).gathered(),
+        }
+        for name, step in steps.items():
+            out, held, peak = traced(step)
+            # an (n, 3) float64 array over the larger of the input and the output
+            assert peak < 24 * max(n_pairs, len(out)), name
+        assert len(out) == n_pairs // 10 and len(out.take_vectors(np.arange(5))) == 5
