@@ -247,9 +247,9 @@ class TestBuildLineVectors:
                 base.take_vectors(mask[:-1])
 
 
-# An eager reference for the pair layer's computed vectors: every step
-# copies all five columns, as LineVectorSet did before it stored row pairs
-# over an endpoint table.
+# An eager reference for the pair layer's deferred gathers: every step
+# copies all five columns, as LineVectorSet did before it kept its vectors
+# behind a row index.
 COLUMNS = ("i", "j", "v_source", "v_target", "scale_ratio")
 
 
