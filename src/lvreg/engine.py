@@ -160,8 +160,9 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
     The endpoints of the round sample are mapped to `c_sul` rows once per
     round (`rows_for`, which rejects an id not in `c_sul`); each basic
     subset then marks its endpoint rows in a reused mask, so the solver's
-    translation step sees the sorted, unique rows of its endpoints, and
-    gathers only the two vector columns the solver reads (`take_vectors`).
+    translation step sees the sorted, unique rows of its endpoints. The
+    round sample's vectors are computed once, and each basic subset
+    gathers its rows from them.
     """
     if len(l_sul) < 2:
         raise DegenerateInput("need at least 2 line vectors for local hypotheses")
@@ -169,9 +170,8 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
         raise DegenerateInput("local correspondence set is empty")
 
     sub_rows = rng.choice(len(l_sul), _sample_size(cfg.alpha_pct, len(l_sul)), replace=False)
-    # Its vectors are computed once, so each basic subset gathers them from
-    # the round sample.
-    l_sub = l_sul.take(sub_rows).gathered()
+    l_sub = l_sul.take(sub_rows)
+    sample = l_sub.vectors()
     basic_size = _sample_size(cfg.beta_pct, len(l_sub))
     i_rows, j_rows = c_sul.rows_for(l_sub.i), c_sul.rows_for(l_sub.j)
     is_endpoint = np.zeros(len(c_sul), dtype=bool)
@@ -192,7 +192,7 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
         endpoint_rows = np.flatnonzero(is_endpoint)
         is_endpoint[endpoint_rows] = False
         try:
-            candidate = estimate_local_transform(l_sub.take_vectors(rows),
+            candidate = estimate_local_transform(sample.take(rows),
                                                  c_sul.source[endpoint_rows],
                                                  c_sul.target[endpoint_rows], cfg.noise_bound,
                                                  initial_rotation=received_glo.rotation)

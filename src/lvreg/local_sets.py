@@ -13,11 +13,12 @@ RANSAC loop:
 Bin widths follow Scott's rule with the population standard deviation.
 
 The pair layer works on 1-D columns. A `LineVectorSet` stores each pair as
-two int32 row positions into an endpoint table (the source and target
-points and item ids of the correspondences it came from: a few thousand
-rows), its float64 ratio and, for the self-update's pairs, a bool flip
-flag: 16 or 17 bytes a pair, against 72 for the ids, ratio and two
-float64 vectors. Its vectors are computed where they are read.
+two int32 row positions into an endpoint table (the correspondence set it
+came from, whose source and target points and item ids it reads: a few
+thousand rows, one table per run), its float64 ratio and, for the
+self-update's pairs, a bool flip flag: 16 or 17 bytes a pair, against 72
+for the ids, ratio and two float64 vectors. No set keeps vectors: they
+are computed where they are read.
 `build_line_vectors` works through the row pairs (r, s), r < s, of the
 upper triangle in row-major order, one block of about `PAIR_BLOCK` pairs
 at a time: it makes the block's rows with `np.repeat` and one `cumsum`,
@@ -62,8 +63,8 @@ SCOTT_FACTOR = 3.49
 MAX_BINS = 100_000
 # Largest pair set `build_line_vectors` builds: 16.8 M pairs, or n = 5,793
 # correspondences, far above the 2.0 M pairs of an unfiltered set of 2000.
-# At 16 bytes a pair that is about 270 MB of columns, and 1.2 GB once every
-# pair's two vectors are read.
+# At 16 bytes a pair that is about 270 MB of columns; reading every pair's
+# vectors adds 48 bytes a pair until the reader drops them.
 PAIR_BUDGET = 2**24
 # Pairs that `build_line_vectors` makes and measures at a time: its
 # temporaries take a few MB whatever the set's size.
@@ -172,8 +173,8 @@ def reduction_ratio(n_before: int, n_after: int) -> float:
 class LineVectors:
     """The source and target vectors of some line vectors, without their ids or ratios.
 
-    This is what the GNC solver reads; `LineVectorSet.take_vectors` computes
-    it without the other columns.
+    This is what the GNC solver reads: `LineVectorSet.vectors` computes
+    it, and `take` gathers the rows of a basic subset from a round sample's.
     """
 
     v_source: np.ndarray
@@ -182,172 +183,109 @@ class LineVectors:
     def __len__(self) -> int:
         return len(self.v_source)
 
+    def take(self, rows) -> "LineVectors":
+        """The vectors at the given row positions, in that order."""
+        return LineVectors(np.take(self.v_source, rows, axis=0), np.take(self.v_target, rows, axis=0))
 
+
+@dataclass(eq=False)
 class LineVectorSet:
     """Struct-of-arrays collection of line vectors keyed by correspondence ids.
 
-    A set stores 1-D columns over an endpoint table: the source points, the
-    target points and the item ids of the correspondences its pairs came
-    from (`build_line_vectors`'s input, or the self-update's full set).
-    Row k is the pair of table rows `p[k]` (id `i`) and `q[k]` (id `j`),
-    with `scale_ratio[k]`; its vectors are x[p] - x[q] in each cloud, or
-    -(x[q] - x[p]) where `flip[k]` is set (the self-update's pairs, whose
-    sign was flipped to put the smaller id first; `flip` is None when no
-    row is flipped). `i` and `j` are read through the table's ids.
+    A set stores 1-D columns over an endpoint table, the correspondence set
+    its pairs came from: `build_line_vectors`'s input, or the full set once
+    the self-update has moved the set onto it (`on`), so a run has one
+    table however many rounds revise the set. Row k is the pair of table
+    rows `p[k]` (id `i`) and `q[k]` (id `j`), with `scale_ratio[k]`; its
+    vectors are x[p] - x[q] in each cloud, or -(x[q] - x[p]) where
+    `flip[k]` is set (the self-update's pairs, whose sign was flipped to
+    put the smaller id first; `flip` is None when no row is flipped).
+    `i` and `j` are read through the table's ids.
 
-    * `take` and `extend` move only the 1-D columns; `extend` appends the
-      other set's table to this one's and offsets its rows;
-    * `take_vectors` computes the vectors of the given rows;
-    * `v_source` and `v_target` compute every row's vectors on first read
-      (both at once) and keep them, and `gathered` does so on purpose;
-      later `take_vectors` calls then gather from them.
-
-    Every path subtracts the same two points in the same order, so every
-    column holds the same bytes as if each step had copied all five.
+    `take`, `extend` and `on` move only the 1-D columns. No set keeps
+    vectors: `v_source` and `v_target` compute their cloud's on every
+    read, and `vectors` both. Every path subtracts the same two points in
+    the same order, so every column holds the same bytes as if each step
+    had copied all five.
     """
 
-    def __init__(self, i, j, v_source, v_target, scale_ratio, n_zero_skipped: int = 0):
-        """A set holding the given vectors: its table is those vectors over zero rows."""
-        vectors = tuple(np.asarray(v, dtype=np.float64).reshape(-1, 3) for v in (v_source, v_target))
-        n = len(vectors[0])
-        zeros = np.zeros((n, 3))  # x - (+0.0) is x, signed zeros included
-        source, target = (np.concatenate([v, zeros]) for v in vectors)
-        ids = np.concatenate([np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)])
-        rows = np.arange(n, dtype=np.int32)
-        self._set((source, target, ids), rows, rows + n, np.asarray(scale_ratio, dtype=np.float64),
-                  None, n_zero_skipped)
-        self._vectors = vectors
-
-    @classmethod
-    def over(cls, table, p, q, scale_ratio, flip=None, n_zero_skipped: int = 0) -> "LineVectorSet":
-        """The pairs of rows (p, q) of `table`, (source points, target points, item ids).
-
-        `p` and `q` are int32 row positions, `flip` a bool column or None;
-        nothing is copied.
-        """
-        lvs = cls.__new__(cls)
-        lvs._set(table, p, q, scale_ratio, flip, n_zero_skipped)
-        return lvs
-
-    def _set(self, table, p, q, scale_ratio, flip, n_zero_skipped):
-        self._table = table  # (source points, target points, item ids), by row
-        self._p, self._q, self._flip = p, q, flip
-        self.scale_ratio = scale_ratio
-        self.n_zero_skipped = n_zero_skipped
-        self._vectors = None
-
-    @classmethod
-    def from_differences(cls, i, j, v_source, v_target) -> "LineVectorSet":
-        """Line vectors from per-pair difference vectors, v = x_i - x_j.
-
-        Pairs whose ratio is not finite and positive (a zero-length
-        difference or an overflow) are dropped and counted in
-        `n_zero_skipped`, as `build_line_vectors` drops them.
-        """
-        vs, vt = (np.asarray(v, dtype=np.float64).reshape(-1, 3) for v in (v_source, v_target))
-        ratio = _row_norms(vs)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio /= _row_norms(vt)
-        rows = np.flatnonzero(usable_ratios(ratio))
-        kept = cls(i, j, vs, vt, ratio).take(rows)
-        kept.n_zero_skipped = len(ratio) - len(rows)
-        return kept
+    table: CorrespondenceSet
+    p: np.ndarray  # int32 table rows
+    q: np.ndarray
+    scale_ratio: np.ndarray
+    flip: np.ndarray | None = None
+    n_zero_skipped: int = 0
 
     def __len__(self) -> int:
-        return len(self._p)
+        return len(self.p)
 
     @property
     def i(self) -> np.ndarray:
-        return np.take(self._table[2], self._p)
+        return np.take(self.table.indices, self.p)
 
     @property
     def j(self) -> np.ndarray:
-        return np.take(self._table[2], self._q)
+        return np.take(self.table.indices, self.q)
 
     @property
     def v_source(self) -> np.ndarray:
-        return self._gather()[0]
+        return self._differences_in(self.table.source)
 
     @property
     def v_target(self) -> np.ndarray:
-        return self._gather()[1]
+        return self._differences_in(self.table.target)
 
-    def _gather(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._vectors is None:
-            vectors = self._vectors_at(self._p, self._q, self._flip)
-            self._vectors = (vectors.v_source, vectors.v_target)
-        return self._vectors
+    def vectors(self) -> LineVectors:
+        """Every row's source and target vectors."""
+        return LineVectors(self.v_source, self.v_target)
 
-    def _vectors_at(self, p, q, flip) -> LineVectors:
-        """x[p] - x[q] in each cloud, and -(x[q] - x[p]) on the flipped rows."""
-        if flip is not None:
-            p, q = np.where(flip, q, p), np.where(flip, p, q)
-        vectors = [_differences(x, p, q) for x in self._table[:2]]
-        if flip is not None:
-            for v in vectors:
-                np.negative(v, out=v, where=flip[:, None])
-        return LineVectors(*vectors)
+    def _differences_in(self, x: np.ndarray) -> np.ndarray:
+        """x[p] - x[q], and -(x[q] - x[p]) on the flipped rows."""
+        p, q, flip = self.p, self.q, self.flip
+        if flip is None:
+            return _differences(x, p, q)
+        v = _differences(x, np.where(flip, q, p), np.where(flip, p, q))
+        return np.negative(v, out=v, where=flip[:, None])
 
-    def _positions(self, rows) -> np.ndarray:
+    def take(self, rows) -> "LineVectorSet":
+        """The line vectors at the given row positions (or boolean mask), in that order."""
         rows = np.asarray(rows)
         if rows.dtype == bool:
             if rows.shape != (len(self),):
                 raise IndexError("boolean mask does not match the number of line vectors")
             rows = np.flatnonzero(rows)
-        return rows
+        return LineVectorSet(self.table, np.take(self.p, rows), np.take(self.q, rows),
+                             np.take(self.scale_ratio, rows),
+                             None if self.flip is None else np.take(self.flip, rows))
 
-    def _pairs_at(self, rows) -> tuple:
-        """The p, q and flip columns at the given row positions."""
-        return (np.take(self._p, rows), np.take(self._q, rows),
-                None if self._flip is None else np.take(self._flip, rows))
+    def on(self, corrs: CorrespondenceSet) -> "LineVectorSet":
+        """These line vectors over `corrs`, which holds every item of this set's table.
 
-    def take(self, rows) -> "LineVectorSet":
-        """The line vectors at the given row positions (or boolean mask), in that order.
-
-        Moves the 1-D columns only; the vectors are computed when read.
+        The vectors keep their bytes: a subset's points are copies of its
+        parent's.
         """
-        rows = self._positions(rows)
-        p, q, flip = self._pairs_at(rows)
-        return LineVectorSet.over(self._table, p, q, np.take(self.scale_ratio, rows), flip)
-
-    def take_vectors(self, rows) -> LineVectors:
-        """The source and target vectors at the given row positions (or boolean mask), in that order.
-
-        The GNC solver reads the vectors alone; computing two of the five
-        columns saves most of a sample's gather.
-        """
-        rows = self._positions(rows)
-        if self._vectors is not None:
-            return LineVectors(*(np.take(v, rows, axis=0) for v in self._vectors))
-        return self._vectors_at(*self._pairs_at(rows))
-
-    def gathered(self) -> "LineVectorSet":
-        """This set with its vectors computed, so later `take_vectors` calls gather from them."""
-        self._gather()
-        return self
+        if self.table is corrs:
+            return self
+        rows = corrs.rows_for(self.table.indices).astype(np.int32)
+        return LineVectorSet(corrs, np.take(rows, self.p), np.take(rows, self.q), self.scale_ratio,
+                             self.flip, self.n_zero_skipped)
 
     def extend(self, other: "LineVectorSet") -> "LineVectorSet":
-        """These line vectors followed by `other`'s; computes no vectors.
-
-        The result's table is this set's table followed by `other`'s, so a
-        set the self-update extends each round gains one full set's rows a
-        round.
-        """
-        offset = len(self._table[2])
+        """These line vectors followed by `other`'s, which must share this set's table."""
+        if other.table is not self.table:
+            raise ValueError("cannot extend a line-vector set with one over another table")
         flip = None
-        if self._flip is not None or other._flip is not None:
-            flip = np.concatenate([np.zeros(len(s), dtype=bool) if s._flip is None else s._flip
+        if self.flip is not None or other.flip is not None:
+            flip = np.concatenate([np.zeros(len(s), dtype=bool) if s.flip is None else s.flip
                                    for s in (self, other)])
-        return LineVectorSet.over(
-            tuple(np.concatenate([a, b]) for a, b in zip(self._table, other._table)),
-            np.concatenate([self._p, other._p + offset]),
-            np.concatenate([self._q, other._q + offset]),
-            np.concatenate([self.scale_ratio, other.scale_ratio]), flip)
+        return LineVectorSet(self.table, np.concatenate([self.p, other.p]),
+                             np.concatenate([self.q, other.q]),
+                             np.concatenate([self.scale_ratio, other.scale_ratio]), flip)
 
     def incident(self, ids) -> np.ndarray:
         """Mask of the line vectors with an endpoint among the given item ids."""
-        hit = np.isin(self._table[2], ids)
-        return np.take(hit, self._p) | np.take(hit, self._q)
+        hit = np.isin(self.table.indices, ids)
+        return np.take(hit, self.p) | np.take(hit, self.q)
 
     def pair_set(self) -> set:
         return set(zip(self.i.tolist(), self.j.tolist()))
@@ -446,8 +384,7 @@ def build_line_vectors(c_sul: CorrespondenceSet) -> LineVectorSet:
         for column, values in ((p, r), (q, s), (ratio, block)):
             np.compress(keep, values, out=column[kept:end])
         kept = end
-    return LineVectorSet.over((c_sul.source, c_sul.target, c_sul.indices), p[:kept], q[:kept],
-                               ratio[:kept], n_zero_skipped=n_pairs - kept)
+    return LineVectorSet(c_sul, p[:kept], q[:kept], ratio[:kept], n_zero_skipped=n_pairs - kept)
 
 
 @dataclass(frozen=True)

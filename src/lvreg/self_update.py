@@ -155,8 +155,7 @@ def _admission_block(corrs: CorrespondenceSet, admitted: np.ndarray, retained: n
     ratio = pair_ratios(corrs.source, corrs.target, p, q)
     usable = np.flatnonzero(usable_ratios(ratio))
     rows = usable[ratio_range.contains(ratio[usable])]
-    return LineVectorSet.over((corrs.source, corrs.target, corrs.indices), p[rows], q[rows],
-                              ratio[rows], flip[rows])
+    return LineVectorSet(corrs, p[rows], q[rows], ratio[rows], flip[rows])
 
 
 def update_local_sets(corrs: CorrespondenceSet, local_set: CorrespondenceSet,
@@ -169,12 +168,15 @@ def update_local_sets(corrs: CorrespondenceSet, local_set: CorrespondenceSet,
     (ascending id), so newcomers pair against the already-pruned set.
     Every examined candidate yields an UpdateDecision for the audit trail.
     New line vectors are appended in (admitted id, member id) order, the
-    order in which admitting one id at a time would produce them.
+    order in which admitting one id at a time would produce them. The
+    returned set is over `corrs` (`LineVectorSet.on`), so the run's sets
+    share one endpoint table from the first round on.
 
     Returns (new_local_set, new_line_vectors, decisions).
     """
     if sigma_mode not in SIGMA_MODES:
         raise ValueError(f"sigma_mode must be one of {SIGMA_MODES}")
+    lvs = lvs.on(corrs)
     sigma = None
     if sigma_mode == "per-round":
         sigma = draw_sigma(rng, residual_threshold)

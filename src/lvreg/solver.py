@@ -144,7 +144,8 @@ def estimate_rotation_gnc(lvs: LineVectors | LineVectorSet, noise_bound: float,
     grows geometrically; tau is `noise_bound`. The best iterate under the
     truncated loss is returned together with a convergence flag;
     non-convergence still yields a proper rotation. Only `lvs.v_source`
-    and `lvs.v_target` are read. Each iteration looks up the module globals
+    and `lvs.v_target` are read, once each: a `LineVectorSet` computes
+    them on every read. Each iteration looks up the module globals
     `_tls_weights` and then `_solve_rotation` at call time, so a test can
     wrap them to see every iterate.
 
@@ -156,8 +157,9 @@ def estimate_rotation_gnc(lvs: LineVectors | LineVectorSet, noise_bound: float,
         raise DegenerateInput("need at least 2 line vectors to estimate a rotation")
     # See the module docstring for the layout, the buffers and the fixed
     # operand and summation orders.
-    a_t = np.ascontiguousarray(lvs.v_source.T)
-    _check_source_span(lvs.v_source, a_t)
+    v_source = lvs.v_source
+    a_t = np.ascontiguousarray(v_source.T)
+    _check_source_span(v_source, a_t)
     b = np.ascontiguousarray(lvs.v_target)
     b_t = np.ascontiguousarray(b.T)
     diff = np.empty_like(a_t)

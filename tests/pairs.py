@@ -1,0 +1,46 @@
+"""Line-vector sets made from given vectors, for tests.
+
+The engine only makes sets over correspondence sets (`build_line_vectors`
+and the self-update). Tests also need sets holding vectors they chose; these
+are sets over a table of those vectors followed by as many zero rows.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+
+from lvreg.local_sets import LineVectorSet, _row_norms, usable_ratios
+
+
+def vector_set(i, j, v_source, v_target, scale_ratio, n_zero_skipped=0):
+    """A set holding the given vectors: its table is those vectors over zero rows.
+
+    Row k pairs table row k with zero row n + k, and x - (+0.0) is x, signed
+    zeros included, so the set's vectors are the given bytes.
+    """
+    vectors = [np.asarray(v, dtype=np.float64).reshape(-1, 3) for v in (v_source, v_target)]
+    n = len(vectors[0])
+    zeros = np.zeros((n, 3))
+    source, target = (np.concatenate([v, zeros]) for v in vectors)
+    ids = np.concatenate([np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)])
+    rows = np.arange(n, dtype=np.int32)
+    table = SimpleNamespace(source=source, target=target, indices=ids)
+    return LineVectorSet(table, rows, rows + n, np.asarray(scale_ratio, dtype=np.float64),
+                         n_zero_skipped=n_zero_skipped)
+
+
+def from_differences(i, j, v_source, v_target):
+    """Line vectors from per-pair difference vectors, v = x_i - x_j.
+
+    Pairs whose ratio is not finite and positive (a zero-length difference
+    or an overflow) are dropped and counted in `n_zero_skipped`, as
+    `build_line_vectors` drops them.
+    """
+    vs, vt = (np.asarray(v, dtype=np.float64).reshape(-1, 3) for v in (v_source, v_target))
+    ratio = _row_norms(vs)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio /= _row_norms(vt)
+    rows = np.flatnonzero(usable_ratios(ratio))
+    kept = vector_set(i, j, vs, vt, ratio).take(rows)
+    kept.n_zero_skipped = len(ratio) - len(rows)
+    return kept

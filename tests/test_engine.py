@@ -28,12 +28,13 @@ from lvreg.errors import (
 )
 from lvreg.geometry import RigidTransform, rotation_about_axis
 from lvreg.io import result_to_dict
-from lvreg import local_sets
-from lvreg.local_sets import LineVectorSet, build_line_vectors
+from lvreg import engine, local_sets
+from lvreg.local_sets import build_line_vectors
 from lvreg.self_update import UpdateAction, UpdateRule
 from lvreg.synthetic import SyntheticSpec, synthesize_pair
 
 from conftest import random_transform, stable_geodesic
+from pairs import vector_set
 
 
 class TestConfidenceLevel:
@@ -152,8 +153,8 @@ def reference_local_ransac(l_sul, c_sul, received_glo, t_glo, cfg, rng):
     round itself credits an early termination with the entry `t_glo`.
     """
     def take(lvs, rows):
-        return LineVectorSet(lvs.i[rows], lvs.j[rows], lvs.v_source[rows],
-                             lvs.v_target[rows], lvs.scale_ratio[rows])
+        return vector_set(lvs.i[rows], lvs.j[rows], lvs.v_source[rows],
+                          lvs.v_target[rows], lvs.scale_ratio[rows])
 
     if len(l_sul) < 2:
         raise DegenerateInput("need at least 2 line vectors for local hypotheses")
@@ -497,6 +498,26 @@ class TestRunRegistration:
                                 "full_set_rebuilds": 2}
         assert len(res.sus_decisions) == 2
         assert result_to_dict(res)["counters"] == res.counters
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_rounds_after_a_self_update_share_the_full_table(self, seed, monkeypatch):
+        # The filtered line vectors start over the angle-filtered subset; every
+        # round after a self-update reads them over the run's full set, whose
+        # n rows do not grow.
+        spec = SyntheticSpec(n_points=300, n_correspondences=120, outlier_rate=0.8,
+                             noise_sigma=0.003, seed=seed)
+        source, target, corrs, _, _ = synthesize_pair(spec)
+        tables, run = [], engine.run_local_ransac
+
+        def recording(l_sul, *args):
+            tables.append(l_sul.table)
+            return run(l_sul, *args)
+
+        monkeypatch.setattr(engine, "run_local_ransac", recording)
+        res = run_registration(corrs, source, target, quick_cfg(rng_seed=seed, r_max=4))
+        assert res.counters["local_sets_rung"] == "filtered" and res.rounds >= 2
+        assert len(tables[0].indices) < len(corrs)
+        assert all(t is tables[1] and len(t.indices) == len(corrs) for t in tables[1:])
 
     @pytest.mark.parametrize("r_max", [1, 2, 5])
     def test_no_self_update_after_the_last_round(self, r_max):

@@ -16,7 +16,6 @@ from lvreg.errors import (
 from lvreg.geometry import RigidTransform
 from lvreg.local_sets import (
     Histogram,
-    LineVectorSet,
     RatioRange,
     angle_histogram_filter,
     build_angle_histogram,
@@ -29,6 +28,8 @@ from lvreg.local_sets import (
 from lvreg.normals import annotate_normals
 from lvreg.self_update import _admission_block
 from lvreg.synthetic import SyntheticSpec, synthesize_pair
+
+from pairs import from_differences, vector_set
 
 
 def set_with_normals(n_src, n_tgt):
@@ -222,29 +223,39 @@ class TestBuildLineVectors:
         with pytest.raises(IndexError):
             lvs.take(mask[:-1])
 
-    def test_take_vectors_matches_take(self, rng):
+    def test_vectors_of_a_take_match_a_take_of_vectors(self, rng):
+        # A round sample computes its vectors once; each basic subset takes its rows from them.
         lvs = build_line_vectors(self._corrs(rng.normal(size=(12, 3)), rng.normal(size=(12, 3))))
         rows = rng.choice(len(lvs), 20, replace=False)
         for sel in (rows, rows[:0]):
-            got, full = lvs.take_vectors(sel), lvs.take(sel)
+            got, full = lvs.vectors().take(sel), lvs.take(sel)
             assert len(got) == len(full) == len(sel)
             for name in ("v_source", "v_target"):
                 assert getattr(got, name).tobytes() == getattr(full, name).tobytes()
-        # Only the vectors: no ids or ratios to take, extend or pair up by mistake.
-        assert not hasattr(got, "i") and not hasattr(got, "take")
+                assert getattr(full.vectors(), name).tobytes() == getattr(full, name).tobytes()
+        # Only the vectors: no ids or ratios to extend or pair up by mistake.
+        assert not hasattr(got, "i") and not hasattr(got, "extend")
 
-    def test_take_vectors_applies_a_mask_as_take_does(self, rng):
+    def test_vectors_of_a_mask_take(self, rng):
         # A boolean mask once went through np.take as row positions 0 and 1.
         lvs = build_line_vectors(self._corrs(rng.normal(size=(12, 3)), rng.normal(size=(12, 3))))
         mask = rng.random(len(lvs)) < 0.5
-        for base in (lvs, lvs.take(np.arange(len(lvs))).gathered()):
-            got, full = base.take_vectors(mask), base.take(mask)
+        for base in (lvs, lvs.take(np.arange(len(lvs)))):
+            got = base.take(mask).vectors()
             assert len(got) == int(mask.sum())
             for name in ("v_source", "v_target"):
-                assert getattr(got, name).tobytes() == getattr(full, name).tobytes()
                 assert getattr(got, name).tobytes() == getattr(lvs, name)[mask].tobytes()
             with pytest.raises(IndexError):
-                base.take_vectors(mask[:-1])
+                base.take(mask[:-1])
+
+    def test_extend_refuses_a_set_over_another_table(self, rng):
+        corrs = self._corrs(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)))
+        built = build_line_vectors(corrs)
+        for other in (corrs.subset(np.arange(4)), corrs.subset(np.arange(6))):  # equal rows too
+            with pytest.raises(ValueError, match="another table"):
+                built.extend(build_line_vectors(other))
+            with pytest.raises(ValueError, match="another table"):
+                build_line_vectors(other).extend(built)
 
 
 # An eager reference for the pair layer's deferred gathers: every step
@@ -274,8 +285,8 @@ def signed_zero_points(rng, n):
 def drawn_sets(data):
     """A lazy set and its eager copy: from difference vectors, built, or a self-update block.
 
-    Each kind has its own endpoint table: the drawn vectors over zero rows,
-    the built correspondences, or the self-update's full set.
+    A set from differences has its own table, the drawn vectors over zero
+    rows; the others are over a drawn correspondence set (`sets_over`).
     """
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     kind = data.draw(st.sampled_from(["differences", "built", "admission"]))
@@ -286,16 +297,29 @@ def drawn_sets(data):
         vs, vt = (rng.integers(-2, 3, size=(n, 3)).astype(float) for _ in range(2))
         vs[rng.random(n) < 0.2] = 0.0
         vt[rng.random(n) < 0.2] = -0.0
-        return LineVectorSet.from_differences(i, j, vs, vt), eager_from_differences(i, j, vs, vt)
+        return from_differences(i, j, vs, vt), eager_from_differences(i, j, vs, vt)
     n = data.draw(st.integers(2, 9))
     src, tgt = signed_zero_points(rng, n), signed_zero_points(rng, n)
     ids = np.sort(rng.choice(50, size=n, replace=False))
-    corrs = CorrespondenceSet(src, tgt, indices=ids)
+    return sets_over(rng, CorrespondenceSet(src, tgt, indices=ids), kind)
+
+
+def sets_over(rng, corrs, kind):
+    """A lazy set over `corrs`'s table and its eager copy.
+
+    "built": the pairs of a drawn subset of 2 or more rows (at times all of
+    them), built over the subset and moved onto `corrs`; "admission": a
+    self-update block over `corrs`.
+    """
     if kind == "built":
-        r, s = np.triu_indices(n, k=1)
-        return build_line_vectors(corrs), eager_from_differences(
-            ids[r], ids[s], src[r] - src[s], tgt[r] - tgt[s])
-    admitted = np.sort(rng.choice(ids, size=int(rng.integers(0, n + 1)), replace=False))
+        local = corrs.subset(np.sort(rng.choice(len(corrs), size=int(rng.integers(2, len(corrs) + 1)),
+                                                replace=False)))
+        r, s = np.triu_indices(len(local), k=1)
+        return build_line_vectors(local).on(corrs), eager_from_differences(
+            local.indices[r], local.indices[s], local.source[r] - local.source[s],
+            local.target[r] - local.target[s])
+    ids = corrs.indices
+    admitted = np.sort(rng.choice(ids, size=int(rng.integers(0, len(ids) + 1)), replace=False))
     rest = np.setdiff1d(ids, admitted)
     return admission_sets(corrs, admitted, rest[rng.random(len(rest)) < 0.7])
 
@@ -341,28 +365,36 @@ class TestDeferredGathersMatchEagerCopies:
     @settings(max_examples=300, deadline=None)
     def test_chains_give_the_same_bytes(self, data):
         lazy, eager = drawn_sets(data)
-        for step in data.draw(st.lists(st.sampled_from(["take", "take_vectors", "extend", "read"]),
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for step in data.draw(st.lists(st.sampled_from(["take", "vectors", "sample", "extend"]),
                                        max_size=8)):
             rows = drawn_rows(data, len(lazy))
             if step == "take":
                 lazy, eager = lazy.take(rows), [c[rows] for c in eager]
-            elif step == "take_vectors":
-                got = lazy.take_vectors(rows)
+            elif step in ("vectors", "sample"):
+                if step == "vectors":
+                    got = lazy.take(rows).vectors()
+                else:  # a round sample's vectors, gathered at a basic subset's row positions
+                    got = lazy.vectors().take(np.flatnonzero(rows) if rows.dtype == bool else rows)
                 assert got.v_source.tobytes() == eager[2][rows].tobytes()
                 assert got.v_target.tobytes() == eager[3][rows].tobytes()
             elif step == "extend":
-                other, other_eager = drawn_sets(data)
+                # The operand shares the table: a set over the same correspondences,
+                # or rows of this set where its table is given vectors.
+                if isinstance(lazy.table, CorrespondenceSet):
+                    other, other_eager = sets_over(
+                        rng, lazy.table, data.draw(st.sampled_from(["built", "admission"])))
+                else:
+                    other, other_eager = lazy, eager
                 if data.draw(st.booleans()):
                     rows = drawn_rows(data, len(other))
                     other, other_eager = other.take(rows), [c[rows] for c in other_eager]
                 lazy = lazy.extend(other)
                 eager = [np.concatenate([a, b]) for a, b in zip(eager, other_eager)]
-            elif step == "read":  # computes the vectors now; later take_vectors gather from them
-                assert lazy.v_source.tobytes() == eager[2].tobytes()
         assert_eager_bytes(lazy, eager)
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_signed_zero_blocks_extend_a_set_over_another_table(self, seed):
+    def test_signed_zero_blocks_extend_a_set_moved_onto_their_table(self, seed):
         # The built local set's table is the local correspondences and the
         # block's is the full set. Admitting every non-member flips most
         # block pairs, so the zero components of x_a - x_m change sign.
@@ -379,11 +411,34 @@ class TestDeferredGathersMatchEagerCopies:
         eager = [np.concatenate([a, b]) for a, b in zip(eager_from_differences(
             local.indices[r], local.indices[s], local.source[r] - local.source[s],
             local.target[r] - local.target[s]), eager_block)]
-        joined = build_line_vectors(local).extend(block)
+        joined = build_line_vectors(local).on(corrs).extend(block)
+        assert joined.table is corrs
         assert_eager_bytes(joined, eager)
         rows = rng.permutation(len(joined))
-        assert joined.take_vectors(rows).v_target.tobytes() == eager[3][rows].tobytes()
+        assert joined.take(rows).vectors().v_target.tobytes() == eager[3][rows].tobytes()
         assert_eager_bytes(joined.take(rows), [c[rows] for c in eager])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_on_keeps_the_bytes_of_a_subset_table_set(self, seed):
+        # A set over a subset, built or a block with flipped rows, moved onto
+        # the full set reads the same ids, ratios and signed-zero vectors.
+        rng = np.random.default_rng(seed)
+        n = 12
+        corrs = CorrespondenceSet(signed_zero_points(rng, n), signed_zero_points(rng, n),
+                                  indices=np.sort(rng.choice(40, size=n, replace=False)))
+        local = corrs.subset(np.sort(rng.choice(n, size=7, replace=False)))
+        admitted = np.sort(rng.choice(local.indices, size=3, replace=False))
+        r, s = np.triu_indices(len(local), k=1)
+        for lazy, eager in (
+                (build_line_vectors(local), eager_from_differences(
+                    local.indices[r], local.indices[s], local.source[r] - local.source[s],
+                    local.target[r] - local.target[s])),
+                admission_sets(local, admitted, np.setdiff1d(local.indices, admitted))):
+            moved = lazy.on(corrs)
+            assert moved.table is corrs and moved.on(corrs) is moved
+            assert moved.n_zero_skipped == lazy.n_zero_skipped
+            assert_eager_bytes(lazy, eager)
+            assert_eager_bytes(moved, eager)
 
 
 def lvlp_oracle(lvs):
@@ -405,7 +460,7 @@ def lvlp_oracle(lvs):
 def ratio_set(ratios):
     """A line-vector set with the given scale ratios; the ratio filter reads nothing else."""
     n = len(ratios)
-    return LineVectorSet(np.arange(n), np.arange(n) + n, np.ones((n, 3)), np.ones((n, 3)), ratios)
+    return vector_set(np.arange(n), np.arange(n) + n, np.ones((n, 3)), np.ones((n, 3)), ratios)
 
 
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)

@@ -27,7 +27,6 @@ from lvreg.errors import (
 from lvreg.local_sets import (
     PAIR_BUDGET,
     Histogram,
-    LineVectorSet,
     RatioRange,
     angle_histogram_filter,
     build_angle_histogram,
@@ -45,6 +44,8 @@ from lvreg.self_update import (
     update_local_sets,
 )
 
+from pairs import from_differences, vector_set
+
 FIELDS = ("i", "j", "v_source", "v_target", "scale_ratio")
 T_R = 0.01
 
@@ -55,8 +56,8 @@ def ref_from_differences(i, j, v_source, v_target):
     ns = np.linalg.norm(v_source, axis=1)
     nt = np.linalg.norm(v_target, axis=1)
     keep = (ns > 0.0) & (nt > 0.0)
-    return LineVectorSet(i[keep], j[keep], v_source[keep], v_target[keep], ns[keep] / nt[keep],
-                         n_zero_skipped=int(np.count_nonzero(~keep)))
+    return vector_set(i[keep], j[keep], v_source[keep], v_target[keep], ns[keep] / nt[keep],
+                      n_zero_skipped=int(np.count_nonzero(~keep)))
 
 
 def ref_build_line_vectors(c_sul):
@@ -154,7 +155,9 @@ def ref_update_local_sets(corrs, local_set, lvs, ir_glo, residual_threshold, rat
         sign * (corrs.target[rows_a] - corrs.target[rows_m]))
     block = block.take(ratio_range.contains(block.scale_ratio))
     evicted = np.isin(lvs.i, removed) | np.isin(lvs.j, removed)
-    new_lvs = lvs.take(~evicted).extend(block)
+    kept = lvs.take(~evicted)
+    new_lvs = vector_set(*(np.concatenate([getattr(kept, name), getattr(block, name)])
+                           for name in FIELDS))
     return corrs.subset(current_rows), new_lvs, evict_decisions + admit_decisions
 
 
@@ -240,10 +243,10 @@ class TestBuildMatchesReference:
         rng = np.random.default_rng(2)
         i, j = np.arange(50), np.arange(1, 51)
         vs, vt = rng.normal(size=(50, 3)), rng.normal(size=(50, 3))
-        assert_same_bytes(LineVectorSet.from_differences(i, j, vs, vt),
+        assert_same_bytes(from_differences(i, j, vs, vt),
                           ref_from_differences(i, j, vs, vt))
         zeros = np.zeros((50, 3))
-        got = LineVectorSet.from_differences(i, j, zeros, vt)
+        got = from_differences(i, j, zeros, vt)
         assert_same_bytes(got, ref_from_differences(i, j, zeros, vt))
         assert len(got) == 0 and got.n_zero_skipped == 50
 
@@ -350,8 +353,8 @@ class TestRatioFilterMatchesReference:
     def test_identical_ratios_and_empty_set(self):
         src = np.random.default_rng(0).normal(size=(8, 3))
         assert_ratio_filter_matches(build_line_vectors(CorrespondenceSet(src, src)))
-        empty = LineVectorSet(np.zeros(0), np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3)),
-                              np.zeros(0))
+        empty = vector_set(np.zeros(0), np.zeros(0), np.zeros((0, 3)), np.zeros((0, 3)),
+                           np.zeros(0))
         assert outcome(length_ratio_filter, empty)[1][0] is TooFewCorrespondences
         assert_ratio_filter_matches(empty)
 
@@ -475,10 +478,10 @@ class TestPairLayerMemory:
             "extend": lambda: half.extend(lvs),
             # as run_local_ransac draws it: 10% of the pairs, vectors computed
             "round sample": lambda: lvs.take(
-                rng.choice(n_pairs, n_pairs // 10, replace=False)).gathered(),
+                rng.choice(n_pairs, n_pairs // 10, replace=False)).vectors(),
         }
         for name, step in steps.items():
             out, held, peak = traced(step)
             # an (n, 3) float64 array over the larger of the input and the output
             assert peak < 24 * max(n_pairs, len(out)), name
-        assert len(out) == n_pairs // 10 and len(out.take_vectors(np.arange(5))) == 5
+        assert len(out) == n_pairs // 10 and len(out.take(np.arange(5))) == 5

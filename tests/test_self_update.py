@@ -201,10 +201,16 @@ class TestClassifyRemoval:
         assert d.rule is UpdateRule.NEW_OUTLIER
 
 
-def build_state(rng, n=30):
-    """A root correspondence set with residual history plus local sets."""
+def build_state(rng, n=30, duplicate_target=False):
+    """A root correspondence set with residual history plus local sets.
+
+    `duplicate_target` gives rows 0 and 1 one target point, so their pairs
+    have zero-length target differences.
+    """
     src = rng.normal(size=(n, 3))
     tgt = rng.normal(size=(n, 3))
+    if duplicate_target:
+        tgt[1] = tgt[0]
     corrs = CorrespondenceSet(src, tgt)
     corrs.prev_residuals = rng.uniform(0, 2 * T_R, size=n)
     corrs.curr_residuals = rng.uniform(0, 2 * T_R, size=n)
@@ -314,6 +320,18 @@ class TestUpdateLocalSets:
         assert all(victim not in pair for pair in new_lvs.pair_set())
         assert new_lvs.pair_set() == rebuild_oracle(corrs, new_local.indices, ratio_range)
 
+    def test_one_endpoint_table_over_the_rounds(self, rng):
+        # The local sets start over a subset's table; every update's set is
+        # over the full set's, which never grows.
+        corrs, local, lvs, ratio_range = build_state(rng)
+        assert lvs.table is not corrs
+        for _ in range(3):
+            corrs.prev_residuals = corrs.curr_residuals.copy()
+            corrs.curr_residuals = rng.uniform(0, 2 * T_R, size=len(corrs))
+            ir_glo = np.nonzero(corrs.curr_residuals < T_R)[0]
+            local, lvs, _ = update_local_sets(corrs, local, lvs, ir_glo, T_R, ratio_range, rng)
+            assert lvs.table is corrs and len(lvs.table.indices) == len(corrs)
+
     def test_incremental_equals_rebuild_over_random_sequences(self):
         for seed in range(100):
             rng = np.random.default_rng(seed)
@@ -337,8 +355,7 @@ class TestUpdateLocalSets:
         # RANSAC, so compare row for row, not as pair sets.
         for seed in range(100):
             rng = np.random.default_rng(seed)
-            corrs, local, lvs, ratio_range = build_state(rng, n=24)
-            corrs.target[1] = corrs.target[0]  # zero-length target differences
+            corrs, local, lvs, ratio_range = build_state(rng, n=24, duplicate_target=True)
             corrs.prev_residuals[rng.random(len(corrs)) < 0.3] = np.nan  # no history yet
             for step in range(3):
                 if step:

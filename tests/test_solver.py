@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from lvreg.correspondences import MAX_COORDINATE, CorrespondenceSet
 from lvreg.errors import DegenerateInput
 from lvreg.geometry import RigidTransform, rotation_from_cross_covariance
-from lvreg.local_sets import LineVectorSet, build_line_vectors
+from lvreg.local_sets import LineVectors, build_line_vectors
 from lvreg import solver
 from lvreg.solver import estimate_local_transform, estimate_rotation_gnc, estimate_translation
 
 from conftest import random_rotation, random_transform, stable_geodesic
+from pairs import vector_set
 
 
 def make_line_vectors(rng, rotation, n, outlier_fraction=0.0, noise=0.0, scale=0.5):
@@ -27,7 +28,7 @@ def make_line_vectors(rng, rotation, n, outlier_fraction=0.0, noise=0.0, scale=0
         v_tgt[rows] = rng.normal(scale=scale, size=(n_out, 3))
     ratio = np.linalg.norm(v_src, axis=1) / np.linalg.norm(v_tgt, axis=1)
     idx = np.arange(n)
-    return LineVectorSet(idx, idx + n, v_src, v_tgt, ratio)
+    return vector_set(idx, idx + n, v_src, v_tgt, ratio)
 
 
 class TestRotationGnc:
@@ -43,7 +44,7 @@ class TestRotationGnc:
     def test_two_orthogonal_pairs(self):
         g = random_rotation(np.random.default_rng(7))
         v_src = np.array([[1.0, 0, 0], [0, 1.0, 0]])
-        lvs = LineVectorSet([0, 1], [2, 3], v_src, v_src @ g.T, [1.0, 1.0])
+        lvs = vector_set([0, 1], [2, 3], v_src, v_src @ g.T, [1.0, 1.0])
         rot, _ = estimate_rotation_gnc(lvs, 0.05)
         assert stable_geodesic(rot, g) < 1e-6
 
@@ -57,7 +58,7 @@ class TestRotationGnc:
 
     def test_parallel_sources_rejected(self, rng):
         v_src = np.outer(np.linspace(1, 2, 10), [1.0, 1.0, 0.0])
-        lvs = LineVectorSet(np.arange(10), np.arange(10) + 10, v_src, v_src, np.ones(10))
+        lvs = vector_set(np.arange(10), np.arange(10) + 10, v_src, v_src, np.ones(10))
         with pytest.raises(DegenerateInput):
             estimate_rotation_gnc(lvs, 0.05)
 
@@ -100,7 +101,7 @@ class TestRotationGnc:
         q = random_rotation(rng)
         lvs = make_line_vectors(rng, g, 30)
         rot, _ = estimate_rotation_gnc(lvs, 0.05)
-        rotated = LineVectorSet(lvs.i, lvs.j, lvs.v_source, lvs.v_target @ q.T, lvs.scale_ratio)
+        rotated = vector_set(lvs.i, lvs.j, lvs.v_source, lvs.v_target @ q.T, lvs.scale_ratio)
         rot2, _ = estimate_rotation_gnc(rotated, 0.05)
         assert stable_geodesic(rot2, q @ rot) < 1e-6
 
@@ -358,7 +359,7 @@ class TestGncMatchesReference:
     def test_support_collapse(self):
         # Two independent pairs no rotation fits: both residuals stay far
         # above the noise bound, so the band shrinks past them.
-        lvs = LineVectorSet([0, 1], [2, 3], [[1.0, 0, 0], [0, 1.0, 0]],
+        lvs = vector_set([0, 1], [2, 3], [[1.0, 0, 0], [0, 1.0, 0]],
                             [[1.0, 0, 0], [0, -3.0, 2.0]], [1.0, 1.0])
         ref, got = run_both(lvs)
         kinds = [step[0] for step in ref[2]]
@@ -370,14 +371,14 @@ class TestGncMatchesReference:
         # Spanning sources but parallel targets: the first weighted solve is
         # degenerate, so the loop stops with the initial rotation.
         src = np.eye(3)
-        lvs = LineVectorSet([0, 1, 2], [3, 4, 5], src, [[2.0, 0, 0]] * 3, [0.5, 0.5, 0.5])
+        lvs = vector_set([0, 1, 2], [3, 4, 5], src, [[2.0, 0, 0]] * 3, [0.5, 0.5, 0.5])
         ref, got = run_both(lvs)
         assert ref[0] == np.eye(3).tobytes() and ref[1] is False
         assert [step[0] for step in ref[2]] == ["weights"]  # its solve raised
         assert got == ref
 
     def test_rank_deficient_cross_covariance_on_fast_path(self):
-        lvs = LineVectorSet([0, 1], [2, 3], [[1e-3, 0, 0], [0, 1e-3, 0]],
+        lvs = vector_set([0, 1], [2, 3], [[1e-3, 0, 0], [0, 1e-3, 0]],
                             [[1e-3, 0, 0], [1e-3, 0, 0]], [1.0, 1.0])
         ref, got = run_both(lvs)
         assert ref[0] is DegenerateInput and "cross-covariance" in ref[1]
@@ -385,14 +386,14 @@ class TestGncMatchesReference:
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_too_few_line_vectors(self, n):
-        lvs = LineVectorSet(np.arange(n), np.arange(n) + 5, np.ones((n, 3)), np.ones((n, 3)), np.ones(n))
+        lvs = vector_set(np.arange(n), np.arange(n) + 5, np.ones((n, 3)), np.ones((n, 3)), np.ones(n))
         ref, got = run_both(lvs)
         assert ref[0] is DegenerateInput
         assert got == ref
 
     def test_parallel_sources(self):
         v_src = np.outer(np.linspace(1, 2, 10), [1.0, 1.0, 0.0])
-        lvs = LineVectorSet(np.arange(10), np.arange(10) + 10, v_src, v_src, np.ones(10))
+        lvs = vector_set(np.arange(10), np.arange(10) + 10, v_src, v_src, np.ones(10))
         ref, got = run_both(lvs)
         assert ref[0] is DegenerateInput and "parallel" in ref[1]
         assert got == ref
@@ -405,11 +406,9 @@ class TestGncMatchesReference:
         rng = np.random.default_rng(5)
         g = random_rotation(rng)
         base = make_line_vectors(rng, g, 400, outlier_fraction=0.6, noise=0.003)
-        args = (base.i[::2], base.j[::2])
-        strided = LineVectorSet(*args, np.asfortranarray(base.v_source)[::2],
-                                base.v_target[::2], base.scale_ratio[::2])
-        contiguous = LineVectorSet(*args, np.ascontiguousarray(strided.v_source),
-                                   np.ascontiguousarray(strided.v_target), base.scale_ratio[::2])
+        strided = LineVectors(np.asfortranarray(base.v_source)[::2], base.v_target[::2])
+        contiguous = LineVectors(np.ascontiguousarray(strided.v_source),
+                                 np.ascontiguousarray(strided.v_target))
         initial = random_rotation(rng)
         ref, _ = run_both(contiguous, initial_rotation=initial)
         _, got = run_both(strided, initial_rotation=np.asfortranarray(initial))
