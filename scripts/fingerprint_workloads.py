@@ -3,12 +3,13 @@
 
 Registers the first N scenes of each perfbench workload for each given
 seed and prints one sha256 per workload and seed over every result, in
-scene order: `perfbench.workloads.fingerprint` plus the run counters and
+scene order: `perfbench.workloads.fingerprint` plus the run counters,
 each round's `t_glo`, `t_lcl`, `hypotheses`, `degenerate_samples` and
-`branch`, which that fingerprint leaves out. Two checkouts that print the
-same digests returned the same rotation and translation bytes, inlier
+`branch`, and the angle and scale-ratio histograms (bin width, lower bound
+and counts), which that fingerprint leaves out. Two checkouts that print
+the same digests returned the same rotation and translation bytes, inlier
 sets, weights, round and iteration counts, per-round counts, counters,
-confidences, exit reasons and self-update decisions.
+histograms, confidences, exit reasons and self-update decisions.
 
     python3 scripts/fingerprint_workloads.py --scenes 10 --seeds 1 9001
     python3 scripts/fingerprint_workloads.py --root ../other-checkout --scenes 10 --seeds 1
@@ -36,11 +37,20 @@ def parse_args(argv=None):
     return p.parse_args(argv)
 
 
+def histogram_digest(hist) -> tuple | None:
+    """(bin width, lower bound, counts bytes) of a result's histogram, or None."""
+    if hist is None:
+        return None
+    return hist.bin_width, hist.lower_bound, hist.counts.tobytes()
+
+
 def round_counts(result) -> tuple:
-    """The run counters and per-round counts, in a fixed order."""
+    """The run counters, per-round counts and both histograms, in a fixed order."""
     return (tuple(sorted(result.counters.items())),
             tuple((row.t_glo, row.t_lcl, row.hypotheses, row.degenerate_samples, row.branch)
-                  for row in result.per_round_trace))
+                  for row in result.per_round_trace),
+            histogram_digest(result.angle_histogram),
+            histogram_digest(result.scale_ratio_histogram))
 
 
 def main(argv=None) -> int:

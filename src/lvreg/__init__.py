@@ -15,13 +15,7 @@ from .engine import (
     run_registration,
     transforms_converged,
 )
-from .geometry import (
-    RigidTransform,
-    apply_transform,
-    residual,
-    rotation_geodesic_angle,
-    weighted_kabsch,
-)
+from .geometry import RigidTransform, rotation_geodesic_angle, weighted_kabsch
 from .local_sets import (
     Histogram,
     LineVectorSet,

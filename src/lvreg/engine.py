@@ -161,8 +161,8 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
     round (`rows_for`, which rejects an id not in `c_sul`); each basic
     subset then marks its endpoint rows in a reused mask, so the solver's
     translation step sees the sorted, unique rows of its endpoints. The
-    round sample's vectors are computed once, and each basic subset
-    gathers its rows from them.
+    round sample's two vector arrays are computed once, and each basic
+    subset takes its rows from them with `np.take`.
     """
     if len(l_sul) < 2:
         raise DegenerateInput("need at least 2 line vectors for local hypotheses")
@@ -171,7 +171,7 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
 
     sub_rows = rng.choice(len(l_sul), _sample_size(cfg.alpha_pct, len(l_sul)), replace=False)
     l_sub = l_sul.take(sub_rows)
-    sample = l_sub.vectors()
+    v_source, v_target = l_sub.v_source, l_sub.v_target
     basic_size = _sample_size(cfg.beta_pct, len(l_sub))
     i_rows, j_rows = c_sul.rows_for(l_sub.i), c_sul.rows_for(l_sub.j)
     is_endpoint = np.zeros(len(c_sul), dtype=bool)
@@ -192,10 +192,10 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
         endpoint_rows = np.flatnonzero(is_endpoint)
         is_endpoint[endpoint_rows] = False
         try:
-            candidate = estimate_local_transform(sample.take(rows),
-                                                 c_sul.source[endpoint_rows],
-                                                 c_sul.target[endpoint_rows], cfg.noise_bound,
-                                                 initial_rotation=received_glo.rotation)
+            candidate = estimate_local_transform(
+                np.take(v_source, rows, axis=0), np.take(v_target, rows, axis=0),
+                c_sul.source[endpoint_rows], c_sul.target[endpoint_rows], cfg.noise_bound,
+                initial_rotation=received_glo.rotation)
         except DegenerateInput:
             pass  # redrawn; it counts towards the cap only
         else:

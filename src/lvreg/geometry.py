@@ -63,23 +63,6 @@ class RigidTransform:
         pts = np.asarray(points, dtype=np.float64)
         return pts @ self.rotation.T + self.translation
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """Return the transform equivalent to applying `other` first, then self."""
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
-
-def apply_transform(t: RigidTransform, p) -> np.ndarray:
-    """rotation @ p + translation for a single point."""
-    return t.apply(as_vec3(p))
-
-
-def residual(t: RigidTransform, source, target) -> float:
-    """Euclidean distance between the transformed source point and the target."""
-    return float(np.linalg.norm(t.apply(as_vec3(source)) - as_vec3(target)))
-
 
 def residuals(t: RigidTransform, source: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Per-row Euclidean residuals for stacked (N, 3) source/target points."""

@@ -6,6 +6,7 @@ round-trips exactly in float64, so writers and loaders are bit-compatible.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -161,7 +162,7 @@ def result_to_dict(result: RegistrationResult, metrics: MetricsReport | None = N
     payload["final_confidence"] = float(result.final_confidence)
     payload["inlier_indices"] = [int(i) for i in result.inlier_indices]
     if metrics is not None:
-        payload["metrics"] = metrics.to_dict()
+        payload["metrics"] = dataclasses.asdict(metrics)
     payload["counters"] = dict(result.counters)
     payload["trace"] = [
         {

@@ -31,8 +31,11 @@ order: it is the order in which
 which moves pairs across ratio-bin edges and so changes the local sets and
 the random draws that follow. Pairs with a zero-length difference or an
 overflowed ratio are dropped by one test on the block's ratios.
-A histogram keeps each item's bin index next to the counts, so the filters
-select rows with one comparison over that column, in ascending row order.
+One bin rule, `value_bins`, places a value in its histogram bin: the
+histograms count with it, the angle filter recomputes its few thousand
+angles' bins with it, and `RatioRange.contains` selects with it, both the
+ratio filter's kept rows and the self-update's admitted pairs. A histogram
+keeps only its counts.
 
 A set of n correspondences has n(n-1)/2 pairs; above `PAIR_BUDGET` pairs
 `check_pair_budget` raises `PairBudgetExceeded`, and `build_line_vectors`
@@ -94,36 +97,36 @@ def scotts_bin_width(values) -> float:
     return SCOTT_FACTOR * sigma / float(np.cbrt(n))
 
 
+def value_bins(values, lower_bound: float, bin_width: float) -> np.ndarray:
+    """The bin floor((v - lower_bound) / bin_width) of each value, as float64.
+
+    Subtracted, then divided and floored in place. A scalar gives a 0-d array.
+    """
+    scaled = np.array(values, dtype=np.float64)
+    scaled -= lower_bound
+    return np.floor(np.divide(scaled, bin_width, out=scaled), out=scaled)
+
+
+def bin_counts(bins: np.ndarray, n_bins: int) -> np.ndarray:
+    """Items per bin of `value_bins` output; ValueError for a bin outside 0 .. n_bins - 1.
+
+    The check comes first: np.bincount would grow the counts past n_bins.
+    """
+    if bins.size and not (bins.min() >= 0 and bins.max() < n_bins):
+        raise ValueError("value outside the histogram domain")
+    return np.bincount(bins.astype(np.int64), minlength=n_bins)
+
+
 @dataclass(frozen=True, eq=False)
 class Histogram:
-    """Fixed-width binning that records each item's bin.
+    """Fixed-width bin counts: bin b counts the values whose `value_bins` is b.
 
-    Item with value v lands in bin floor((v - lower_bound) / bin_width);
-    `from_values(..., clamp_top=True)` clamps the index into the last bin
-    so a value exactly at the domain's upper edge stays inside.
-    `bin_index[k]` is the bin of item k, so the items of a bin set are
-    `np.flatnonzero` of a comparison over `bin_index`, in ascending order.
+    The angle histogram also counts an angle of exactly pi in its last bin.
     """
 
     bin_width: float
     lower_bound: float
     counts: np.ndarray
-    bin_index: np.ndarray
-
-    @classmethod
-    def from_values(cls, values, bin_width: float, lower_bound: float, n_bins: int,
-                    clamp_top: bool = False) -> "Histogram":
-        v = np.asarray(values, dtype=np.float64)
-        scaled = v - lower_bound
-        scaled /= bin_width
-        idx = np.floor(scaled, out=scaled).astype(np.int64)
-        del scaled
-        if clamp_top:
-            np.minimum(idx, n_bins - 1, out=idx)
-        if v.size and (idx.min() < 0 or idx.max() >= n_bins):
-            raise ValueError("value outside the histogram domain")
-        counts = np.bincount(idx, minlength=n_bins)
-        return cls(bin_width=bin_width, lower_bound=lower_bound, counts=counts, bin_index=idx)
 
     @property
     def n_bins(self) -> int:
@@ -144,22 +147,25 @@ def build_angle_histogram(corrs: CorrespondenceSet) -> Histogram:
     n_bins = max(1, math.ceil(math.pi / w))
     if n_bins > MAX_BINS:
         raise DegenerateDistribution("angle spread is below histogram resolution")
-    return Histogram.from_values(angles, w, 0.0, n_bins, clamp_top=True)
+    return Histogram(w, 0.0, bin_counts(np.minimum(value_bins(angles, 0.0, w), n_bins - 1), n_bins))
 
 
 def angle_histogram_filter(corrs: CorrespondenceSet, hist: Histogram) -> CorrespondenceSet:
     """Keep correspondences from bins whose count strictly exceeds mean + std.
 
-    The threshold is computed over the per-bin counts of `hist`. Original
-    row order and item ids are preserved. Raises EmptyResult when no bin
-    qualifies (callers typically fall back to the unfiltered set).
+    The threshold is computed over the per-bin counts of `hist`. Each
+    correspondence's bin is recomputed from its normal angle, clamped into
+    the last bin as `build_angle_histogram` clamps it. Original row order
+    and item ids are preserved. Raises EmptyResult when no bin qualifies
+    (callers typically fall back to the unfiltered set).
     """
     counts = hist.counts.astype(np.float64)
     threshold = counts.mean() + counts.std()
     qualified = hist.counts > threshold
     if not qualified.any():
         raise EmptyResult("no histogram bin exceeds the frequency threshold")
-    return corrs.subset(np.flatnonzero(qualified[hist.bin_index]))
+    bins = value_bins(normal_angles(corrs), hist.lower_bound, hist.bin_width).astype(np.int64)
+    return corrs.subset(np.flatnonzero(np.take(qualified, bins, mode="clip")))  # pi: last bin
 
 
 def reduction_ratio(n_before: int, n_after: int) -> float:
@@ -167,25 +173,6 @@ def reduction_ratio(n_before: int, n_after: int) -> float:
     if n_before <= 0:
         return 0.0
     return (n_before - n_after) / n_before
-
-
-@dataclass(frozen=True, eq=False)
-class LineVectors:
-    """The source and target vectors of some line vectors, without their ids or ratios.
-
-    This is what the GNC solver reads: `LineVectorSet.vectors` computes
-    it, and `take` gathers the rows of a basic subset from a round sample's.
-    """
-
-    v_source: np.ndarray
-    v_target: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.v_source)
-
-    def take(self, rows) -> "LineVectors":
-        """The vectors at the given row positions, in that order."""
-        return LineVectors(np.take(self.v_source, rows, axis=0), np.take(self.v_target, rows, axis=0))
 
 
 @dataclass(eq=False)
@@ -204,7 +191,7 @@ class LineVectorSet:
 
     `take`, `extend` and `on` move only the 1-D columns. No set keeps
     vectors: `v_source` and `v_target` compute their cloud's on every
-    read, and `vectors` both. Every path subtracts the same two points in
+    read. Every path subtracts the same two points in
     the same order, so every column holds the same bytes as if each step
     had copied all five.
     """
@@ -234,10 +221,6 @@ class LineVectorSet:
     @property
     def v_target(self) -> np.ndarray:
         return self._differences_in(self.table.target)
-
-    def vectors(self) -> LineVectors:
-        """Every row's source and target vectors."""
-        return LineVectors(self.v_source, self.v_target)
 
     def _differences_in(self, x: np.ndarray) -> np.ndarray:
         """x[p] - x[q], and -(x[q] - x[p]) on the flipped rows."""
@@ -389,17 +372,17 @@ def build_line_vectors(c_sul: CorrespondenceSet) -> LineVectorSet:
 
 @dataclass(frozen=True)
 class RatioRange:
-    """Membership test for retained scale ratios.
+    """Membership test for retained scale ratios, on an array or a scalar.
 
-    Uses the same floor-based bin arithmetic that built the histogram, so
-    incremental updates agree exactly with a from-scratch rebuild. The
-    `exact` mode handles the degenerate all-identical-ratio case and `low`
-    equality; `everything` accepts any ratio (filter disabled).
+    The `interval` mode keeps the ratios whose `value_bins` lies in
+    `first_bin` .. `last_bin`: the ratio filter's selection, and the
+    self-update's admission test after it. `exact` keeps ratios equal to
+    `value` (every built ratio identical); `everything` accepts any ratio
+    (filter disabled).
     """
 
-    low: float
-    high: float
     mode: str = "interval"  # interval | exact | everything
+    value: float = 0.0
     lower_bound: float = 0.0
     bin_width: float = 1.0
     first_bin: int = 0
@@ -407,19 +390,19 @@ class RatioRange:
 
     @classmethod
     def everything(cls) -> "RatioRange":
-        return cls(low=0.0, high=math.inf, mode="everything")
+        return cls(mode="everything")
 
     @classmethod
     def exact(cls, value: float) -> "RatioRange":
-        return cls(low=value, high=value, mode="exact")
+        return cls(mode="exact", value=value)
 
     def contains(self, ratio) -> np.ndarray | bool:
         if self.mode == "everything":
             return np.full(np.shape(ratio), True) if np.ndim(ratio) else True
         if self.mode == "exact":
-            return np.equal(ratio, self.low)
-        idx = np.floor((np.asarray(ratio, dtype=np.float64) - self.lower_bound) / self.bin_width)
-        result = (idx >= self.first_bin) & (idx <= self.last_bin)
+            return np.equal(ratio, self.value)
+        bins = value_bins(ratio, self.lower_bound, self.bin_width)
+        result = (bins >= self.first_bin) & (bins <= self.last_bin)
         return result if np.ndim(ratio) else bool(result)
 
 
@@ -428,9 +411,9 @@ def length_ratio_filter(lvs: LineVectorSet) -> tuple[LineVectorSet, RatioRange, 
 
     Builds the scale-ratio histogram (Scott's rule width), selects the
     maximal-count bin (ties broken toward the lower index) plus the
-    immediate left/right neighbors when they exist, and returns the
-    retained set together with the ratio interval for later incremental
-    updates.
+    immediate left/right neighbors when they exist, and returns the rows
+    whose ratio that `RatioRange` contains, the same range and test the
+    self-update admits new pairs by.
 
     When every ratio is identical the full set is returned with a
     zero-width exact range (and no histogram). When the ratios differ but
@@ -449,16 +432,11 @@ def length_ratio_filter(lvs: LineVectorSet) -> tuple[LineVectorSet, RatioRange, 
             return lvs, RatioRange.exact(float(ratios[0])), None
         return lvs, RatioRange.everything(), None
     lower = float(ratios.min())
-    n_bins = int(np.floor((ratios.max() - lower) / w)) + 1
+    n_bins = int(value_bins(ratios.max(), lower, w)) + 1
     if n_bins > MAX_BINS:
         return lvs, RatioRange.everything(), None
-    hist = Histogram.from_values(ratios, w, lower, n_bins)
+    hist = Histogram(w, lower, bin_counts(value_bins(ratios, lower, w), n_bins))
     top = int(np.argmax(hist.counts))  # argmax takes the first (lowest) maximal bin
-    first = max(0, top - 1)
-    last = min(n_bins - 1, top + 1)
-    ratio_range = RatioRange(
-        low=lower + first * w, high=lower + (last + 1) * w,
-        lower_bound=lower, bin_width=w, first_bin=first, last_bin=last,
-    )
-    rows = np.flatnonzero((hist.bin_index >= first) & (hist.bin_index <= last))
-    return lvs.take(rows), ratio_range, hist
+    ratio_range = RatioRange(lower_bound=lower, bin_width=w, first_bin=max(0, top - 1),
+                             last_bin=min(n_bins - 1, top + 1))
+    return lvs.take(ratio_range.contains(ratios)), ratio_range, hist

@@ -23,18 +23,6 @@ class MetricsReport:
     f1: float
     runtime_seconds: float = math.nan
 
-    def to_dict(self) -> dict:
-        return {
-            "rotation_error_deg": self.rotation_error_deg,
-            "translation_error": self.translation_error,
-            "rmse": self.rmse,
-            "mese": self.mese,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "runtime_seconds": self.runtime_seconds,
-        }
-
 
 def rotation_error(r_gt: np.ndarray, r_est: np.ndarray) -> float:
     """Geodesic rotation error in degrees."""

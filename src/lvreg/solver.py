@@ -45,7 +45,6 @@ import numpy as np
 
 from .errors import DegenerateInput
 from .geometry import RigidTransform, rotation_from_cross_covariance
-from .local_sets import LineVectors, LineVectorSet
 
 
 # The annealing schedule of Yang et al., "Graduated Non-Convexity for Robust
@@ -134,18 +133,18 @@ def _solve_rotation(b, weighted_a_t) -> np.ndarray:
     return rotation_from_cross_covariance((b.T @ weighted_a_t.T).T)
 
 
-def estimate_rotation_gnc(lvs: LineVectors | LineVectorSet, noise_bound: float,
+def estimate_rotation_gnc(v_source: np.ndarray, v_target: np.ndarray, noise_bound: float,
                           initial_rotation: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
-    """Robust rotation aligning the source line vectors onto the target ones.
+    """Robust rotation aligning the (n, 3) source line vectors onto the target ones.
 
     Minimizes sum_i min(||R v_src_i - v_tgt_i||^2, tau^2) by graduated
     non-convexity: weighted closed-form alignment alternated with the
     truncated-least-squares weight update while the continuation parameter
     grows geometrically; tau is `noise_bound`. The best iterate under the
     truncated loss is returned together with a convergence flag;
-    non-convergence still yields a proper rotation. Only `lvs.v_source`
-    and `lvs.v_target` are read, once each: a `LineVectorSet` computes
-    them on every read. Each iteration looks up the module globals
+    non-convergence still yields a proper rotation. The two arrays are
+    copied into the layout of the module docstring, so any strides give the
+    same bytes. Each iteration looks up the module globals
     `_tls_weights` and then `_solve_rotation` at call time, so a test can
     wrap them to see every iterate.
 
@@ -153,14 +152,13 @@ def estimate_rotation_gnc(lvs: LineVectors | LineVectorSet, noise_bound: float,
     """
     if not noise_bound > 0:
         raise ValueError("noise_bound must be positive")
-    if len(lvs) < 2:
+    if len(v_source) < 2:
         raise DegenerateInput("need at least 2 line vectors to estimate a rotation")
     # See the module docstring for the layout, the buffers and the fixed
     # operand and summation orders.
-    v_source = lvs.v_source
     a_t = np.ascontiguousarray(v_source.T)
     _check_source_span(v_source, a_t)
-    b = np.ascontiguousarray(lvs.v_target)
+    b = np.ascontiguousarray(v_target)
     b_t = np.ascontiguousarray(b.T)
     diff = np.empty_like(a_t)
     weighted_a_t = np.empty_like(a_t)
@@ -222,9 +220,9 @@ def estimate_translation(source: np.ndarray, target: np.ndarray, rotation: np.nd
     return np.median(candidates, axis=0)
 
 
-def estimate_local_transform(basic_lvs: LineVectors | LineVectorSet, source: np.ndarray,
+def estimate_local_transform(v_source: np.ndarray, v_target: np.ndarray, source: np.ndarray,
                              target: np.ndarray, noise_bound: float,
                              initial_rotation: np.ndarray | None = None) -> RigidTransform:
-    """Rigid transform from a basic line-vector sample plus its endpoint points."""
-    rot, _ = estimate_rotation_gnc(basic_lvs, noise_bound, initial_rotation=initial_rotation)
+    """Rigid transform from a basic sample's line vectors plus its endpoint points."""
+    rot, _ = estimate_rotation_gnc(v_source, v_target, noise_bound, initial_rotation)
     return RigidTransform(rot, estimate_translation(source, target, rot))

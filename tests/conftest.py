@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lvreg.geometry import RigidTransform, rotation_about_axis
+from lvreg.geometry import RigidTransform, as_vec3, rotation_about_axis
 
 
 def stable_geodesic(r1, r2):
@@ -22,6 +22,21 @@ def random_rotation(rng):
 
 def random_transform(rng, translation_scale=1.0):
     return RigidTransform(random_rotation(rng), rng.normal(scale=translation_scale, size=3))
+
+
+def apply_transform(t, p):
+    """rotation @ p + translation for a single point."""
+    return t.apply(as_vec3(p))
+
+
+def residual(t, source, target):
+    """Distance between one transformed source point and its target: the oracle for `residuals`."""
+    return float(np.linalg.norm(t.apply(as_vec3(source)) - as_vec3(target)))
+
+
+def compose(a, b):
+    """The transform that applies `b` first, then `a`."""
+    return RigidTransform(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
 
 
 _ACCEPTANCE_RESULTS = []

@@ -175,7 +175,8 @@ def reference_local_ransac(l_sul, c_sul, received_glo, t_glo, cfg, rng):
         basic = take(l_sub, rows)
         endpoint_rows = c_sul.rows_for(np.unique(np.concatenate([basic.i, basic.j])))
         try:
-            candidate = estimate_local_transform(basic, c_sul.source[endpoint_rows],
+            candidate = estimate_local_transform(basic.v_source, basic.v_target,
+                                                 c_sul.source[endpoint_rows],
                                                  c_sul.target[endpoint_rows], cfg.noise_bound,
                                                  initial_rotation=received_glo.rotation)
         except DegenerateInput:

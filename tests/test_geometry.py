@@ -8,8 +8,6 @@ from numpy.linalg import _umath_linalg
 from lvreg.errors import DegenerateInput
 from lvreg.geometry import (
     RigidTransform,
-    apply_transform,
-    residual,
     residuals,
     rotation_about_axis,
     rotation_from_cross_covariance,
@@ -17,7 +15,7 @@ from lvreg.geometry import (
     weighted_kabsch,
 )
 
-from conftest import random_rotation, random_transform, stable_geodesic
+from conftest import apply_transform, random_rotation, random_transform, residual, stable_geodesic
 
 
 class TestApplyTransform:

@@ -225,3 +225,21 @@ class TestEmitResult:
         payload = json.loads(path.read_text())
         assert payload["rotation"] == [float(v) for v in result.transform.rotation.reshape(9)]
         assert result_to_dict(result) == json.loads(json.dumps(result_to_dict(result)))
+
+    def test_key_order_of_metrics_and_trace_rows(self, tmp_path):
+        result = self._result()
+        path = tmp_path / "result.json"
+        emit_result(result, MetricsReport(0.5, 0.01, 0.02, 0.01, 0.9, 0.8, 0.85, 0.1), path)
+        payload = json.loads(path.read_text())
+        assert list(payload) == ["rotation", "translation", "rounds", "total_iterations",
+                                 "final_confidence", "inlier_indices", "metrics", "counters",
+                                 "trace"]
+        assert list(payload["metrics"]) == ["rotation_error_deg", "translation_error", "rmse",
+                                            "mese", "precision", "recall", "f1",
+                                            "runtime_seconds"]
+        assert list(payload["metrics"].values()) == [0.5, 0.01, 0.02, 0.01, 0.9, 0.8, 0.85, 0.1]
+        assert payload["trace"]
+        for row in payload["trace"]:
+            assert list(row) == ["round", "t_glo", "t_lcl", "hypotheses", "degenerate_samples",
+                                 "branch", "n_global_inliers", "global_confidence",
+                                 "local_set_size", "line_vector_count", "weights_updated"]

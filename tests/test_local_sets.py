@@ -18,12 +18,14 @@ from lvreg.local_sets import (
     Histogram,
     RatioRange,
     angle_histogram_filter,
+    bin_counts,
     build_angle_histogram,
     build_line_vectors,
     length_ratio_filter,
     normal_angles,
     reduction_ratio,
     scotts_bin_width,
+    value_bins,
 )
 from lvreg.normals import annotate_normals
 from lvreg.self_update import _admission_block
@@ -36,6 +38,26 @@ def set_with_normals(n_src, n_tgt):
     n = len(n_src)
     return CorrespondenceSet(np.zeros((n, 3)), np.zeros((n, 3)),
                              source_normals=n_src, target_normals=n_tgt)
+
+
+def set_with_angles(angles):
+    """Correspondences whose source and target normals are `angles` apart, about the y axis."""
+    angles = np.asarray(angles, dtype=float)
+    n_src = np.tile([[0.0, 0.0, 1.0]], (len(angles), 1))
+    return set_with_normals(n_src, np.stack([np.sin(angles), np.zeros(len(angles)),
+                                             np.cos(angles)], axis=1))
+
+
+def brute_counts(values, lower_bound, bin_width, n_bins, clamp_top=False):
+    """Items per bin by a scalar loop over the bins: bin b holds v with floor((v - lower) / w) == b.
+
+    With `clamp_top`, the last bin also holds every value past it.
+    """
+    bins = [math.floor((float(v) - lower_bound) / bin_width) for v in values]
+    counts = [sum(1 for k in bins if k == b) for b in range(n_bins)]
+    if clamp_top:
+        counts[-1] += sum(1 for k in bins if k >= n_bins)
+    return np.array(counts)
 
 
 class TestNormalAngle:
@@ -86,10 +108,12 @@ class TestAngleHistogram:
         n_src = np.array([[0.0, 0, 1], [0, 0, 1], [1, 0, 0], [0, 1, 0]])
         n_tgt = np.array([[0.0, 0, -1], [0, 0, 1], [1, 0, 0], [1, 0, 0]])
         cs = set_with_normals(n_src, n_tgt)
-        assert normal_angles(cs)[0] == pytest.approx(np.pi)
+        angles = normal_angles(cs)
+        assert angles[0] == np.pi
         hist = build_angle_histogram(cs)
-        assert hist.bin_index[0] == hist.n_bins - 1
-        assert hist.counts[hist.n_bins - 1] == np.count_nonzero(hist.bin_index == hist.n_bins - 1)
+        assert np.array_equal(hist.counts,
+                              brute_counts(angles, 0.0, hist.bin_width, hist.n_bins, clamp_top=True))
+        assert hist.counts[-1] == 1
 
     def test_counts_match_brute_force_binning(self, rng):
         angles = rng.uniform(0, np.pi, size=1000)
@@ -108,16 +132,44 @@ class TestAngleHistogram:
     @settings(max_examples=20, deadline=None)
     def test_permutation_invariance(self, seed):
         rng = np.random.default_rng(seed)
-        values = rng.uniform(0, np.pi, size=rng.integers(10, 200))
-        w = scotts_bin_width(values)
-        n_bins = math.ceil(np.pi / w)
-        h1 = Histogram.from_values(values, w, 0.0, n_bins, clamp_top=True)
-        perm = rng.permutation(len(values))
-        h2 = Histogram.from_values(values[perm], w, 0.0, n_bins, clamp_top=True)
-        assert np.array_equal(h1.counts, h2.counts)
-        # item k of the permuted values is item perm[k] of the originals
-        assert np.array_equal(h2.bin_index, h1.bin_index[perm])
-        assert np.array_equal(np.bincount(h1.bin_index, minlength=n_bins), h1.counts)
+        angles = rng.uniform(0, np.pi, size=rng.integers(10, 200))
+        angles[: int(rng.integers(0, 3))] = np.pi
+        perm = rng.permutation(len(angles))
+        cs, permuted = set_with_angles(angles), set_with_angles(angles[perm])
+        hist = build_angle_histogram(cs)
+        realized = normal_angles(cs)
+        assert np.array_equal(hist.counts, brute_counts(realized, 0.0, hist.bin_width,
+                                                        hist.n_bins, clamp_top=True))
+        # Scott's width may move in the last bit with the summation order, so
+        # the bins are compared at one width: value k of the permuted angles
+        # is value perm[k] of the originals.
+        bins = value_bins(realized, 0.0, hist.bin_width)
+        assert np.array_equal(value_bins(realized[perm], 0.0, hist.bin_width), bins[perm])
+        # the kept rows are the same correspondences, each in its set's row order
+        try:
+            kept = angle_histogram_filter(cs, hist).indices
+        except EmptyResult:
+            with pytest.raises(EmptyResult):
+                angle_histogram_filter(permuted, hist)
+            return
+        assert np.array_equal(np.sort(perm[angle_histogram_filter(permuted, hist).indices]), kept)
+
+    def test_counts_on_bin_edges(self):
+        # Multiples of a power-of-two width divide exactly: each value sits on
+        # the lower edge of its bin, and 3.0 on the top edge of the domain.
+        values = np.array([0.0, 0.25, 0.25, 0.5, 1.75, 2.0, 2.75, 3.0])
+        assert value_bins(values, 0.0, 0.25).tolist() == [0, 1, 1, 2, 7, 8, 11, 12]
+        bins = np.minimum(value_bins(values, 0.0, 0.25), 11)
+        assert np.array_equal(bin_counts(bins, 12), brute_counts(values, 0.0, 0.25, 12, clamp_top=True))
+        assert bin_counts(bins, 12)[[0, 1, 2, 11]].tolist() == [1, 2, 1, 2]
+        # a lower bound shifts the edges with it
+        assert np.array_equal(bin_counts(value_bins(values + 1.0, 1.0, 0.25)[:-1], 12),
+                              brute_counts(values[:-1] + 1.0, 1.0, 0.25, 12))
+
+    @pytest.mark.parametrize("values", [[0.1, 0.5, 1.5], [-0.1, 0.5], [0.2, np.nan]])
+    def test_values_outside_the_domain_raise(self, values):
+        with pytest.raises(ValueError, match="outside the histogram domain"):
+            bin_counts(value_bins(values, 0.0, 0.5), 3)
 
 
 class TestAngleHistogramFilter:
@@ -126,20 +178,25 @@ class TestAngleHistogramFilter:
 
     def test_uniform_histogram_yields_empty(self):
         corrs = self._uniform_corrs(30)
-        hist = Histogram(bin_width=0.1, lower_bound=0.0,
-                         counts=np.full(10, 3), bin_index=np.repeat(np.arange(10), 3))
+        hist = Histogram(bin_width=0.1, lower_bound=0.0, counts=np.full(10, 3))
         with pytest.raises(EmptyResult):
             angle_histogram_filter(corrs, hist)
 
     def test_dominant_bin_selected_exactly(self):
         counts = np.array([2, 2, 2, 90, 1, 1])
         # items in shuffled bin order: the kept rows must still come out ascending
-        bin_index = np.random.default_rng(3).permutation(np.repeat(np.arange(6), counts))
-        hist = Histogram(bin_width=0.5, lower_bound=0.0, counts=counts, bin_index=bin_index)
-        corrs = self._uniform_corrs(int(counts.sum()))
-        kept = angle_histogram_filter(corrs, hist)
-        assert np.array_equal(kept.indices, np.flatnonzero(bin_index == 3))
+        bins = np.random.default_rng(3).permutation(np.repeat(np.arange(6), counts))
+        hist = Histogram(bin_width=0.5, lower_bound=0.0, counts=counts)
+        kept = angle_histogram_filter(set_with_angles(0.5 * bins + 0.25), hist)
+        assert np.array_equal(kept.indices, np.flatnonzero(bins == 3))
         assert len(kept) == 90
+
+    def test_angle_pi_kept_with_the_last_bin(self):
+        # pi is past the last of 6 bins of width 0.5: it is kept with the last bin, as it is counted
+        hist = Histogram(bin_width=0.5, lower_bound=0.0, counts=np.array([1, 1, 1, 1, 1, 9]))
+        corrs = set_with_angles([0.25, np.pi, 2.75, 1.25])
+        assert normal_angles(corrs)[1] == np.pi
+        assert angle_histogram_filter(corrs, hist).indices.tolist() == [1, 2]
 
     def test_subset_preserves_order_and_ids(self, rng):
         angles = np.concatenate([rng.uniform(0.4, 0.5, 60), rng.uniform(0, np.pi, 40)])
@@ -228,20 +285,19 @@ class TestBuildLineVectors:
         lvs = build_line_vectors(self._corrs(rng.normal(size=(12, 3)), rng.normal(size=(12, 3))))
         rows = rng.choice(len(lvs), 20, replace=False)
         for sel in (rows, rows[:0]):
-            got, full = lvs.vectors().take(sel), lvs.take(sel)
-            assert len(got) == len(full) == len(sel)
+            full = lvs.take(sel)
+            assert len(full) == len(sel)
             for name in ("v_source", "v_target"):
-                assert getattr(got, name).tobytes() == getattr(full, name).tobytes()
-                assert getattr(full.vectors(), name).tobytes() == getattr(full, name).tobytes()
-        # Only the vectors: no ids or ratios to extend or pair up by mistake.
-        assert not hasattr(got, "i") and not hasattr(got, "extend")
+                got = np.take(getattr(lvs, name), sel, axis=0)
+                assert got.shape == (len(sel), 3)
+                assert got.tobytes() == getattr(full, name).tobytes()
 
     def test_vectors_of_a_mask_take(self, rng):
         # A boolean mask once went through np.take as row positions 0 and 1.
         lvs = build_line_vectors(self._corrs(rng.normal(size=(12, 3)), rng.normal(size=(12, 3))))
         mask = rng.random(len(lvs)) < 0.5
         for base in (lvs, lvs.take(np.arange(len(lvs)))):
-            got = base.take(mask).vectors()
+            got = base.take(mask)
             assert len(got) == int(mask.sum())
             for name in ("v_source", "v_target"):
                 assert getattr(got, name).tobytes() == getattr(lvs, name)[mask].tobytes()
@@ -373,11 +429,13 @@ class TestDeferredGathersMatchEagerCopies:
                 lazy, eager = lazy.take(rows), [c[rows] for c in eager]
             elif step in ("vectors", "sample"):
                 if step == "vectors":
-                    got = lazy.take(rows).vectors()
+                    got = lazy.take(rows)
+                    got = got.v_source, got.v_target
                 else:  # a round sample's vectors, gathered at a basic subset's row positions
-                    got = lazy.vectors().take(np.flatnonzero(rows) if rows.dtype == bool else rows)
-                assert got.v_source.tobytes() == eager[2][rows].tobytes()
-                assert got.v_target.tobytes() == eager[3][rows].tobytes()
+                    positions = np.flatnonzero(rows) if rows.dtype == bool else rows
+                    got = [np.take(v, positions, axis=0) for v in (lazy.v_source, lazy.v_target)]
+                assert got[0].tobytes() == eager[2][rows].tobytes()
+                assert got[1].tobytes() == eager[3][rows].tobytes()
             elif step == "extend":
                 # The operand shares the table: a set over the same correspondences,
                 # or rows of this set where its table is given vectors.
@@ -415,7 +473,7 @@ class TestDeferredGathersMatchEagerCopies:
         assert joined.table is corrs
         assert_eager_bytes(joined, eager)
         rows = rng.permutation(len(joined))
-        assert joined.take(rows).vectors().v_target.tobytes() == eager[3][rows].tobytes()
+        assert joined.take(rows).v_target.tobytes() == eager[3][rows].tobytes()
         assert_eager_bytes(joined.take(rows), [c[rows] for c in eager])
 
     @pytest.mark.parametrize("seed", range(40))
@@ -532,9 +590,46 @@ class TestLengthRatioFilter:
         kept, ratio_range, hist = length_ratio_filter(lvs)
         assert len(kept) == len(lvs)
         assert hist is None
-        assert ratio_range.low == ratio_range.high == 1.0
+        assert ratio_range.mode == "exact" and ratio_range.value == 1.0
         assert ratio_range.contains(1.0)
         assert not ratio_range.contains(1.0000001)
+
+    def test_kept_rows_are_the_rows_the_range_contains(self):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            src = rng.normal(size=(60, 3))
+            tgt = src + rng.normal(scale=0.01, size=src.shape)
+            tgt[rng.random(60) < 0.5] = rng.normal(size=3)
+            lvs = build_line_vectors(CorrespondenceSet(src, tgt))
+            kept, ratio_range, hist = length_ratio_filter(lvs)
+            assert ratio_range.mode == "interval"
+            rows = np.flatnonzero(ratio_range.contains(lvs.scale_ratio))
+            for name in ("p", "q", "scale_ratio"):
+                assert getattr(kept, name).tobytes() == getattr(lvs, name)[rows].tobytes()
+            assert kept.flip is None and kept.table is lvs.table
+            assert np.array_equal(hist.counts, brute_counts(lvs.scale_ratio, hist.lower_bound,
+                                                            hist.bin_width, hist.n_bins))
+
+
+class TestRatioRangeOnScalars:
+    """`contains` takes one ratio as well as an array, with the array's answer."""
+
+    VALUES = [0.0, 0.4999999999999999, 0.5, 1.0, 1.4999999999999998, 1.5, 2.0, 1e300, np.inf]
+
+    @pytest.mark.parametrize("ratio_range, expected", [
+        (RatioRange.everything(), [True] * 9),
+        (RatioRange.exact(0.5), [False, False, True] + [False] * 6),
+        # bins 1 and 2 of width 0.5 from 0: [0.5, 1.5), both edges on exact values
+        (RatioRange(lower_bound=0.0, bin_width=0.5, first_bin=1, last_bin=2),
+         [False, False, True, True, True, False, False, False, False]),
+    ])
+    def test_scalars_match_the_array(self, ratio_range, expected):
+        with np.errstate(invalid="ignore"):
+            got = [ratio_range.contains(v) for v in self.VALUES]
+            array = ratio_range.contains(np.array(self.VALUES))
+        assert [bool(g) for g in got] == expected == array.tolist()
+        assert all(np.ndim(g) == 0 for g in got)
+        assert array.shape == (len(self.VALUES),) and array.dtype == bool
 
     def test_clustered_ratios_keep_dominant_band(self, rng):
         g = RigidTransform(np.eye(3), np.zeros(3))

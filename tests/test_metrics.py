@@ -8,7 +8,7 @@ from lvreg.geometry import RigidTransform, rotation_about_axis
 from lvreg.metrics import mese, precision_recall_f1, rmse, rotation_error, translation_error
 from lvreg.normals import PointCloud
 
-from conftest import random_rotation, random_transform
+from conftest import compose, random_rotation, random_transform
 
 
 class TestRotationError:
@@ -87,9 +87,9 @@ class TestRmseMese:
         cloud = PointCloud(rng.normal(size=(40, 3)))
         gt, est = random_transform(rng), random_transform(rng)
         q = random_transform(rng)
-        assert rmse(cloud, q.compose(gt), q.compose(est)) == pytest.approx(
+        assert rmse(cloud, compose(q, gt), compose(q, est)) == pytest.approx(
             rmse(cloud, gt, est), abs=1e-9)
-        assert mese(cloud, q.compose(gt), q.compose(est)) == pytest.approx(
+        assert mese(cloud, compose(q, gt), compose(q, est)) == pytest.approx(
             mese(cloud, gt, est), abs=1e-9)
 
     def test_empty_cloud_rejected(self, rng):

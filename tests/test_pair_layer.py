@@ -29,11 +29,13 @@ from lvreg.local_sets import (
     Histogram,
     RatioRange,
     angle_histogram_filter,
+    bin_counts,
     build_angle_histogram,
     build_line_vectors,
     length_ratio_filter,
     normal_angles,
     scotts_bin_width,
+    value_bins,
 )
 from lvreg.self_update import (
     SIGMA_MODES,
@@ -111,10 +113,7 @@ def ref_length_ratio_filter(lvs):
     top = int(np.argmax(counts))
     first = max(0, top - 1)
     last = min(n_bins - 1, top + 1)
-    ratio_range = RatioRange(
-        low=lower + first * w, high=lower + (last + 1) * w,
-        lower_bound=lower, bin_width=w, first_bin=first, last_bin=last,
-    )
+    ratio_range = RatioRange(lower_bound=lower, bin_width=w, first_bin=first, last_bin=last)
     rows = np.sort(np.concatenate([members[b] for b in range(first, last + 1)]))
     return lvs.take(rows), ratio_range, (counts, members)
 
@@ -254,26 +253,29 @@ class TestBuildMatchesReference:
 # --- histograms and filters -----------------------------------------------------
 
 class TestHistogramMatchesReference:
-    def test_bin_index_gives_the_member_lists(self):
+    def test_bins_give_the_counts_and_member_lists(self):
         for seed in range(30):
             rng = np.random.default_rng(seed)
             values = rng.uniform(0, np.pi, size=int(rng.integers(2, 400)))
             values[: int(rng.integers(0, 3))] = np.pi  # top edge, clamped
             w = scotts_bin_width(values)
             n_bins = math.ceil(np.pi / w)
-            hist = Histogram.from_values(values, w, 0.0, n_bins, clamp_top=True)
+            if seed % 2:  # values on bin edges
+                values[rng.random(len(values)) < 0.3] = w * rng.integers(0, n_bins, size=1)
+            bins = np.minimum(value_bins(values, 0.0, w), n_bins - 1)
             counts, members = ref_histogram(values, w, 0.0, n_bins, clamp_top=True)
-            assert hist.counts.tobytes() == counts.tobytes()
-            assert hist.bin_index.dtype == np.int64
+            assert bin_counts(bins, n_bins).tobytes() == counts.tobytes()
             for b in range(n_bins):
-                assert np.array_equal(np.flatnonzero(hist.bin_index == b), members[b])
+                assert np.array_equal(np.flatnonzero(bins == b), members[b])
+                # a scalar count of the values in bin b
+                assert counts[b] == sum(min(math.floor(v / w), n_bins - 1) == b for v in values)
 
     def test_out_of_domain_raises_alike(self):
-        values = np.array([0.1, 0.5, 2.0])
-        with pytest.raises(ValueError, match="outside the histogram domain"):
-            Histogram.from_values(values, 0.5, 0.0, 3)
-        with pytest.raises(ValueError, match="outside the histogram domain"):
-            ref_histogram(values, 0.5, 0.0, 3)
+        for values in ([0.1, 0.5, 2.0], [-0.1, 0.5]):
+            with pytest.raises(ValueError, match="outside the histogram domain"):
+                bin_counts(value_bins(values, 0.0, 0.5), 3)
+            with pytest.raises(ValueError, match="outside the histogram domain"):
+                ref_histogram(values, 0.5, 0.0, 3)
 
 
 def angle_case(rng, n):
@@ -306,8 +308,7 @@ class TestAngleFilterMatchesReference:
     def test_no_qualifying_bin_raises_alike(self):
         corrs = CorrespondenceSet(np.zeros((30, 3)), np.zeros((30, 3)))
         counts = np.full(10, 3)
-        hist = Histogram(bin_width=0.1, lower_bound=0.0, counts=counts,
-                         bin_index=np.repeat(np.arange(10), 3))
+        hist = Histogram(bin_width=0.1, lower_bound=0.0, counts=counts)
         got = outcome(angle_histogram_filter, corrs, hist)[1]
         want = outcome(ref_angle_histogram_filter, corrs, counts, list(np.arange(30).reshape(10, 3)))[1]
         assert got == want and got[0] is EmptyResult
@@ -322,12 +323,15 @@ def assert_ratio_filter_matches(lvs):
     (kept, ratio_range, hist), (ref_kept, ref_range, ref_hist) = got, want
     assert ratio_range == ref_range
     assert_same_bytes(kept, ref_kept)
+    # the kept rows are the rows the returned range contains
+    assert_same_bytes(kept, lvs.take(np.flatnonzero(ratio_range.contains(lvs.scale_ratio))))
     if ref_hist is None:
         assert hist is None
     else:
         assert hist.counts.tobytes() == ref_hist[0].tobytes()
+        bins = value_bins(lvs.scale_ratio, hist.lower_bound, hist.bin_width)
         for b, members in enumerate(ref_hist[1]):
-            assert np.array_equal(np.flatnonzero(hist.bin_index == b), members)
+            assert np.array_equal(np.flatnonzero(bins == b), members)
 
 
 class TestRatioFilterMatchesReference:
@@ -472,16 +476,33 @@ class TestPairLayerMemory:
         rng = np.random.default_rng(3)
         every, mask = rng.permutation(n_pairs), rng.random(n_pairs) < 0.5
         half = lvs.take(mask)
+
+        def round_sample():
+            # as run_local_ransac draws it: 10% of the pairs, both vector arrays computed
+            sample = lvs.take(rng.choice(n_pairs, n_pairs // 10, replace=False))
+            return sample.v_source, sample.v_target
+
         steps = {
             "take positions": lambda: lvs.take(every),
             "take mask": lambda: lvs.take(mask),
             "extend": lambda: half.extend(lvs),
-            # as run_local_ransac draws it: 10% of the pairs, vectors computed
-            "round sample": lambda: lvs.take(
-                rng.choice(n_pairs, n_pairs // 10, replace=False)).vectors(),
+            "round sample": round_sample,
         }
         for name, step in steps.items():
             out, held, peak = traced(step)
+            rows = len(out[0]) if name == "round sample" else len(out)
             # an (n, 3) float64 array over the larger of the input and the output
-            assert peak < 24 * max(n_pairs, len(out)), name
-        assert len(out) == n_pairs // 10 and len(out.take(np.arange(5))) == 5
+            assert peak < 24 * max(n_pairs, rows), name
+        assert out[0].shape == out[1].shape == (n_pairs // 10, 3)
+
+    def test_ratio_filter_holds_only_the_kept_columns(self, corrs):
+        lvs = build_line_vectors(corrs)
+        (kept, _, hist), held, peak = traced(lambda: length_ratio_filter(lvs))
+        n_pairs = len(lvs)
+        columns = kept.p.nbytes + kept.q.nbytes + kept.scale_ratio.nbytes
+        assert 0 < len(kept) < n_pairs
+        # No per-pair array outlives the call: what it leaves allocated is the
+        # kept set's columns, the histogram's counts and a few small objects.
+        assert held < columns + hist.counts.nbytes + 64 * 1024
+        # the bins and their int64 copy while counting: 16 bytes a pair
+        assert peak < 17 * n_pairs

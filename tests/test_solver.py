@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 from lvreg.correspondences import MAX_COORDINATE, CorrespondenceSet
 from lvreg.errors import DegenerateInput
 from lvreg.geometry import RigidTransform, rotation_from_cross_covariance
-from lvreg.local_sets import LineVectors, build_line_vectors
+from lvreg.local_sets import build_line_vectors
 from lvreg import solver
 from lvreg.solver import estimate_local_transform, estimate_rotation_gnc, estimate_translation
 
 from conftest import random_rotation, random_transform, stable_geodesic
-from pairs import vector_set
 
 
 def make_line_vectors(rng, rotation, n, outlier_fraction=0.0, noise=0.0, scale=0.5):
-    """Forward-generate line vectors under a rotation, with optional outliers."""
+    """(source, target) line vectors under a rotation, with optional outliers."""
     v_src = rng.normal(scale=scale, size=(n, 3))
     v_tgt = v_src @ rotation.T
     if noise:
@@ -26,9 +25,7 @@ def make_line_vectors(rng, rotation, n, outlier_fraction=0.0, noise=0.0, scale=0
     if n_out:
         rows = rng.choice(n, size=n_out, replace=False)
         v_tgt[rows] = rng.normal(scale=scale, size=(n_out, 3))
-    ratio = np.linalg.norm(v_src, axis=1) / np.linalg.norm(v_tgt, axis=1)
-    idx = np.arange(n)
-    return vector_set(idx, idx + n, v_src, v_tgt, ratio)
+    return v_src, v_tgt
 
 
 class TestRotationGnc:
@@ -36,54 +33,50 @@ class TestRotationGnc:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             g = random_rotation(rng)
-            lvs = make_line_vectors(rng, g, 40)
-            rot, converged = estimate_rotation_gnc(lvs, 0.05)
+            rot, converged = estimate_rotation_gnc(*make_line_vectors(rng, g, 40), 0.05)
             assert converged
             assert stable_geodesic(rot, g) < 1e-6
 
     def test_two_orthogonal_pairs(self):
         g = random_rotation(np.random.default_rng(7))
         v_src = np.array([[1.0, 0, 0], [0, 1.0, 0]])
-        lvs = vector_set([0, 1], [2, 3], v_src, v_src @ g.T, [1.0, 1.0])
-        rot, _ = estimate_rotation_gnc(lvs, 0.05)
+        rot, _ = estimate_rotation_gnc(v_src, v_src @ g.T, 0.05)
         assert stable_geodesic(rot, g) < 1e-6
 
     def test_sixty_percent_outliers(self):
         for seed in range(20):
             rng = np.random.default_rng(1000 + seed)
             g = random_rotation(rng)
-            lvs = make_line_vectors(rng, g, 100, outlier_fraction=0.6, noise=0.002)
-            rot, _ = estimate_rotation_gnc(lvs, 0.05)
+            vectors = make_line_vectors(rng, g, 100, outlier_fraction=0.6, noise=0.002)
+            rot, _ = estimate_rotation_gnc(*vectors, 0.05)
             assert np.degrees(stable_geodesic(rot, g)) < 0.5, f"seed {seed}"
 
     def test_parallel_sources_rejected(self, rng):
         v_src = np.outer(np.linspace(1, 2, 10), [1.0, 1.0, 0.0])
-        lvs = vector_set(np.arange(10), np.arange(10) + 10, v_src, v_src, np.ones(10))
         with pytest.raises(DegenerateInput):
-            estimate_rotation_gnc(lvs, 0.05)
+            estimate_rotation_gnc(v_src, v_src, 0.05)
 
     @pytest.mark.parametrize("noise_bound", [0.0, -0.05, np.nan])
     def test_non_positive_noise_bound_rejected(self, rng, noise_bound):
-        lvs = make_line_vectors(rng, random_rotation(rng), 10)
+        vectors = make_line_vectors(rng, random_rotation(rng), 10)
         with pytest.raises(ValueError, match="noise_bound"):
-            estimate_rotation_gnc(lvs, noise_bound)
+            estimate_rotation_gnc(*vectors, noise_bound)
 
     def test_output_always_proper_rotation(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_ITERATIONS", 5)
         for seed in range(10):
             rng = np.random.default_rng(seed)
             g = random_rotation(rng)
-            lvs = make_line_vectors(rng, g, 30, outlier_fraction=0.9)
-            rot, _ = estimate_rotation_gnc(lvs, 0.05)
+            rot, _ = estimate_rotation_gnc(*make_line_vectors(rng, g, 30, outlier_fraction=0.9), 0.05)
             assert np.allclose(rot.T @ rot, np.eye(3), atol=1e-9)
             assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-9)
 
     def test_weights_in_unit_interval_and_ls_step_descends(self, rng, monkeypatch):
         g = random_rotation(rng)
-        lvs = make_line_vectors(rng, g, 60, outlier_fraction=0.4, noise=0.003)
+        v_src, v_tgt = make_line_vectors(rng, g, 60, outlier_fraction=0.4, noise=0.003)
         steps = []
         record_solver_steps(monkeypatch, steps)
-        estimate_rotation_gnc(lvs, 0.05)
+        estimate_rotation_gnc(v_src, v_tgt, 0.05)
         # each rotation with the weights it was solved for and the residuals those came from
         iterates = [(steps[k - 1], step[1]) for k, step in enumerate(steps) if step[0] == "rotation"]
         assert len(iterates) > 1
@@ -92,23 +85,22 @@ class TestRotationGnc:
             rot = np.frombuffer(rot).reshape(3, 3)
             assert np.all(weights >= 0.0) and np.all(weights <= 1.0)
             # the weighted solve is a global optimum: never worse than the prior iterate
-            res_sq_after = np.sum((lvs.v_source @ rot.T - lvs.v_target) ** 2, axis=1)
+            res_sq_after = np.sum((v_src @ rot.T - v_tgt) ** 2, axis=1)
             wsse_before = float(np.sum(weights * res_sq_before))
             assert float(np.sum(weights * res_sq_after)) <= wsse_before * (1 + 1e-12) + 1e-15
 
     def test_equivariance_under_target_rotation(self, rng):
         g = random_rotation(rng)
         q = random_rotation(rng)
-        lvs = make_line_vectors(rng, g, 30)
-        rot, _ = estimate_rotation_gnc(lvs, 0.05)
-        rotated = vector_set(lvs.i, lvs.j, lvs.v_source, lvs.v_target @ q.T, lvs.scale_ratio)
-        rot2, _ = estimate_rotation_gnc(rotated, 0.05)
+        v_src, v_tgt = make_line_vectors(rng, g, 30)
+        rot, _ = estimate_rotation_gnc(v_src, v_tgt, 0.05)
+        rot2, _ = estimate_rotation_gnc(v_src, v_tgt @ q.T, 0.05)
         assert stable_geodesic(rot2, q @ rot) < 1e-6
 
     def test_initial_rotation_accepted(self, rng):
         g = random_rotation(rng)
-        lvs = make_line_vectors(rng, g, 40, noise=0.001)
-        rot, converged = estimate_rotation_gnc(lvs, 0.05, initial_rotation=g)
+        vectors = make_line_vectors(rng, g, 40, noise=0.001)
+        rot, converged = estimate_rotation_gnc(*vectors, 0.05, initial_rotation=g)
         assert converged
         assert stable_geodesic(rot, g) < 1e-3
 
@@ -166,13 +158,14 @@ class TestLocalTransform:
             rows = rng.choice(n, size=n_out, replace=False)
             tgt[rows] = rng.normal(scale=0.5, size=(n_out, 3))
         corrs = CorrespondenceSet(src, tgt)
-        return g, corrs, build_line_vectors(corrs)
+        lvs = build_line_vectors(corrs)
+        return g, corrs, (lvs.v_source, lvs.v_target)
 
     def test_full_inlier_recovery(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            g, corrs, lvs = self._setup(rng, 25, 0.0, 0.0)
-            est = estimate_local_transform(lvs, corrs.source, corrs.target, 0.05)
+            g, corrs, vectors = self._setup(rng, 25, 0.0, 0.0)
+            est = estimate_local_transform(*vectors, corrs.source, corrs.target, 0.05)
             assert stable_geodesic(est.rotation, g.rotation) < 1e-6
             assert np.linalg.norm(est.translation - g.translation) < 1e-6
 
@@ -181,8 +174,8 @@ class TestLocalTransform:
         # pairwise line vectors intact, the regime the solver must handle
         for seed in range(20):
             rng = np.random.default_rng(500 + seed)
-            g, corrs, lvs = self._setup(rng, 40, 0.29, 0.002)
-            est = estimate_local_transform(lvs, corrs.source, corrs.target, 0.05)
+            g, corrs, vectors = self._setup(rng, 40, 0.29, 0.002)
+            est = estimate_local_transform(*vectors, corrs.source, corrs.target, 0.05)
             assert np.degrees(stable_geodesic(est.rotation, g.rotation)) < 1.0, f"seed {seed}"
             assert np.linalg.norm(est.translation - g.translation) < 0.02, f"seed {seed}"
 
@@ -191,11 +184,12 @@ class TestLocalTransform:
         corrs = CorrespondenceSet(src, src + [0.0, 0.0, 1.0])
         lvs = build_line_vectors(corrs)
         with pytest.raises(DegenerateInput):
-            estimate_local_transform(lvs, corrs.source, corrs.target, 0.05)
+            estimate_local_transform(lvs.v_source, lvs.v_target, corrs.source, corrs.target,
+                                     0.05)
 
     def test_result_satisfies_transform_invariants(self, rng):
-        g, corrs, lvs = self._setup(rng, 30, 0.3, 0.003)
-        est = estimate_local_transform(lvs, corrs.source, corrs.target, 0.05)
+        g, corrs, vectors = self._setup(rng, 30, 0.3, 0.003)
+        est = estimate_local_transform(*vectors, corrs.source, corrs.target, 0.05)
         assert isinstance(est, RigidTransform)  # constructor validates orthonormality
 
 
@@ -236,11 +230,9 @@ def reference_solve_rotation(v_source, v_target, weights):
     return rotation_from_cross_covariance(h)
 
 
-def reference_gnc(lvs, cfg, initial_rotation, steps):
+def reference_gnc(a, b, cfg, initial_rotation, steps):
     """The (n, 3) solver; appends its weight and rotation steps to `steps` (see `run_both`)."""
-    a = lvs.v_source
-    b = lvs.v_target
-    if len(lvs) < 2:
+    if len(a) < 2:
         raise DegenerateInput("need at least 2 line vectors to estimate a rotation")
     reference_check_source_span(a)
 
@@ -308,8 +300,10 @@ def record_solver_steps(mp, steps):
     mp.setattr(solver, "_solve_rotation", recording_solve)
 
 
-def run_both(lvs, cfg=ReferenceGncConfig(), initial_rotation=None):
+def run_both(vectors, cfg=ReferenceGncConfig(), initial_rotation=None):
     """(rotation bytes, converged, steps) or the raised (type, message), for both solvers.
+
+    `vectors` is the (source, target) pair of (n, 3) line-vector arrays.
 
     `steps` holds each iteration's ("weights", mu, residual bytes, weight
     bytes) and ("rotation", rotation bytes), in call order. The solver runs
@@ -321,8 +315,9 @@ def run_both(lvs, cfg=ReferenceGncConfig(), initial_rotation=None):
         ref_steps, solver_steps = [], []
         record_solver_steps(mp, solver_steps)
         for solve, steps in (
-                (lambda: reference_gnc(lvs, cfg, initial_rotation, ref_steps), ref_steps),
-                (lambda: estimate_rotation_gnc(lvs, cfg.noise_bound, initial_rotation), solver_steps)):
+                (lambda: reference_gnc(*vectors, cfg, initial_rotation, ref_steps), ref_steps),
+                (lambda: estimate_rotation_gnc(*vectors, cfg.noise_bound, initial_rotation),
+                 solver_steps)):
             try:
                 rot, converged = solve()
             except DegenerateInput as exc:
@@ -342,26 +337,24 @@ class TestGncMatchesReference:
     def test_bit_identical(self, n, outlier_fraction, seeded, max_iterations):
         rng = np.random.default_rng(n * 1000 + int(outlier_fraction * 10) + 7 * seeded + max_iterations)
         g = random_rotation(rng)
-        lvs = make_line_vectors(rng, g, n, outlier_fraction=outlier_fraction, noise=0.003)
+        vectors = make_line_vectors(rng, g, n, outlier_fraction=outlier_fraction, noise=0.003)
         initial = random_rotation(rng) if seeded else None
-        ref, got = run_both(lvs, ReferenceGncConfig(max_iterations=max_iterations), initial)
+        ref, got = run_both(vectors, ReferenceGncConfig(max_iterations=max_iterations), initial)
         assert got == ref
 
     def test_within_noise_fast_path(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)
             g = random_rotation(rng)
-            lvs = make_line_vectors(rng, g, 50, noise=1e-4)
-            ref, got = run_both(lvs, initial_rotation=g)
+            ref, got = run_both(make_line_vectors(rng, g, 50, noise=1e-4), initial_rotation=g)
             assert ref[1] is True and ref[2] == [("rotation", ref[0])]  # the one-solve path
             assert got == ref
 
     def test_support_collapse(self):
         # Two independent pairs no rotation fits: both residuals stay far
         # above the noise bound, so the band shrinks past them.
-        lvs = vector_set([0, 1], [2, 3], [[1.0, 0, 0], [0, 1.0, 0]],
-                            [[1.0, 0, 0], [0, -3.0, 2.0]], [1.0, 1.0])
-        ref, got = run_both(lvs)
+        ref, got = run_both((np.array([[1.0, 0, 0], [0, 1.0, 0]]),
+                             np.array([[1.0, 0, 0], [0, -3.0, 2.0]])))
         kinds = [step[0] for step in ref[2]]
         assert ref[1] is False and 0 < kinds.count("rotation") < solver.MAX_ITERATIONS
         assert kinds[-2:] == ["rotation", "weights"]  # the last weights stopped the loop
@@ -371,30 +364,26 @@ class TestGncMatchesReference:
         # Spanning sources but parallel targets: the first weighted solve is
         # degenerate, so the loop stops with the initial rotation.
         src = np.eye(3)
-        lvs = vector_set([0, 1, 2], [3, 4, 5], src, [[2.0, 0, 0]] * 3, [0.5, 0.5, 0.5])
-        ref, got = run_both(lvs)
+        ref, got = run_both((src, np.array([[2.0, 0, 0]] * 3)))
         assert ref[0] == np.eye(3).tobytes() and ref[1] is False
         assert [step[0] for step in ref[2]] == ["weights"]  # its solve raised
         assert got == ref
 
     def test_rank_deficient_cross_covariance_on_fast_path(self):
-        lvs = vector_set([0, 1], [2, 3], [[1e-3, 0, 0], [0, 1e-3, 0]],
-                            [[1e-3, 0, 0], [1e-3, 0, 0]], [1.0, 1.0])
-        ref, got = run_both(lvs)
+        ref, got = run_both((np.array([[1e-3, 0, 0], [0, 1e-3, 0]]),
+                             np.array([[1e-3, 0, 0], [1e-3, 0, 0]])))
         assert ref[0] is DegenerateInput and "cross-covariance" in ref[1]
         assert got == ref
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_too_few_line_vectors(self, n):
-        lvs = vector_set(np.arange(n), np.arange(n) + 5, np.ones((n, 3)), np.ones((n, 3)), np.ones(n))
-        ref, got = run_both(lvs)
+        ref, got = run_both((np.ones((n, 3)), np.ones((n, 3))))
         assert ref[0] is DegenerateInput
         assert got == ref
 
     def test_parallel_sources(self):
         v_src = np.outer(np.linspace(1, 2, 10), [1.0, 1.0, 0.0])
-        lvs = vector_set(np.arange(10), np.arange(10) + 10, v_src, v_src, np.ones(10))
-        ref, got = run_both(lvs)
+        ref, got = run_both((v_src, v_src))
         assert ref[0] is DegenerateInput and "parallel" in ref[1]
         assert got == ref
 
@@ -405,10 +394,9 @@ class TestGncMatchesReference:
         # whatever layout it is given.
         rng = np.random.default_rng(5)
         g = random_rotation(rng)
-        base = make_line_vectors(rng, g, 400, outlier_fraction=0.6, noise=0.003)
-        strided = LineVectors(np.asfortranarray(base.v_source)[::2], base.v_target[::2])
-        contiguous = LineVectors(np.ascontiguousarray(strided.v_source),
-                                 np.ascontiguousarray(strided.v_target))
+        v_src, v_tgt = make_line_vectors(rng, g, 400, outlier_fraction=0.6, noise=0.003)
+        strided = (np.asfortranarray(v_src)[::2], v_tgt[::2])
+        contiguous = tuple(np.ascontiguousarray(v) for v in strided)
         initial = random_rotation(rng)
         ref, _ = run_both(contiguous, initial_rotation=initial)
         _, got = run_both(strided, initial_rotation=np.asfortranarray(initial))
