@@ -261,7 +261,8 @@ class TestHistogramMatchesReference:
             w = scotts_bin_width(values)
             n_bins = math.ceil(np.pi / w)
             if seed % 2:  # values on bin edges
-                values[rng.random(len(values)) < 0.3] = w * rng.integers(0, n_bins, size=1)
+                edge = rng.random(len(values)) < 0.3
+                values[edge] = w * rng.integers(0, n_bins, size=int(edge.sum()))
             bins = np.minimum(value_bins(values, 0.0, w), n_bins - 1)
             counts, members = ref_histogram(values, w, 0.0, n_bins, clamp_top=True)
             assert bin_counts(bins, n_bins).tobytes() == counts.tobytes()
