@@ -5,22 +5,24 @@ import argparse
 from pathlib import Path
 
 from lvreg.bench import SuiteConfig, run_benchmark, write_csv, write_summary
+from lvreg.cli import float_list
+from lvreg.engine import settings
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--outlier-rates", default="0.5,0.7,0.8,0.9")
-    parser.add_argument("--trials", type=int, default=50)
+    # Settings left out keep their SuiteConfig defaults; the seed has its own.
+    parser.add_argument("--outlier-rates", type=float_list)
+    parser.add_argument("--trials", type=int)
     parser.add_argument("--seed", type=int, default=2024)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int)
     parser.add_argument("--out-dir", default="sweep_out")
     args = parser.parse_args()
 
-    rates = tuple(float(r) for r in args.outlier_rates.split(","))
-    suite = SuiteConfig(outlier_rates=rates, trials=args.trials, seed=args.seed,
-                        workers=args.workers, n_points=500, n_correspondences=200,
-                        noise_sigma=0.003, residual_threshold=0.01,
-                        max_local_iterations=150)
+    try:
+        suite = settings(SuiteConfig, args)
+    except ValueError as exc:
+        parser.error(str(exc))
     rows, summary = run_benchmark(suite)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -28,7 +30,7 @@ def main():
     write_summary(summary, out / "sweep_summary.json")
 
     print(f"{'rate':>5} {'success':>8} {'med R_err':>10} {'med T_err':>10} {'med time':>9}")
-    for rate in rates:
+    for rate in suite.outlier_rates:
         bucket = [r for r in rows if r["outlier_rate"] == rate]
         ok = [r for r in bucket
               if not r["failed"] and r["r_err_deg"] < 2.0 and r["t_err"] < 0.03]

@@ -11,12 +11,12 @@ import json
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .engine import RansacConfig, run_registration
+from .engine import RansacConfig, run_registration, settings
 from .errors import LvregError
 from .metrics import evaluate
 from .synthetic import SyntheticSpec, synthesize_pair
@@ -51,6 +51,12 @@ class SuiteConfig:
     max_local_iterations: int = 150
     sigma_mode: str = "per-eval"
 
+    def __post_init__(self):
+        # Reject a bad setting here, not in the first trial that uses it.
+        settings(RansacConfig, self)
+        for rate in self.outlier_rates:
+            settings(SyntheticSpec, self, outlier_rate=rate)
+
     def cells(self) -> list[tuple[bool, bool]]:
         """(use_ahs_lvlp, use_sus) combinations; the full pipeline when not ablating."""
         if self.ablate:
@@ -69,22 +75,9 @@ def run_trial(suite: SuiteConfig, cell_idx: int, rate_idx: int, trial: int) -> d
     ahs, sus = suite.cells()[cell_idx]
     rate = suite.outlier_rates[rate_idx]
     synth_seed, engine_seed = _trial_seeds(suite, cell_idx, rate_idx, trial)
-    spec = SyntheticSpec(
-        n_points=suite.n_points, n_correspondences=suite.n_correspondences,
-        outlier_rate=rate, noise_sigma=suite.noise_sigma,
-        rotation_magnitude_deg=suite.rotation_magnitude_deg,
-        translation_magnitude=suite.translation_magnitude,
-        scene_extent=suite.scene_extent, surface_model=suite.surface_model,
-        seed=synth_seed, residual_threshold=suite.residual_threshold,
-    )
+    spec = settings(SyntheticSpec, suite, outlier_rate=rate, seed=synth_seed)
     source, target, corrs, gt, true_inliers = synthesize_pair(spec)
-    cfg = RansacConfig(
-        residual_threshold=suite.residual_threshold, confidence_target=suite.confidence_target,
-        r_max=suite.r_max, alpha_pct=suite.alpha_pct, beta_pct=suite.beta_pct,
-        noise_bound=suite.noise_bound, rng_seed=engine_seed,
-        max_local_iterations=suite.max_local_iterations,
-        use_ahs_lvlp=ahs, use_sus=sus, sigma_mode=suite.sigma_mode,
-    )
+    cfg = settings(RansacConfig, suite, rng_seed=engine_seed, use_ahs_lvlp=ahs, use_sus=sus)
     row = {
         "cell": cell_idx, "ahs_lvlp": int(ahs), "sus": int(sus),
         "outlier_rate": rate, "trial": trial, "seed": engine_seed,

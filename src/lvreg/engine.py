@@ -12,7 +12,7 @@ weighted least-squares alignment of the full set under those weights.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -73,6 +73,18 @@ class RansacConfig:
                 raise ValueError(f"{name} must be positive")
         if self.sigma_mode not in SIGMA_MODES:
             raise ValueError(f"sigma_mode must be one of {SIGMA_MODES}")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
+
+
+def settings(cls, source, **fixed):
+    """Build the dataclass `cls` from the attributes of `source` named after its fields.
+
+    None values are skipped, so those fields keep their defaults; `fixed`
+    is applied last and may override a value taken from `source`.
+    """
+    given = {f.name: getattr(source, f.name, None) for f in fields(cls)}
+    return cls(**{name: v for name, v in given.items() if v is not None} | fixed)
 
 
 @dataclass(frozen=True)
@@ -86,7 +98,7 @@ class LocalRoundResult:
 
 @dataclass(frozen=True)
 class RoundTrace:
-    round_index: int
+    round: int
     t_glo: int
     t_lcl: int               # hypotheses, plus the entry t_glo on an early-termination round
     hypotheses: int          # hypotheses evaluated in the round
@@ -313,7 +325,7 @@ def run_registration(corrs: CorrespondenceSet, source: PointCloud, target: Point
         if not terminated:
             weights[ir_glo] += 1
         trace.append(RoundTrace(
-            round_index=round_index, t_glo=t_glo, t_lcl=t_lcl,
+            round=round_index, t_glo=t_glo, t_lcl=t_lcl,
             hypotheses=local_res.hypotheses, degenerate_samples=local_res.degenerate_samples,
             branch=local_res.branch, n_global_inliers=len(ir_glo), global_confidence=cl_glo,
             local_set_size=len(local_set), line_vector_count=len(l_sul),

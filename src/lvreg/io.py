@@ -66,7 +66,7 @@ def load_ply(path) -> PointCloud:
             in_vertex_element = len(parts) >= 3 and parts[1] == "vertex"
             if in_vertex_element:
                 try:
-                    n_vertices = int(parts[2])
+                    n_vertices, count_line = int(parts[2]), number
                 except ValueError as exc:
                     raise ParseError("bad vertex count", number) from exc
         elif line.startswith("property") and in_vertex_element:
@@ -80,12 +80,13 @@ def load_ply(path) -> PointCloud:
         cols = [properties.index(axis) for axis in ("x", "y", "z")]
     except ValueError as exc:
         raise ParseError("vertex element lacks x/y/z properties", body_start) from exc
+    if not 0 <= n_vertices <= len(lines) - body_start:
+        raise ParseError(f"vertex count {n_vertices} is not between 0 and the "
+                         f"{len(lines) - body_start} lines after end_header", count_line)
 
     points = np.empty((n_vertices, 3))
     for row in range(n_vertices):
         number = body_start + 1 + row
-        if number > len(lines):
-            raise ParseError("fewer vertex lines than declared", len(lines))
         tokens = lines[number - 1].split()
         if len(tokens) < len(properties):
             raise ParseError(f"expected {len(properties)} values, found {len(tokens)}", number)
@@ -101,9 +102,10 @@ def load_point_cloud(path) -> PointCloud:
     return load_xyz(path)
 
 
-def write_xyz(cloud: PointCloud, path):
-    lines = [" ".join(repr(float(c)) for c in p) for p in cloud.points]
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_rows(rows, path):
+    """One line of space-separated values per row of a 2-D array (an .xyz
+    cloud, or a correspondence list of raw coordinate rows)."""
+    Path(path).write_text("".join(" ".join(repr(float(v)) for v in row) + "\n" for row in rows))
 
 
 def load_correspondences(path, source: PointCloud, target: PointCloud) -> CorrespondenceSet:
@@ -140,8 +142,15 @@ def transform_to_dict(t: RigidTransform) -> dict:
 
 
 def transform_from_dict(d: dict) -> RigidTransform:
-    rot = np.asarray(d["rotation"], dtype=np.float64).reshape(3, 3)
-    return RigidTransform(rot, np.asarray(d["translation"], dtype=np.float64))
+    """Raises ParseError unless d holds a finite proper rotation and translation."""
+    try:
+        rot = np.asarray(d["rotation"], dtype=np.float64).reshape(3, 3)
+        translation = np.asarray(d["translation"], dtype=np.float64)
+        if not np.isfinite(translation).all():
+            raise ValueError("non-finite translation")
+        return RigidTransform(rot, translation)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad transform: {exc}") from exc
 
 
 def write_transform(t: RigidTransform, path, extra: dict | None = None):
@@ -164,22 +173,7 @@ def result_to_dict(result: RegistrationResult, metrics: MetricsReport | None = N
     if metrics is not None:
         payload["metrics"] = dataclasses.asdict(metrics)
     payload["counters"] = dict(result.counters)
-    payload["trace"] = [
-        {
-            "round": row.round_index,
-            "t_glo": row.t_glo,
-            "t_lcl": row.t_lcl,
-            "hypotheses": row.hypotheses,
-            "degenerate_samples": row.degenerate_samples,
-            "branch": row.branch,
-            "n_global_inliers": row.n_global_inliers,
-            "global_confidence": float(row.global_confidence),
-            "local_set_size": row.local_set_size,
-            "line_vector_count": row.line_vector_count,
-            "weights_updated": row.weights_updated,
-        }
-        for row in result.per_round_trace
-    ]
+    payload["trace"] = [dataclasses.asdict(row) for row in result.per_round_trace]
     return payload
 
 

@@ -168,13 +168,6 @@ def angle_histogram_filter(corrs: CorrespondenceSet, hist: Histogram) -> Corresp
     return corrs.subset(np.flatnonzero(np.take(qualified, bins, mode="clip")))  # pi: last bin
 
 
-def reduction_ratio(n_before: int, n_after: int) -> float:
-    """Fraction of items removed by a filter step."""
-    if n_before <= 0:
-        return 0.0
-    return (n_before - n_after) / n_before
-
-
 @dataclass(eq=False)
 class LineVectorSet:
     """Struct-of-arrays collection of line vectors keyed by correspondence ids.

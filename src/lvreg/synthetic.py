@@ -44,6 +44,8 @@ class SyntheticSpec:
             raise ValueError(f"surface_model must be one of {SURFACE_MODELS}")
         if self.scene_extent <= 0 or self.noise_sigma < 0:
             raise ValueError("scene_extent must be positive, noise_sigma non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def _random_unit(rng: np.random.Generator) -> np.ndarray:

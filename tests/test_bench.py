@@ -5,6 +5,9 @@ import pytest
 
 import lvreg.bench as bench
 from lvreg.bench import CSV_COLUMNS, SuiteConfig, run_benchmark, run_trial, write_csv, write_summary
+from lvreg.engine import RansacConfig
+from lvreg.errors import DegenerateInput
+from lvreg.synthetic import SyntheticSpec
 
 
 def tiny_suite(**kw):
@@ -67,6 +70,46 @@ class TestGrid:
         assert rows[0]["error"] == "DegenerateInput"
         assert np.isnan(rows[0]["rmse"])
         assert summary["cells"][0]["n_failed"] == 1
+
+
+class TestTrialSettings:
+    def test_trial_configs_take_the_suite_settings_and_the_trial_seeds(self, monkeypatch):
+        suite = SuiteConfig(outlier_rates=(0.3, 0.6), seed=77, ablate=True, n_points=300,
+                            n_correspondences=90, noise_sigma=0.002, scene_extent=2.0,
+                            rotation_magnitude_deg=12.0, translation_magnitude=0.25,
+                            surface_model="random-blobs", residual_threshold=0.02, r_max=3,
+                            alpha_pct=20.0, beta_pct=40.0, confidence_target=0.9,
+                            noise_bound=0.07, max_local_iterations=60, sigma_mode="per-round")
+        seen = {}
+        real_synthesize = bench.synthesize_pair
+
+        def synthesize(spec):
+            seen["spec"] = spec
+            return real_synthesize(spec)
+
+        def register(corrs, source, target, cfg):
+            seen["cfg"] = cfg
+            raise DegenerateInput("stub")
+
+        monkeypatch.setattr(bench, "synthesize_pair", synthesize)
+        monkeypatch.setattr(bench, "run_registration", register)
+        run_trial(suite, cell_idx=2, rate_idx=1, trial=3)
+        synth_seed, engine_seed = bench._trial_seeds(suite, 2, 1, 3)
+        assert seen["spec"] == SyntheticSpec(
+            n_points=300, n_correspondences=90, outlier_rate=0.6, noise_sigma=0.002,
+            rotation_magnitude_deg=12.0, translation_magnitude=0.25, scene_extent=2.0,
+            surface_model="random-blobs", seed=synth_seed, residual_threshold=0.02)
+        assert seen["cfg"] == RansacConfig(
+            residual_threshold=0.02, confidence_target=0.9, r_max=3, alpha_pct=20.0,
+            beta_pct=40.0, noise_bound=0.07, rng_seed=engine_seed, max_local_iterations=60,
+            use_ahs_lvlp=True, use_sus=False, sigma_mode="per-round")
+
+    @pytest.mark.parametrize("kw", [dict(seed=-1), dict(outlier_rates=(0.5, 1.5)),
+                                    dict(n_points=40, n_correspondences=100), dict(r_max=0)],
+                             ids=["seed", "rate", "corrs-over-points", "rmax"])
+    def test_bad_settings_rejected_when_the_suite_is_built(self, kw):
+        with pytest.raises(ValueError):
+            tiny_suite(**kw)
 
 
 class TestSelfUpdateDirection:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,10 @@ import pytest
 
 import lvreg
 from lvreg import cli, local_sets
+from lvreg.bench import SuiteConfig
+from lvreg.engine import RansacConfig
 from lvreg.io import load_correspondences
+from lvreg.synthetic import SyntheticSpec
 
 BASE = [sys.executable, "-m", "lvreg"]
 # The child process imports the same lvreg as this one, installed or not.
@@ -59,6 +63,9 @@ class TestRegister:
         assert payload["metrics"]["translation_error"] < 0.01
         assert (hist_dir / "angle_histogram.csv").exists()
         assert (hist_dir / "scale_ratio_histogram.csv").exists()
+        kept = payload["trace"][0]["local_set_size"]
+        assert 0 < kept < 80  # the filters removed some of the 80 correspondences
+        assert f" local_set_reduction={(80 - kept) / 80:.4f} " in proc.stdout
         if payload["rounds"] > 1:  # self-update ran between rounds
             assert any(sus_dir.glob("sus_round_*.csv"))
 
@@ -158,6 +165,25 @@ class TestRegister:
         proc = run_cli("register", "--tr", "0.01")
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",
+        '{"rotation": [1, 0, 0], "translation": [0, 0, 0]}',
+        '{"rotation": [2, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [0, 0, 0]}',
+        '{"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [NaN, 0, 0]}',
+    ], ids=["list", "three-numbers", "not-orthonormal", "nan-translation"])
+    def test_bad_ground_truth_exits_2_before_registering(self, scene_dir, tmp_path, text):
+        gt = tmp_path / "gt.json"
+        gt.write_text(text)
+        out = tmp_path / "r.json"
+        proc = run_cli("register", "--source", str(scene_dir / "source.xyz"),
+                       "--target", str(scene_dir / "target.xyz"),
+                       "--corr", str(scene_dir / "corr.txt"), "--gt", str(gt),
+                       "--tr", "0.01", "--seed", "3", "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("lvreg: input error: bad transform")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
 
 class TestBench:
     def test_tiny_grid(self, tmp_path):
@@ -175,3 +201,129 @@ class TestBench:
         proc = run_cli("bench", "--outlier-rates", "a,b", "--trials", "1", "--seed", "1",
                        "--csv", str(tmp_path / "x.csv"), "--summary", str(tmp_path / "y.json"))
         assert proc.returncode == 1
+
+
+# (flag, value token or None for a switch, config field, the field's value),
+# each value unlike the field's default.
+REGISTER_SETTINGS = [
+    ("--tr", "0.02", "residual_threshold", 0.02),
+    ("--rmax", "7", "r_max", 7),
+    ("--alpha", "12", "alpha_pct", 12.0),
+    ("--beta", "33", "beta_pct", 33.0),
+    ("--confidence", "0.9", "confidence_target", 0.9),
+    ("--tau", "0.07", "noise_bound", 0.07),
+    ("--k-normals", "11", "k_normals", 11),
+    ("--max-local-iters", "77", "max_local_iterations", 77),
+    ("--no-ahs-lvlp", None, "use_ahs_lvlp", False),
+    ("--no-sus", None, "use_sus", False),
+    ("--sigma-mode", "per-round", "sigma_mode", "per-round"),
+    ("--seed", "42", "rng_seed", 42),
+]
+SYNTH_SETTINGS = [
+    ("--points", "300", "n_points", 300),
+    ("--corrs", "90", "n_correspondences", 90),
+    ("--outlier-rate", "0.4", "outlier_rate", 0.4),
+    ("--noise", "0.002", "noise_sigma", 0.002),
+    ("--seed", "8", "seed", 8),
+    ("--extent", "2.5", "scene_extent", 2.5),
+    ("--rotation-deg", "12", "rotation_magnitude_deg", 12.0),
+    ("--translation", "0.25", "translation_magnitude", 0.25),
+    ("--surface", "random-blobs", "surface_model", "random-blobs"),
+    ("--tr", "0.02", "residual_threshold", 0.02),
+]
+BENCH_SETTINGS = [
+    ("--outlier-rates", "0.3,0.6", "outlier_rates", (0.3, 0.6)),
+    ("--trials", "4", "trials", 4),
+    ("--seed", "9", "seed", 9),
+    ("--ablate", None, "ablate", True),
+    ("--workers", "2", "workers", 2),
+    ("--points", "300", "n_points", 300),
+    ("--corrs", "90", "n_correspondences", 90),
+    ("--noise", "0.002", "noise_sigma", 0.002),
+    ("--tr", "0.02", "residual_threshold", 0.02),
+    ("--rmax", "3", "r_max", 3),
+    ("--max-local-iters", "60", "max_local_iterations", 60),
+]
+# command, its setting flags, the required ones, the config class, and the
+# module attribute that receives the config as its last argument
+COMMANDS = [
+    ("register", REGISTER_SETTINGS, {"--tr", "--seed"}, RansacConfig, (cli, "run_registration")),
+    ("synth", SYNTH_SETTINGS, {"--points", "--corrs", "--outlier-rate", "--noise", "--seed"},
+     SyntheticSpec, (cli, "synthesize_pair")),
+    ("bench", BENCH_SETTINGS, {"--seed"}, SuiteConfig, (cli.bench_mod, "run_benchmark")),
+]
+
+
+class Captured(Exception):
+    """Raised by a stub in place of a run; its argument is the config it was given."""
+
+
+def command_argv(command, settings, scene_dir, tmp_path):
+    """`command` with its input and output paths and the given settings."""
+    argv = [command, *{
+        "register": ["--source", str(scene_dir / "source.xyz"), "--target",
+                     str(scene_dir / "target.xyz"), "--corr", str(scene_dir / "corr.txt"),
+                     "--out", str(tmp_path / "r.json")],
+        "synth": ["--out-dir", str(tmp_path / "scene")],
+        "bench": ["--csv", str(tmp_path / "b.csv"), "--summary", str(tmp_path / "b.json")],
+    }[command]]
+    for flag, token, _, _ in settings:
+        argv += [flag] if token is None else [flag, token]
+    return argv
+
+
+def captured_config(monkeypatch, scene_dir, tmp_path, command, settings, owner):
+    def stub(*args):
+        raise Captured(args[-1])
+
+    monkeypatch.setattr(*owner, stub)
+    with pytest.raises(Captured) as info:
+        cli.main(command_argv(command, settings, scene_dir, tmp_path))
+    return info.value.args[0]
+
+
+class TestFlagsReachTheirFields:
+    @pytest.mark.parametrize("command, settings, required, cls, owner", COMMANDS,
+                             ids=[c[0] for c in COMMANDS])
+    def test_every_flag_sets_its_field(self, monkeypatch, scene_dir, tmp_path,
+                                       command, settings, required, cls, owner):
+        cfg = captured_config(monkeypatch, scene_dir, tmp_path, command, settings, owner)
+        assert type(cfg) is cls
+        defaults = {f.name: f.default for f in fields(cls)}
+        for flag, _, name, value in settings:
+            assert value != defaults[name], f"{flag} is tested at its default"
+            assert getattr(cfg, name) == value, flag
+
+    @pytest.mark.parametrize("command, settings, required, cls, owner", COMMANDS,
+                             ids=[c[0] for c in COMMANDS])
+    def test_flags_left_out_keep_the_dataclass_defaults(self, monkeypatch, scene_dir, tmp_path,
+                                                        command, settings, required, cls,
+                                                        owner):
+        given = [s for s in settings if s[0] in required]
+        cfg = captured_config(monkeypatch, scene_dir, tmp_path, command, given, owner)
+        assert cfg == cls(**{name: value for _, _, name, value in given})
+
+
+class TestRejectedSettings:
+    @pytest.mark.parametrize("args", [
+        ["register", "--rmax", "0"],
+        ["register", "--alpha", "0"],
+        ["register", "--seed", "-1"],
+        ["synth", "--seed", "-1"],
+        ["synth", "--corrs", "20", "--points", "10"],
+        ["bench", "--seed", "-1"],
+        ["bench", "--outlier-rates", "1.5"],
+        ["bench", "--corrs", "100", "--points", "40"],
+        ["bench", "--rmax", "0"],
+    ], ids=lambda args: " ".join(args))
+    def test_exits_1_with_one_line(self, scene_dir, tmp_path, args):
+        command, *flags = args
+        _, settings, required, _, _ = next(c for c in COMMANDS if c[0] == command)
+        given = [s for s in settings if s[0] in required]
+        # argparse keeps the last of a repeated flag
+        proc = run_cli(*command_argv(command, given, scene_dir, tmp_path), *flags)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("lvreg: usage error: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []  # nothing written, no trial run

@@ -14,8 +14,8 @@ from lvreg.io import (
     result_to_dict,
     transform_from_dict,
     transform_to_dict,
+    write_rows,
     write_transform,
-    write_xyz,
 )
 from lvreg.metrics import MetricsReport
 from lvreg.normals import PointCloud
@@ -52,7 +52,7 @@ class TestXyz:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         cloud = PointCloud(rng.normal(size=(20, 3)) * 1e3)
         path = tmp_path / "cloud.xyz"
-        write_xyz(cloud, path)
+        write_rows(cloud.points, path)
         again = load_xyz(path)
         assert np.array_equal(cloud.points, again.points)
 
@@ -123,6 +123,14 @@ class TestPly:
         with pytest.raises(ParseError):
             load_point_cloud(path)
 
+    @pytest.mark.parametrize("count", ["-1", "1000000000000"])
+    def test_vertex_count_outside_the_body_names_its_line(self, tmp_path, count):
+        # checked before any allocation: 10^12 vertices would ask for 21.8 TiB
+        path = tmp_path / "cloud.ply"
+        path.write_text(PLY_MINIMAL.replace("element vertex 2", f"element vertex {count}"))
+        with pytest.raises(ParseError, match="line 3: vertex count"):
+            load_point_cloud(path)
+
 
 class TestCorrespondences:
     def _clouds(self):
@@ -181,6 +189,17 @@ class TestTransformJson:
         d = transform_to_dict(t)
         assert d["rotation"][1] == t.rotation[0, 1]
         assert transform_from_dict(d).rotation[0, 1] == t.rotation[0, 1]
+
+    @pytest.mark.parametrize("payload", [
+        [1, 2],
+        {"rotation": [1, 0, 0], "translation": [0, 0, 0]},
+        {"rotation": [2, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [0, 0, 0]},
+        {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [float("nan"), 0, 0]},
+        {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1]},
+    ], ids=["list", "three-numbers", "not-orthonormal", "nan-translation", "no-translation"])
+    def test_bad_transform_raises_parse_error(self, payload):
+        with pytest.raises(ParseError, match="bad transform"):
+            transform_from_dict(payload)
 
 
 class TestEmitResult:

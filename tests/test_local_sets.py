@@ -23,7 +23,6 @@ from lvreg.local_sets import (
     build_line_vectors,
     length_ratio_filter,
     normal_angles,
-    reduction_ratio,
     scotts_bin_width,
     value_bins,
 )
@@ -213,9 +212,6 @@ class TestAngleHistogramFilter:
         for gid in kept.indices:
             b = min(int(realized[gid] // hist.bin_width), hist.n_bins - 1)
             assert hist.counts[b] > threshold
-
-    def test_reduction_ratio_bookkeeping(self):
-        assert reduction_ratio(9248, 3428) == pytest.approx(0.6293, abs=5e-5)
 
 
 class TestBuildLineVectors:
