@@ -69,8 +69,8 @@ class RansacConfig:
             raise ValueError("sampling percentages must lie in (0, 100]")
         for name in ("residual_threshold", "r_max", "noise_bound", "max_local_iterations",
                      "k_normals"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and positive")
         if self.sigma_mode not in SIGMA_MODES:
             raise ValueError(f"sigma_mode must be one of {SIGMA_MODES}")
         if self.rng_seed < 0:

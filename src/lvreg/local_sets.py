@@ -19,28 +19,32 @@ thousand rows, one table per run), its float64 ratio and, for the
 self-update's pairs, a bool flip flag: 16 or 17 bytes a pair, against 72
 for the ids, ratio and two float64 vectors. No set keeps vectors: they
 are computed where they are read.
-`build_line_vectors` works through the row pairs (r, s), r < s, of the
-upper triangle in row-major order, one block of about `PAIR_BLOCK` pairs
-at a time: it makes the block's rows with `np.repeat` and one `cumsum`,
-gathers the endpoint rows with `np.take`, subtracts in place and writes the
-kept rows into preallocated columns, so no array spans every pair but
-those columns. A pair's norm is `sqrt((x*x + y*y) + z*z)`, summed in that
-order: it is the order in which
-`np.linalg.norm(v, axis=1)` sums an (n, 3) array, and a different order
-(say `x*x + (y*y + z*z)`) changes the last bit of about one norm in nine,
-which moves pairs across ratio-bin edges and so changes the local sets and
-the random draws that follow. Pairs with a zero-length difference or an
-overflowed ratio are dropped by one test on the block's ratios.
+`build_line_vectors` measures the row pairs (r, s), r < s, of the upper
+triangle in row-major order with SciPy's `pdist`, which returns every
+pair's norm in that order: the source norms, divided in place by the
+target norms. `pdist` sums a norm as `sqrt((x*x + y*y) + z*z)`, the order
+in which `np.linalg.norm(v, axis=1)` sums an (n, 3) array; a different
+order (say `x*x + (y*y + z*z)`) changes the last bit of about one norm in
+nine, which moves pairs across ratio-bin edges and so changes the local
+sets and the random draws that follow. Pairs with a zero-length
+difference or an overflowed ratio are dropped by one test on the ratios.
+A freshly built set stores only its ratio column and the few triangle
+positions it dropped, 8 bytes a pair: row k's pair follows from k, and
+`take` derives the pairs of the rows it keeps, one block of `PAIR_BLOCK`
+rows at a time. The self-update measures its admitted pairs with `cdist`.
 One bin rule, `value_bins`, places a value in its histogram bin: the
 histograms count with it, the angle filter recomputes its few thousand
 angles' bins with it, and `RatioRange.contains` selects with it, both the
 ratio filter's kept rows and the self-update's admitted pairs. A histogram
-keeps only its counts.
+keeps only its counts, and the ratio filter bins and selects one block of
+ratios at a time.
 
 A set of n correspondences has n(n-1)/2 pairs; above `PAIR_BUDGET` pairs
 `check_pair_budget` raises `PairBudgetExceeded`, and `build_line_vectors`
-calls it before it allocates anything. The build peaks at about 17 bytes a
-pair plus one block's temporaries (tracemalloc, 1.1 M pairs).
+calls it before it allocates anything. The build peaks at 16 bytes a pair
+(the two norm arrays; 17 while it compacts away dropped pairs) and keeps
+8; the ratio filter adds 8 bytes a pair while Scott's sigma is computed,
+then the kept rows' columns (tracemalloc, 1.1 M pairs).
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from .correspondences import CorrespondenceSet
 from .errors import (
@@ -66,11 +71,11 @@ SCOTT_FACTOR = 3.49
 MAX_BINS = 100_000
 # Largest pair set `build_line_vectors` builds: 16.8 M pairs, or n = 5,793
 # correspondences, far above the 2.0 M pairs of an unfiltered set of 2000.
-# At 16 bytes a pair that is about 270 MB of columns; reading every pair's
-# vectors adds 48 bytes a pair until the reader drops them.
+# At 8 to 16 bytes a pair that is 135 to 270 MB of columns; reading every
+# pair's vectors adds 48 bytes a pair until the reader drops them.
 PAIR_BUDGET = 2**24
-# Pairs that `build_line_vectors` makes and measures at a time: its
-# temporaries take a few MB whatever the set's size.
+# Rows whose pairs `take` derives, and ratios the ratio filter bins, at a
+# time: their temporaries take a few hundred kB whatever the set's size.
 PAIR_BLOCK = 2**14
 
 
@@ -182,6 +187,11 @@ class LineVectorSet:
     put the smaller id first; `flip` is None when no row is flipped).
     `i` and `j` are read through the table's ids.
 
+    A freshly built set has no `p` and `q` columns (None): its rows are the
+    table's upper triangle in row-major order less the sorted triangle
+    positions in `dropped`, and every method reads the pairs through
+    `_pairs`, which derives them for the rows asked for.
+
     `take`, `extend` and `on` move only the 1-D columns. No set keeps
     vectors: `v_source` and `v_target` compute their cloud's on every
     read. Every path subtracts the same two points in
@@ -190,22 +200,23 @@ class LineVectorSet:
     """
 
     table: CorrespondenceSet
-    p: np.ndarray  # int32 table rows
-    q: np.ndarray
+    p: np.ndarray | None  # int32 table rows
+    q: np.ndarray | None
     scale_ratio: np.ndarray
     flip: np.ndarray | None = None
     n_zero_skipped: int = 0
+    dropped: np.ndarray | None = None  # int64 triangle positions a built set dropped
 
     def __len__(self) -> int:
-        return len(self.p)
+        return len(self.scale_ratio)
 
     @property
     def i(self) -> np.ndarray:
-        return np.take(self.table.indices, self.p)
+        return np.take(self.table.indices, self._pairs()[0])
 
     @property
     def j(self) -> np.ndarray:
-        return np.take(self.table.indices, self.q)
+        return np.take(self.table.indices, self._pairs()[1])
 
     @property
     def v_source(self) -> np.ndarray:
@@ -215,13 +226,46 @@ class LineVectorSet:
     def v_target(self) -> np.ndarray:
         return self._differences_in(self.table.target)
 
+    def _pairs(self, rows=None) -> tuple[np.ndarray, np.ndarray]:
+        """`p` and `q` at the given row positions (every row for None).
+
+        A built set's row k is triangle position t = k + (dropped positions
+        at or before t), which is k plus the dropped positions that have at
+        most k kept positions before them. t is the pair (r, t - start[r] +
+        r + 1) of the last row r that starts at or before t. The pairs are
+        derived `PAIR_BLOCK` rows at a time, straight into int32 columns.
+        """
+        if self.p is not None:
+            return (self.p, self.q) if rows is None else (np.take(self.p, rows), np.take(self.q, rows))
+        count = len(self) if rows is None else len(rows)
+        n = len(self.table)
+        starts = np.arange(n - 1)
+        starts = starts * (2 * n - 1 - starts) // 2  # pairs in the rows above each row
+        shift = self.dropped - np.arange(len(self.dropped))
+        p, q = np.empty(count, dtype=np.int32), np.empty(count, dtype=np.int32)
+        for k0 in range(0, count, PAIR_BLOCK):
+            # positions wrap as np.take wraps them: -1 is the last row
+            k = (np.arange(k0, min(count, k0 + PAIR_BLOCK)) if rows is None
+                 else rows[k0:k0 + PAIR_BLOCK] % len(self))
+            t = k + np.searchsorted(shift, k, side="right")
+            r = np.searchsorted(starts, t, side="right") - 1
+            p[k0:k0 + len(k)] = r
+            q[k0:k0 + len(k)] = t - np.take(starts, r) + r + 1
+        return p, q
+
     def _differences_in(self, x: np.ndarray) -> np.ndarray:
-        """x[p] - x[q], and -(x[q] - x[p]) on the flipped rows."""
-        p, q, flip = self.p, self.q, self.flip
-        if flip is None:
-            return _differences(x, p, q)
-        v = _differences(x, np.where(flip, q, p), np.where(flip, p, q))
-        return np.negative(v, out=v, where=flip[:, None])
+        """x[p] - x[q], and -(x[q] - x[p]) on the flipped rows.
+
+        The rows are gathered with np.take and subtracted in place: np.take
+        gathers the rows of an (n, 3) array several times faster than fancy
+        indexing does, with the same values.
+        """
+        (p, q), flip = self._pairs(), self.flip
+        if flip is not None:
+            p, q = np.where(flip, q, p), np.where(flip, p, q)
+        v = np.take(x, p, axis=0)
+        v -= np.take(x, q, axis=0)
+        return v if flip is None else np.negative(v, out=v, where=flip[:, None])
 
     def take(self, rows) -> "LineVectorSet":
         """The line vectors at the given row positions (or boolean mask), in that order."""
@@ -230,8 +274,7 @@ class LineVectorSet:
             if rows.shape != (len(self),):
                 raise IndexError("boolean mask does not match the number of line vectors")
             rows = np.flatnonzero(rows)
-        return LineVectorSet(self.table, np.take(self.p, rows), np.take(self.q, rows),
-                             np.take(self.scale_ratio, rows),
+        return LineVectorSet(self.table, *self._pairs(rows), np.take(self.scale_ratio, rows),
                              None if self.flip is None else np.take(self.flip, rows))
 
     def on(self, corrs: CorrespondenceSet) -> "LineVectorSet":
@@ -243,7 +286,8 @@ class LineVectorSet:
         if self.table is corrs:
             return self
         rows = corrs.rows_for(self.table.indices).astype(np.int32)
-        return LineVectorSet(corrs, np.take(rows, self.p), np.take(rows, self.q), self.scale_ratio,
+        p, q = self._pairs()
+        return LineVectorSet(corrs, np.take(rows, p), np.take(rows, q), self.scale_ratio,
                              self.flip, self.n_zero_skipped)
 
     def extend(self, other: "LineVectorSet") -> "LineVectorSet":
@@ -254,14 +298,15 @@ class LineVectorSet:
         if self.flip is not None or other.flip is not None:
             flip = np.concatenate([np.zeros(len(s), dtype=bool) if s.flip is None else s.flip
                                    for s in (self, other)])
-        return LineVectorSet(self.table, np.concatenate([self.p, other.p]),
-                             np.concatenate([self.q, other.q]),
+        p, q = (np.concatenate(column) for column in zip(self._pairs(), other._pairs()))
+        return LineVectorSet(self.table, p, q,
                              np.concatenate([self.scale_ratio, other.scale_ratio]), flip)
 
     def incident(self, ids) -> np.ndarray:
         """Mask of the line vectors with an endpoint among the given item ids."""
         hit = np.isin(self.table.indices, ids)
-        return np.take(hit, self.p) | np.take(hit, self.q)
+        p, q = self._pairs()
+        return np.take(hit, p) | np.take(hit, q)
 
     def pair_set(self) -> set:
         return set(zip(self.i.tolist(), self.j.tolist()))
@@ -274,55 +319,6 @@ def usable_ratios(ratio: np.ndarray) -> np.ndarray:
     of points within `MAX_COORDINATE` cannot underflow to 0.
     """
     return (ratio > 0.0) & (ratio < np.inf)
-
-
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of an (n, 3) array, summed as (x*x + y*y) + z*z."""
-    q = v * v
-    norms = q[:, 0] + q[:, 1]
-    norms += q[:, 2]
-    return np.sqrt(norms, out=norms)
-
-
-def _differences(x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """x[p] - x[q] for an (n, 3) array, gathered with np.take and subtracted in place.
-
-    np.take gathers the rows of an (n, 3) array several times faster than
-    fancy indexing does, with the same values.
-    """
-    v = np.take(x, p, axis=0)
-    v -= np.take(x, q, axis=0)
-    return v
-
-
-def pair_ratios(source: np.ndarray, target: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """|source[p] - source[q]| / |target[p] - target[q]| (inf or NaN for a zero target norm)."""
-    ratio = _row_norms(_differences(source, p, q))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio /= _row_norms(_differences(target, p, q))
-    return ratio
-
-
-def _row_blocks(n: int) -> np.ndarray:
-    """Bounds of runs of upper-triangle rows of about `PAIR_BLOCK` pairs each.
-
-    Row r holds the n - 1 - r pairs (r, s), s > r; a run ends at the first
-    row that brings it to `PAIR_BLOCK` pairs or more.
-    """
-    ends = np.cumsum(np.arange(n - 1, 0, -1))  # pairs in rows 0 .. r
-    cuts = np.searchsorted(ends, np.arange(PAIR_BLOCK, ends[-1], PAIR_BLOCK)) + 1
-    return np.unique(np.concatenate([[0], cuts, [n - 1]]))
-
-
-def _pair_rows(n: int, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row pairs (r, s), r0 <= r < r1 and r < s < n, in row-major upper-triangle order."""
-    counts = np.arange(n - 1 - r0, n - 1 - r1, -1)
-    r = np.repeat(np.arange(r0, r1), counts)
-    # s climbs by one along a row and drops back to r + 1 where row r starts.
-    s = np.ones(len(r), dtype=np.int64)
-    s[0] = r0 + 1
-    s[np.cumsum(counts[:-1])] = np.arange(r0 + 3 - n, r1 + 2 - n)  # (r + 1) - (n - 1)
-    return r, np.cumsum(s, out=s)
 
 
 def check_pair_budget(n: int) -> None:
@@ -340,27 +336,19 @@ def build_line_vectors(c_sul: CorrespondenceSet) -> LineVectorSet:
     counted in `n_zero_skipped` (duplicate feature points occur in real
     correspondence sets), as are pairs whose length ratio overflows. More
     than `PAIR_BUDGET` pairs raise PairBudgetExceeded before anything is
-    allocated. The pairs are made, measured and written into the set's
-    columns one block of rows at a time.
+    allocated. The set keeps the kept pairs' ratios and the dropped pairs'
+    triangle positions; its pairs are derived where they are read.
     """
     n = len(c_sul)
     if n < 2:
         raise TooFewCorrespondences("need at least 2 correspondences for line vectors")
     check_pair_budget(n)
-    n_pairs = n * (n - 1) // 2
-    p, q = np.empty(n_pairs, dtype=np.int32), np.empty(n_pairs, dtype=np.int32)
-    ratio = np.empty(n_pairs)
-    kept = 0
-    bounds = _row_blocks(n).tolist()
-    for r0, r1 in zip(bounds[:-1], bounds[1:]):
-        r, s = _pair_rows(n, r0, r1)
-        block = pair_ratios(c_sul.source, c_sul.target, r, s)
-        keep = usable_ratios(block)
-        end = kept + int(np.count_nonzero(keep))
-        for column, values in ((p, r), (q, s), (ratio, block)):
-            np.compress(keep, values, out=column[kept:end])
-        kept = end
-    return LineVectorSet(c_sul, p[:kept], q[:kept], ratio[:kept], n_zero_skipped=n_pairs - kept)
+    ratio = pdist(c_sul.source)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio /= pdist(c_sul.target)
+    dropped = np.flatnonzero(~usable_ratios(ratio))
+    ratio = np.delete(ratio, dropped) if len(dropped) else ratio
+    return LineVectorSet(c_sul, None, None, ratio, n_zero_skipped=len(dropped), dropped=dropped)
 
 
 @dataclass(frozen=True)
@@ -402,7 +390,9 @@ class RatioRange:
 def length_ratio_filter(lvs: LineVectorSet) -> tuple[LineVectorSet, RatioRange, Histogram | None]:
     """Keep line vectors from the dominant scale-ratio bin and its neighbors.
 
-    Builds the scale-ratio histogram (Scott's rule width), selects the
+    Builds the scale-ratio histogram (Scott's rule width, over every
+    ratio), counting and selecting one block of `PAIR_BLOCK` ratios at a
+    time, so no per-pair bin array is made. It selects the
     maximal-count bin (ties broken toward the lower index) plus the
     immediate left/right neighbors when they exist, and returns the rows
     whose ratio that `RatioRange` contains, the same range and test the
@@ -428,8 +418,11 @@ def length_ratio_filter(lvs: LineVectorSet) -> tuple[LineVectorSet, RatioRange, 
     n_bins = int(value_bins(ratios.max(), lower, w)) + 1
     if n_bins > MAX_BINS:
         return lvs, RatioRange.everything(), None
-    hist = Histogram(w, lower, bin_counts(value_bins(ratios, lower, w), n_bins))
+    blocks = [slice(k, k + PAIR_BLOCK) for k in range(0, len(ratios), PAIR_BLOCK)]
+    hist = Histogram(w, lower, sum(bin_counts(value_bins(ratios[b], lower, w), n_bins)
+                                   for b in blocks))
     top = int(np.argmax(hist.counts))  # argmax takes the first (lowest) maximal bin
     ratio_range = RatioRange(lower_bound=lower, bin_width=w, first_bin=max(0, top - 1),
                              last_bin=min(n_bins - 1, top + 1))
-    return lvs.take(ratio_range.contains(ratios)), ratio_range, hist
+    keep = np.concatenate([ratio_range.contains(ratios[b]) for b in blocks])
+    return lvs.take(keep), ratio_range, hist

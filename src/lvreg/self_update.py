@@ -22,11 +22,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 from scipy.special import gammaincc
 
 from .correspondences import CorrespondenceSet
 from .errors import MissingResidual
-from .local_sets import LineVectorSet, RatioRange, pair_ratios, usable_ratios
+from .local_sets import LineVectorSet, RatioRange, usable_ratios
 
 SIGMA_MODES = ("per-eval", "per-round", "fixed-half-tr")
 
@@ -139,20 +140,25 @@ def _admission_block(corrs: CorrespondenceSet, admitted: np.ndarray, retained: n
 
     Admitted id a pairs with every retained member and every admitted id
     below it; np.nonzero walks the mask row-major, so rows come out by a,
-    then by member id. Its temporaries die when it returns.
+    then by member id. The ratios of every (a, member) pair come from
+    `cdist`, and the mask picks the pairs' ones. Its temporaries die when
+    it returns.
     """
     a_col = admitted[:, None]
     mask = (current != a_col) & (np.isin(current, retained) | (current < a_col))
+    admitted_rows = corrs.rows_for(admitted)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = (cdist(corrs.source[admitted_rows], corrs.source[current_rows])
+                 / cdist(corrs.target[admitted_rows], corrs.target[current_rows]))[mask]
     a_pos, m_pos = np.nonzero(mask)
     del mask
-    rows_a, rows_m = corrs.rows_for(admitted)[a_pos], current_rows[m_pos]
+    rows_a, rows_m = admitted_rows[a_pos], current_rows[m_pos]
     # p is the row of the smaller id (canonical orientation, v = x_i - x_j).
     # Where m < a the vector is -(x_a - x_m), the sign flip of x_a - x_m, so
     # a zero component keeps the sign it has always had: those rows are flipped.
     flip = current[m_pos] < admitted[a_pos]
     p = np.where(flip, rows_m, rows_a).astype(np.int32)
     q = np.where(flip, rows_a, rows_m).astype(np.int32)
-    ratio = pair_ratios(corrs.source, corrs.target, p, q)
     usable = np.flatnonzero(usable_ratios(ratio))
     rows = usable[ratio_range.contains(ratio[usable])]
     return LineVectorSet(corrs, p[rows], q[rows], ratio[rows], flip[rows])

@@ -42,8 +42,12 @@ class SyntheticSpec:
             raise ValueError("outlier_rate must lie in [0, 1)")
         if self.surface_model not in SURFACE_MODELS:
             raise ValueError(f"surface_model must be one of {SURFACE_MODELS}")
-        if self.scene_extent <= 0 or self.noise_sigma < 0:
-            raise ValueError("scene_extent must be positive, noise_sigma non-negative")
+        for name in ("scene_extent", "residual_threshold", "outlier_margin_factor"):
+            if not 0 < getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and positive")
+        if not (0 <= self.noise_sigma < np.inf
+                and np.isfinite([self.rotation_magnitude_deg, self.translation_magnitude]).all()):
+            raise ValueError("noise_sigma must be finite and non-negative, the motion finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

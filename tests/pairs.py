@@ -9,7 +9,15 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from lvreg.local_sets import LineVectorSet, _row_norms, usable_ratios
+from lvreg.local_sets import LineVectorSet, usable_ratios
+
+
+def _row_norms(v):
+    """Euclidean norm of each row of an (n, 3) array, summed as (x*x + y*y) + z*z."""
+    q = v * v
+    norms = q[:, 0] + q[:, 1]
+    norms += q[:, 2]
+    return np.sqrt(norms, out=norms)
 
 
 def vector_set(i, j, v_source, v_target, scale_ratio, n_zero_skipped=0):

@@ -315,6 +315,14 @@ class TestRejectedSettings:
         ["bench", "--outlier-rates", "1.5"],
         ["bench", "--corrs", "100", "--points", "40"],
         ["bench", "--rmax", "0"],
+        ["register", "--tr", "nan"],
+        ["register", "--tr", "inf"],
+        ["register", "--tau", "nan"],
+        ["register", "--tau", "inf"],
+        ["synth", "--noise", "nan"],
+        ["synth", "--noise", "inf"],
+        ["synth", "--tr", "nan"],
+        ["synth", "--extent", "inf"],
     ], ids=lambda args: " ".join(args))
     def test_exits_1_with_one_line(self, scene_dir, tmp_path, args):
         command, *flags = args

@@ -267,7 +267,7 @@ class TestBuildLineVectors:
         fields = ("i", "j", "v_source", "v_target", "scale_ratio")
         rows = rng.choice(len(lvs), 20, replace=False)
         mask = rng.random(len(lvs)) < 0.5
-        for sel in (rows, mask, rows[:0]):
+        for sel in (rows, mask, rows[:0], -rows - 1):
             got = lvs.take(sel)
             for name in fields:
                 expected = getattr(lvs, name)[sel]
@@ -335,10 +335,14 @@ def signed_zero_points(rng, n):
 
 
 def drawn_sets(data):
-    """A lazy set and its eager copy: from difference vectors, built, or a self-update block.
+    """A lazy set, its eager copy and a table holding every item of the set's table.
 
-    A set from differences has its own table, the drawn vectors over zero
-    rows; the others are over a drawn correspondence set (`sets_over`).
+    The set is from difference vectors, freshly built or a self-update
+    block. A set from differences has its own table, the drawn vectors over
+    zero rows, and no larger table (None). A built set is over a drawn
+    subset of a drawn correspondence set, or over all of it: it keeps only
+    its ratios and dropped positions, so every read derives its pairs. A
+    block is over the drawn set (`sets_over`).
     """
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     kind = data.draw(st.sampled_from(["differences", "built", "admission"]))
@@ -349,27 +353,44 @@ def drawn_sets(data):
         vs, vt = (rng.integers(-2, 3, size=(n, 3)).astype(float) for _ in range(2))
         vs[rng.random(n) < 0.2] = 0.0
         vt[rng.random(n) < 0.2] = -0.0
-        return from_differences(i, j, vs, vt), eager_from_differences(i, j, vs, vt)
+        return from_differences(i, j, vs, vt), eager_from_differences(i, j, vs, vt), None
     n = data.draw(st.integers(2, 9))
     src, tgt = signed_zero_points(rng, n), signed_zero_points(rng, n)
     ids = np.sort(rng.choice(50, size=n, replace=False))
-    return sets_over(rng, CorrespondenceSet(src, tgt, indices=ids), kind)
+    corrs = CorrespondenceSet(src, tgt, indices=ids)
+    if kind == "built":
+        local = drawn_subset(rng, corrs)
+        return build_line_vectors(local), eager_built(local), corrs
+    return (*sets_over(rng, corrs, kind), corrs)
+
+
+def drawn_subset(rng, corrs):
+    """A subset of 2 or more of `corrs`'s rows, at times `corrs` itself."""
+    size = int(rng.integers(2, len(corrs) + 1))
+    if size == len(corrs) and rng.random() < 0.5:
+        return corrs
+    return corrs.subset(np.sort(rng.choice(len(corrs), size=size, replace=False)))
+
+
+def eager_built(corrs):
+    """The five columns of `corrs`'s usable pairs, from `np.triu_indices` pairs."""
+    r, s = np.triu_indices(len(corrs), k=1)
+    return eager_from_differences(corrs.indices[r], corrs.indices[s],
+                                  corrs.source[r] - corrs.source[s],
+                                  corrs.target[r] - corrs.target[s])
 
 
 def sets_over(rng, corrs, kind):
     """A lazy set over `corrs`'s table and its eager copy.
 
-    "built": the pairs of a drawn subset of 2 or more rows (at times all of
-    them), built over the subset and moved onto `corrs`; "admission": a
-    self-update block over `corrs`.
+    "built": the pairs of a drawn subset of 2 or more rows, built over the
+    subset and moved onto `corrs`, or built over `corrs` itself and then
+    still holding only its ratios; "admission": a self-update block over
+    `corrs`.
     """
     if kind == "built":
-        local = corrs.subset(np.sort(rng.choice(len(corrs), size=int(rng.integers(2, len(corrs) + 1)),
-                                                replace=False)))
-        r, s = np.triu_indices(len(local), k=1)
-        return build_line_vectors(local).on(corrs), eager_from_differences(
-            local.indices[r], local.indices[s], local.source[r] - local.source[s],
-            local.target[r] - local.target[s])
+        local = drawn_subset(rng, corrs)
+        return build_line_vectors(local).on(corrs), eager_built(local)
     ids = corrs.indices
     admitted = np.sort(rng.choice(ids, size=int(rng.integers(0, len(ids) + 1)), replace=False))
     rest = np.setdiff1d(ids, admitted)
@@ -416,12 +437,19 @@ class TestDeferredGathersMatchEagerCopies:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_chains_give_the_same_bytes(self, data):
-        lazy, eager = drawn_sets(data)
+        lazy, eager, full = drawn_sets(data)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        for step in data.draw(st.lists(st.sampled_from(["take", "vectors", "sample", "extend"]),
-                                       max_size=8)):
+        steps = ["take", "vectors", "sample", "extend", "on", "incident"]
+        for step in data.draw(st.lists(st.sampled_from(steps), max_size=8)):
             rows = drawn_rows(data, len(lazy))
-            if step == "take":
+            if step == "on" and full is not None:
+                lazy = lazy.on(full)
+                assert lazy.table is full
+            elif step == "incident":
+                ids = rng.choice(np.append(lazy.table.indices, -1), size=int(rng.integers(0, 4)))
+                want = np.isin(eager[0], ids) | np.isin(eager[1], ids)
+                assert lazy.incident(ids).tobytes() == want.tobytes()
+            elif step == "take":
                 lazy, eager = lazy.take(rows), [c[rows] for c in eager]
             elif step in ("vectors", "sample"):
                 if step == "vectors":
@@ -443,6 +471,8 @@ class TestDeferredGathersMatchEagerCopies:
                 if data.draw(st.booleans()):
                     rows = drawn_rows(data, len(other))
                     other, other_eager = other.take(rows), [c[rows] for c in other_eager]
+                if data.draw(st.booleans()):  # the operand first
+                    lazy, other, eager, other_eager = other, lazy, other_eager, eager
                 lazy = lazy.extend(other)
                 eager = [np.concatenate([a, b]) for a, b in zip(eager, other_eager)]
         assert_eager_bytes(lazy, eager)
@@ -493,6 +523,83 @@ class TestDeferredGathersMatchEagerCopies:
             assert moved.n_zero_skipped == lazy.n_zero_skipped
             assert_eager_bytes(lazy, eager)
             assert_eager_bytes(moved, eager)
+
+
+def points_from_labels(rng, labels):
+    """Rows of drawn points, equal where their labels are: duplicated endpoints."""
+    labels = np.asarray(labels)
+    return rng.normal(size=(labels.max() + 1, 3))[labels]
+
+
+def triangle_less_coincident(src, tgt):
+    """`np.triu_indices` pairs whose source and target points both differ, as int32.
+
+    These are a built set's pairs where no kept ratio can overflow.
+    """
+    r, s = np.triu_indices(len(src), k=1)
+    apart = np.any(src[r] != src[s], axis=1) & np.any(tgt[r] != tgt[s], axis=1)
+    return r[apart].astype(np.int32), s[apart].astype(np.int32)
+
+
+def assert_pairs_are_the_triangle_less_coincident(src, tgt, rows):
+    """A built set's pairs, all of them and taken at `rows`, against `np.triu_indices`."""
+    lvs = build_line_vectors(CorrespondenceSet(src, tgt))
+    p, q = triangle_less_coincident(src, tgt)
+    assert len(lvs) == len(p) and lvs.n_zero_skipped == len(src) * (len(src) - 1) // 2 - len(p)
+    assert lvs.i.tobytes() == p.astype(np.int64).tobytes()  # ids are the rows here
+    assert lvs.j.tobytes() == q.astype(np.int64).tobytes()
+    for sel in (np.arange(len(lvs)), rows):
+        got = lvs.take(sel)
+        assert got.p.tobytes() == p[sel].tobytes() and got.q.tobytes() == q[sel].tobytes()
+    return lvs
+
+
+class TestDerivedPairsMatchTheTriangle:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_duplicated_endpoints(self, data):
+        n = data.draw(st.integers(2, 60))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        src_labels, tgt_labels = (data.draw(st.lists(st.integers(0, data.draw(st.integers(0, n - 1))),
+                                                     min_size=n, max_size=n)) for _ in range(2))
+        if data.draw(st.booleans()):  # the first triangle position dropped
+            src_labels[1] = src_labels[0]
+        if data.draw(st.booleans()):  # the last one dropped
+            tgt_labels[-1] = tgt_labels[-2]
+        src, tgt = points_from_labels(rng, src_labels), points_from_labels(rng, tgt_labels)
+        n_kept = int(np.count_nonzero(
+            np.any(src[:, None] != src, axis=2) & np.any(tgt[:, None] != tgt, axis=2))) // 2
+        assert_pairs_are_the_triangle_less_coincident(src, tgt, drawn_rows(data, n_kept))
+
+    @pytest.mark.parametrize("n", [3, 4, 17, 60])
+    def test_everything_dropped_but_two_pairs(self, n):
+        # Every source point but the last coincides, and every target point
+        # but rows 0 and 1: only (0, n - 1) and (1, n - 1) have both apart.
+        rng = np.random.default_rng(n)
+        src_labels, tgt_labels = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+        src_labels[-1] = 1
+        tgt_labels[:2] = 1
+        lvs = assert_pairs_are_the_triangle_less_coincident(
+            points_from_labels(rng, src_labels), points_from_labels(rng, tgt_labels),
+            np.array([1, 0, 1, 1, 0]))
+        assert lvs.pair_set() == {(0, n - 1), (1, n - 1)}
+        assert lvs.take(np.array([True, False])).pair_set() == {(0, n - 1)}
+
+    @pytest.mark.parametrize("first, last", [(True, False), (False, True), (True, True)])
+    def test_first_and_last_positions_dropped(self, first, last):
+        rng = np.random.default_rng(5)
+        n = 40
+        src, tgt = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+        if first:
+            src[1] = src[0]
+        if last:
+            tgt[-1] = tgt[-2]
+        lvs = assert_pairs_are_the_triangle_less_coincident(
+            src, tgt, rng.integers(0, n * (n - 1) // 2 - first - last, size=90))
+        assert lvs.n_zero_skipped == first + last
+        assert (0, 1) not in lvs.pair_set() if first else (0, 1) in lvs.pair_set()
+        assert (n - 2, n - 1) not in lvs.pair_set() if last else (n - 2, n - 1) in lvs.pair_set()
+        assert lvs.take(rng.random(len(lvs)) < 0.5).p.dtype == np.int32
 
 
 def lvlp_oracle(lvs):
@@ -600,8 +707,9 @@ class TestLengthRatioFilter:
             kept, ratio_range, hist = length_ratio_filter(lvs)
             assert ratio_range.mode == "interval"
             rows = np.flatnonzero(ratio_range.contains(lvs.scale_ratio))
-            for name in ("p", "q", "scale_ratio"):
-                assert getattr(kept, name).tobytes() == getattr(lvs, name)[rows].tobytes()
+            p, q = triangle_less_coincident(src, tgt)  # the built set's pairs
+            for got, want in ((kept.p, p), (kept.q, q), (kept.scale_ratio, lvs.scale_ratio)):
+                assert got.tobytes() == want[rows].tobytes()
             assert kept.flip is None and kept.table is lvs.table
             assert np.array_equal(hist.counts, brute_counts(lvs.scale_ratio, hist.lower_bound,
                                                             hist.bin_width, hist.n_bins))
