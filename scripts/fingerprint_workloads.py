@@ -1,9 +1,14 @@
 #!/usr/bin/env python3
-"""Bit-identity digests of the benchmark workloads' registrations.
+"""Bit-identity digests of the benchmark workloads' scenes and registrations.
 
-Registers the first N scenes of each perfbench workload for each given
-seed and prints one sha256 per workload and seed over every result, in
-scene order: `perfbench.workloads.fingerprint` plus the run counters,
+For each perfbench workload and each given seed, prints two sha256 lines.
+The first covers the bytes of every scene in the workload's pool, in
+order: both clouds, the correspondences, the ground truth, the labels and
+the engine settings (`pool_sha256`). So a change to synthesis is checked
+directly, not only through the registrations.
+
+The second registers the first N scenes of the pool and covers every
+result, in scene order: `perfbench.workloads.fingerprint` plus the run counters,
 each round's `t_glo`, `t_lcl`, `hypotheses`, `degenerate_samples` and
 `branch`, and the angle and scale-ratio histograms (bin width, lower bound
 and counts), which that fingerprint leaves out. Two checkouts that print
@@ -22,7 +27,6 @@ checkouts. BLAS threads are pinned to 1, as in perfbench/run.py.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import os
 import sys
@@ -53,6 +57,13 @@ def round_counts(result) -> tuple:
             histogram_digest(result.scale_ratio_histogram))
 
 
+def scene_bytes(scene) -> bytes:
+    """Every array of a perfbench scene, and its engine settings."""
+    arrays = (scene.source.points, scene.target.points, scene.corrs.source, scene.corrs.target,
+              scene.gt_rotation, scene.gt_translation, scene.inlier_mask)
+    return b"".join(a.tobytes() for a in arrays) + repr(scene.cfg).encode()
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     root = args.root.resolve()
@@ -63,19 +74,19 @@ def main(argv=None) -> int:
     from lvreg.engine import run_registration
     from perfbench.workloads import WORKLOADS, fingerprint, make_scenes
 
-    for name in WORKLOADS:
-        # The pool's scenes come from SeedSequence(seed).spawn(n); its first
-        # N children do not depend on n, so a shorter pool is the same prefix.
-        workload = dataclasses.replace(WORKLOADS[name],
-                                       scenes=min(args.scenes, WORKLOADS[name].scenes))
+    for name, workload in WORKLOADS.items():
         for seed in args.seeds:
+            scenes = make_scenes(workload, seed)
+            pool = hashlib.sha256(b"".join(scene_bytes(scene) for scene in scenes))
+            print(f"{name} seed={seed} pool={len(scenes)} pool_sha256={pool.hexdigest()}",
+                  flush=True)
             digest = hashlib.sha256()
-            for scene in make_scenes(workload, seed):
+            for scene in scenes[:args.scenes]:
                 result = run_registration(scene.corrs, scene.source, scene.target, scene.cfg)
                 digest.update(repr(fingerprint(result)).encode())
                 digest.update(repr(round_counts(result)).encode())
-            print(f"{name} seed={seed} scenes={workload.scenes} sha256={digest.hexdigest()}",
-                  flush=True)
+            n = min(args.scenes, len(scenes))
+            print(f"{name} seed={seed} scenes={n} sha256={digest.hexdigest()}", flush=True)
     return 0
 
 

@@ -19,6 +19,9 @@ per checkout and workload:
 * the commit, the tree hash of src/ and whether the checkout had
   uncommitted changes;
 * every end-to-end metric's runs, median, quartiles and IQR;
+* where the untraced runs' `setup_s` went: the import time's summary and
+  each run's set-up repeats (scene synthesis plus one warm-up
+  registration), from perfbench's `detail`;
 * the same for every per-layer metric of the traced runs (busy_s, counts,
   ratios), so a layer's delta can be told from the drift between runs.
 
@@ -76,8 +79,9 @@ def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: i
         raise RuntimeError(f"{' '.join(cmd)} exited with {proc.returncode}")
     result = json.loads(lines[-1])
     for line in lines:
-        if line.startswith("# provenance "):
-            result["provenance"] = json.loads(line[len("# provenance "):])
+        for key in ("provenance", "detail"):
+            if line.startswith(f"# {key} "):
+                result[key] = json.loads(line[len(key) + 3:])
     return result
 
 
@@ -99,6 +103,8 @@ def workload_record(untraced: list[dict], traced: list[dict]) -> dict:
     return {"attempted": sum(x["attempted"] for x in untraced),
             "failed": sum(x["failed"] for x in untraced),
             "end_to_end": summaries(untraced),
+            "setup_detail": {"import_s": summary([x["detail"]["import_s"] for x in untraced]),
+                             "setup_repeats_s": [x["detail"]["setup_repeats_s"] for x in untraced]},
             "layers": summaries(traced)}
 
 

@@ -6,19 +6,32 @@ Gaussian noise to the target copy, and pairs correspondences so that the
 labels are unambiguous: inlier noise is redrawn until the residual stays
 strictly below the labeling threshold, and outlier pairings are redrawn
 until their residual exceeds a 3x margin above it.
+
+Both redraw loops run on arrays but consume the random stream row by row,
+as a loop over rows would: each round draws one candidate per row still
+missing (each row takes one draw at least, so no round draws past the
+last row's end) and hands the accepted candidates to the rows in stream
+order.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .correspondences import CorrespondenceSet
+from .errors import DegenerateInput
 from .geometry import RigidTransform, rotation_about_axis
 from .normals import PointCloud
 
 SURFACE_MODELS = ("multi-plane", "random-blobs")
+
+# Rejections a row may meet: a noise row then takes its next draw scaled to
+# half the bound, and an outlier row refuses the scene.
+NOISE_TRIES = 100
+OUTLIER_TRIES = 100_000
 
 
 @dataclass(frozen=True)
@@ -36,6 +49,9 @@ class SyntheticSpec:
     outlier_margin_factor: float = 3.0
 
     def __post_init__(self):
+        for name in ("n_points", "n_correspondences", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.n_correspondences > self.n_points:
             raise ValueError("cannot draw more correspondences than points")
         if not (0.0 <= self.outlier_rate < 1.0):
@@ -86,21 +102,77 @@ def _sample_random_blobs(rng: np.random.Generator, n: int, extent: float, n_blob
     return centers[assignment] + rng.normal(scale=extent / 8, size=(n, 3))
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Each row's norm as `np.linalg.norm` takes it of one vector: the sqrt of its dot product."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0, 0]
+
+
+def _rejection_runs(ok: np.ndarray, rejected: int) -> np.ndarray:
+    """The current row's rejections in front of each draw, and after the last one.
+
+    Draws are in stream order and a row ends at its first accepted draw
+    (`ok`); `rejected` counts the row's rejections before `ok[0]`.
+    """
+    at = rejected + np.arange(len(ok) + 1)
+    starts = np.maximum.accumulate(np.concatenate(([0], np.where(ok, at[1:], 0))))
+    return at - starts
+
+
 def _truncated_noise(rng: np.random.Generator, sigma: float, bound: float, n: int) -> np.ndarray:
-    """Isotropic Gaussian noise with norm strictly below `bound` (exact labels)."""
+    """Isotropic Gaussian noise with norm strictly below `bound` (exact labels).
+
+    A row takes its first draw with a norm below `bound`; after NOISE_TRIES
+    rejections it takes the next draw scaled to a norm of 0.5 * bound.
+    """
     noise = np.zeros((n, 3))
     if sigma == 0.0:
         return noise
-    for row in range(n):
-        for _ in range(100):
-            v = rng.normal(scale=sigma, size=3)
-            if np.linalg.norm(v) < bound:
-                noise[row] = v
+    filled, rejected = 0, 0
+    while filled < n:
+        draws = rng.normal(scale=sigma, size=(n - filled, 3))
+        ok = _row_norms(draws) < bound
+        while True:
+            runs = _rejection_runs(ok, rejected)
+            forced = np.flatnonzero(runs[:-1] == NOISE_TRIES)
+            stop = forced[0] if forced.size else len(ok)
+            kept = draws[:stop][ok[:stop]]
+            noise[filled:filled + len(kept)] = kept
+            filled += len(kept)
+            if not forced.size:
+                rejected = runs[-1]
                 break
-        else:
-            v = rng.normal(scale=sigma, size=3)
-            noise[row] = v * (0.5 * bound / np.linalg.norm(v))
+            v = draws[stop]
+            noise[filled] = v * (0.5 * bound / np.linalg.norm(v))
+            filled, rejected = filled + 1, 0
+            draws, ok = draws[stop + 1:], ok[stop + 1:]
     return noise
+
+
+def _outlier_pairs(rng: np.random.Generator, gt: RigidTransform, src: np.ndarray,
+                   tgt: np.ndarray, n: int, margin: float) -> np.ndarray:
+    """n (source row, target row) pairs whose residual under `gt` is at least `margin`.
+
+    A row draws i, then j, until the pair clears the margin. One
+    `integers(size=(k, 2))` call consumes the stream of 2k scalar calls.
+    """
+    pairs = np.empty((n, 2), dtype=np.int64)
+    filled, rejected = 0, 0
+    while filled < n:
+        ij = rng.integers(len(src), size=(n - filled, 2))
+        # A stack of one-point products: each row is the bytes gt.apply(src[i])
+        # gives. The (k, 3) product runs through GEMM, which rounds differently.
+        moved = gt.apply(src[ij[:, 0], None])[:, 0]
+        ok = _row_norms(moved - tgt[ij[:, 1]]) >= margin
+        runs = _rejection_runs(ok, rejected)
+        if runs.max() >= OUTLIER_TRIES:
+            raise DegenerateInput(
+                f"no outlier pairing cleared the residual margin {margin:g} in {OUTLIER_TRIES} "
+                "draws; the scene is too small for it")
+        kept = ij[ok]
+        pairs[filled:filled + len(kept)] = kept
+        filled += len(kept)
+        rejected = runs[-1]
+    return pairs
 
 
 def synthesize_pair(spec: SyntheticSpec):
@@ -130,15 +202,7 @@ def synthesize_pair(spec: SyntheticSpec):
     pairs = np.empty((m, 2), dtype=np.int64)
     pairs[:n_inliers, 0] = inlier_ids
     pairs[:n_inliers, 1] = inlier_ids
-    for row in range(n_inliers, m):
-        for _ in range(100000):
-            i = int(rng.integers(spec.n_points))
-            j = int(rng.integers(spec.n_points))
-            if np.linalg.norm(gt.apply(src[i]) - tgt[j]) >= margin:
-                pairs[row] = (i, j)
-                break
-        else:
-            raise RuntimeError("could not place an outlier beyond the residual margin")
+    pairs[n_inliers:] = _outlier_pairs(rng, gt, src, tgt, m - n_inliers, margin)
 
     perm = rng.permutation(m)
     pairs = pairs[perm]

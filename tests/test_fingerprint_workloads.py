@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+POOL = re.compile(r"(\S+) seed=1 pool=(\d+) pool_sha256=([0-9a-f]{64})")
 DIGEST = re.compile(r"(\S+) seed=1 scenes=1 sha256=([0-9a-f]{64})")
 
 
@@ -17,7 +18,7 @@ def load_script():
     return module
 
 
-def test_one_repeatable_digest_per_workload(monkeypatch, capsys):
+def test_repeatable_pool_and_registration_digests_per_workload(monkeypatch, capsys):
     script = load_script()
     # main() prepends the checkout to sys.path and pins the BLAS thread
     # variables; undo both after the test.
@@ -32,8 +33,13 @@ def test_one_repeatable_digest_per_workload(monkeypatch, capsys):
     for _ in range(2):
         assert script.main(["--scenes", "1", "--seeds", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        matches = [DIGEST.fullmatch(line) for line in lines]
-        assert all(matches), lines
-        runs.append([m.groups() for m in matches])
-    assert [name for name, _ in runs[0]] == list(WORKLOADS)
+        assert len(lines) == 2 * len(WORKLOADS), lines
+        pools = [POOL.fullmatch(line) for line in lines[0::2]]
+        digests = [DIGEST.fullmatch(line) for line in lines[1::2]]
+        assert all(pools) and all(digests), lines
+        runs.append(([m.groups() for m in pools], [m.groups() for m in digests]))
+    pools, digests = runs[0]
+    assert [name for name, *_ in pools] == [name for name, _ in digests] == list(WORKLOADS)
+    # The pool digest covers the whole pool, not only the registered scenes.
+    assert [int(size) for _, size, _ in pools] == [w.scenes for w in WORKLOADS.values()]
     assert runs[0] == runs[1]

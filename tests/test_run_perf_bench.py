@@ -37,6 +37,7 @@ def test_alternating_runs_aggregate_into_one_record(monkeypatch, tmp_path):
         metric = "solver.busy_s" if trace else "registrations_per_s"
         return {"correct": True, "attempted": 4, "failed": 1,
                 "metrics": {metric: {"value": float(k), "unit": "s" if trace else "1/s"}},
+                "detail": {"import_s": k / 10, "setup_repeats_s": [k, k + 1, k + 2]},
                 "provenance": {"python": "3", "numpy": "2", "scipy": "1", "nproc": 2,
                                "threads": {}, "workload": workload}}
 
@@ -67,6 +68,9 @@ def test_alternating_runs_aggregate_into_one_record(monkeypatch, tmp_path):
             assert entry["attempted"] == 4 * script.RUNS and entry["failed"] == script.RUNS
             e2e = entry["end_to_end"]["registrations_per_s"]
             assert e2e["runs"] == mine[:script.RUNS] and e2e["unit"] == "1/s"
+            setup = entry["setup_detail"]
+            assert setup["import_s"]["runs"] == [k / 10 for k in mine[:script.RUNS]]
+            assert setup["setup_repeats_s"] == [[k, k + 1, k + 2] for k in mine[:script.RUNS]]
             layer = entry["layers"]["solver.busy_s"]
             assert layer["runs"] == mine[script.RUNS:] and layer["unit"] == "s"
             assert layer["median"] == sorted(layer["runs"])[len(layer["runs"]) // 2]
@@ -83,6 +87,7 @@ def test_a_failed_check_sets_the_exit_code(monkeypatch, tmp_path):
     def fake_run(root, workload, seed, seconds, trace):
         return {"correct": next(outcomes), "attempted": 1, "failed": 0,
                 "metrics": {"registrations_per_s": {"value": 1.0, "unit": "1/s"}},
+                "detail": {"import_s": 0.5, "setup_repeats_s": [1.0]},
                 "provenance": {k: None for k in ("python", "numpy", "scipy", "nproc", "threads")}}
 
     monkeypatch.setattr(script, "run_perfbench", fake_run)
