@@ -8,6 +8,7 @@ count and across repeated runs, except for the wall-clock column.
 from __future__ import annotations
 
 import json
+import numbers
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -53,6 +54,9 @@ class SuiteConfig:
 
     def __post_init__(self):
         # Reject a bad setting here, not in the first trial that uses it.
+        for name in ("trials", "workers"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         settings(RansacConfig, self)
         for rate in self.outlier_rates:
             settings(SyntheticSpec, self, outlier_rate=rate)

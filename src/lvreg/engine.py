@@ -12,6 +12,7 @@ weighted least-squares alignment of the full set under those weights.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -36,7 +37,7 @@ from .local_sets import (
 )
 from .normals import PointCloud, annotate_normals
 from .self_update import SIGMA_MODES, update_local_sets
-from .solver import estimate_local_transform
+from .solver import estimate_local_transform, squared_noise_bound
 
 log = logging.getLogger(__name__)
 
@@ -67,10 +68,14 @@ class RansacConfig:
             raise ValueError("confidence_target must lie in (0, 1)")
         if not (0.0 < self.alpha_pct <= 100.0 and 0.0 < self.beta_pct <= 100.0):
             raise ValueError("sampling percentages must lie in (0, 100]")
+        for name in ("r_max", "max_local_iterations", "k_normals", "rng_seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         for name in ("residual_threshold", "r_max", "noise_bound", "max_local_iterations",
                      "k_normals"):
             if not 0 < getattr(self, name) < np.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and positive")
+        squared_noise_bound(self.noise_bound)
         if self.sigma_mode not in SIGMA_MODES:
             raise ValueError(f"sigma_mode must be one of {SIGMA_MODES}")
         if self.rng_seed < 0:

@@ -33,6 +33,16 @@ def _parse_floats(tokens, expected: int, line_number: int) -> list[float]:
     return values
 
 
+def _read_text(path) -> str:
+    """The file's UTF-8 text; a byte sequence that is not UTF-8 is a ParseError."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {exc.start} is not UTF-8 text",
+                         data.count(b"\n", 0, exc.start) + 1) from exc
+
+
 def _data_lines(text: str):
     """Yield (line_number, tokens) skipping blanks and '#' comments."""
     for number, raw in enumerate(text.splitlines(), start=1):
@@ -43,13 +53,13 @@ def _data_lines(text: str):
 
 def load_xyz(path) -> PointCloud:
     points = []
-    for number, tokens in _data_lines(Path(path).read_text()):
+    for number, tokens in _data_lines(_read_text(path)):
         points.append(_parse_floats(tokens, 3, number))
     return PointCloud(np.asarray(points, dtype=np.float64).reshape(-1, 3))
 
 
 def load_ply(path) -> PointCloud:
-    lines = Path(path).read_text().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != "ply":
         raise ParseError("not a PLY file (missing 'ply' magic)", 1)
     n_vertices = None
@@ -110,7 +120,7 @@ def write_rows(rows, path):
 
 def load_correspondences(path, source: PointCloud, target: PointCloud) -> CorrespondenceSet:
     """Parse 'i j' index pairs or 'sx sy sz tx ty tz' raw rows (auto-detected)."""
-    rows = list(_data_lines(Path(path).read_text()))
+    rows = list(_data_lines(_read_text(path)))
     if not rows:
         return CorrespondenceSet(np.empty((0, 3)), np.empty((0, 3)))
     mode = "indices" if len(rows[0][1]) == 2 else "coords"
@@ -161,7 +171,7 @@ def write_transform(t: RigidTransform, path, extra: dict | None = None):
 
 
 def load_transform(path) -> RigidTransform:
-    return transform_from_dict(json.loads(Path(path).read_text()))
+    return transform_from_dict(json.loads(_read_text(path)))
 
 
 def result_to_dict(result: RegistrationResult, metrics: MetricsReport | None = None) -> dict:

@@ -57,6 +57,25 @@ CONVERGENCE_TOL = 1e-6
 
 # The ufunc `np.clip` calls for float bounds, without the wrapper's dispatch.
 _clip = np._core.umath.clip
+_TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float64
+
+
+def squared_noise_bound(noise_bound: float) -> float:
+    """tau squared, as the GNC uses it; ValueError unless it is a normal float.
+
+    A square that underflows (to 0 or a subnormal) or overflows has no place
+    in the annealing schedule, which divides by it and by mu, its multiple.
+    """
+    if not noise_bound > 0:
+        raise ValueError("noise_bound must be positive")
+    try:
+        with np.errstate(over="ignore", under="ignore"):
+            eps_sq = noise_bound ** 2
+    except OverflowError:  # a Python float's power raises; a NumPy float's is inf
+        eps_sq = np.inf
+    if not _TINY <= eps_sq < np.inf:
+        raise ValueError(f"noise_bound {noise_bound!r} squared is not a normal float")
+    return eps_sq
 
 
 def _tls_weights(res_sq: np.ndarray, mu: float, eps_sq: float, out: np.ndarray,
@@ -148,10 +167,10 @@ def estimate_rotation_gnc(v_source: np.ndarray, v_target: np.ndarray, noise_boun
     `_tls_weights` and then `_solve_rotation` at call time, so a test can
     wrap them to see every iterate.
 
-    Raises DegenerateInput when the source directions are all parallel.
+    Raises ValueError unless tau squared is a normal float, and
+    DegenerateInput when the source directions are all parallel.
     """
-    if not noise_bound > 0:
-        raise ValueError("noise_bound must be positive")
+    eps_sq = squared_noise_bound(noise_bound)
     if len(v_source) < 2:
         raise DegenerateInput("need at least 2 line vectors to estimate a rotation")
     # See the module docstring for the layout, the buffers and the fixed
@@ -167,7 +186,6 @@ def estimate_rotation_gnc(v_source: np.ndarray, v_target: np.ndarray, noise_boun
     scratch = np.empty(n)
     band = np.empty(n, dtype=bool)
 
-    eps_sq = noise_bound ** 2
     rot = np.eye(3) if initial_rotation is None else np.asarray(initial_rotation, dtype=np.float64)
     res_sq = _squared_residuals(rot, a_t, b_t, diff, np.empty(n))
 
@@ -177,6 +195,10 @@ def estimate_rotation_gnc(v_source: np.ndarray, v_target: np.ndarray, noise_boun
         return _solve_rotation(b, a_t), True
 
     mu = eps_sq / (2.0 * max_res_sq - eps_sq)
+    if mu == 0.0:
+        # Underflowed: tau is far below the residuals. The schedule divides
+        # by mu, so it starts at the smallest normal float instead.
+        mu = _TINY
     best_rot = rot
     best_cost = float(np.add.reduce(np.minimum(res_sq, eps_sq, out=scratch)))
     prev_weights = None

@@ -148,6 +148,18 @@ def _truncated_noise(rng: np.random.Generator, sigma: float, bound: float, n: in
     return noise
 
 
+def _outlier_residuals(gt: RigidTransform, src: np.ndarray, tgt: np.ndarray,
+                       ij: np.ndarray) -> np.ndarray:
+    """The norm of gt.apply(src[i]) - tgt[j] for each (i, j) row of `ij`.
+
+    gt moves a stack of one-point arrays, so each row gets the bytes of
+    gt.apply(src[i]); moving the (k, 3) array runs through GEMM, which
+    rounds differently.
+    """
+    moved = gt.apply(src[ij[:, 0], None])[:, 0]
+    return _row_norms(moved - tgt[ij[:, 1]])
+
+
 def _outlier_pairs(rng: np.random.Generator, gt: RigidTransform, src: np.ndarray,
                    tgt: np.ndarray, n: int, margin: float) -> np.ndarray:
     """n (source row, target row) pairs whose residual under `gt` is at least `margin`.
@@ -159,10 +171,7 @@ def _outlier_pairs(rng: np.random.Generator, gt: RigidTransform, src: np.ndarray
     filled, rejected = 0, 0
     while filled < n:
         ij = rng.integers(len(src), size=(n - filled, 2))
-        # A stack of one-point products: each row is the bytes gt.apply(src[i])
-        # gives. The (k, 3) product runs through GEMM, which rounds differently.
-        moved = gt.apply(src[ij[:, 0], None])[:, 0]
-        ok = _row_norms(moved - tgt[ij[:, 1]]) >= margin
+        ok = _outlier_residuals(gt, src, tgt, ij) >= margin
         runs = _rejection_runs(ok, rejected)
         if runs.max() >= OUTLIER_TRIES:
             raise DegenerateInput(

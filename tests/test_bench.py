@@ -105,8 +105,13 @@ class TestTrialSettings:
             use_ahs_lvlp=True, use_sus=False, sigma_mode="per-round")
 
     @pytest.mark.parametrize("kw", [dict(seed=-1), dict(outlier_rates=(0.5, 1.5)),
-                                    dict(n_points=40, n_correspondences=100), dict(r_max=0)],
-                             ids=["seed", "rate", "corrs-over-points", "rmax"])
+                                    dict(n_points=40, n_correspondences=100), dict(r_max=0),
+                                    dict(trials=2.5), dict(workers=1.5), dict(seed=1.5),
+                                    dict(n_points=100.0), dict(n_correspondences=20.5),
+                                    dict(max_local_iterations=1.5), dict(noise_bound=1e-170)],
+                             ids=["seed", "rate", "corrs-over-points", "rmax", "trials-float",
+                                  "workers-float", "seed-float", "points-float", "corrs-float",
+                                  "max-local-iterations-float", "tau-squared-underflows"])
     def test_bad_settings_rejected_when_the_suite_is_built(self, kw):
         with pytest.raises(ValueError):
             tiny_suite(**kw)

@@ -43,6 +43,17 @@ class TestSynth:
         assert len(gt["true_inlier_indices"]) == 40
 
 
+    def test_scene_too_small_for_the_outlier_margin_exits_3(self, tmp_path):
+        out = tmp_path / "scene"
+        proc = run_cli("synth", "--points", "50", "--corrs", "40", "--outlier-rate", "0.5",
+                       "--noise", "0.003", "--seed", "1", "--extent", "0.001",
+                       "--out-dir", str(out))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("lvreg: degenerate geometry: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert not out.exists()
+
+
 class TestRegister:
     def test_register_with_ground_truth(self, scene_dir, tmp_path):
         out = tmp_path / "result.json"
@@ -84,6 +95,17 @@ class TestRegister:
                        "--corr", str(scene_dir / "corr.txt"),
                        "--tr", "0.01", "--seed", "3", "--out", str(tmp_path / "r.json"))
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("flag", ["--source", "--target", "--corr", "--gt"])
+    def test_non_utf8_file_exits_2_with_one_line(self, scene_dir, tmp_path, flag):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"0 0 0\n\xff\n")
+        paths = {"--source": scene_dir / "source.xyz", "--target": scene_dir / "target.xyz",
+                 "--corr": scene_dir / "corr.txt", "--gt": scene_dir / "gt.json"} | {flag: bad}
+        proc = run_cli("register", *(str(a) for kv in paths.items() for a in kv),
+                       "--tr", "0.01", "--seed", "1", "--out", str(tmp_path / "r.json"))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "lvreg: input error: line 2: byte 6 is not UTF-8 text\n"
 
     def test_non_finite_correspondence_exits_2(self, scene_dir, tmp_path):
         corr = tmp_path / "corr.txt"
@@ -323,6 +345,8 @@ class TestRejectedSettings:
         ["synth", "--noise", "inf"],
         ["synth", "--tr", "nan"],
         ["synth", "--extent", "inf"],
+        ["register", "--tau", "1e-170"],
+        ["register", "--tau", "1e160"],
     ], ids=lambda args: " ".join(args))
     def test_exits_1_with_one_line(self, scene_dir, tmp_path, args):
         command, *flags = args

@@ -302,6 +302,25 @@ def quick_cfg(**kw):
     return RansacConfig(**defaults)
 
 
+class TestRejectedConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("r_max", 2.5), ("k_normals", 2.5), ("max_local_iterations", 1.5), ("rng_seed", 1.5),
+        ("r_max", "3")])
+    def test_integer_settings_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RansacConfig(**{field: value})
+
+    @pytest.mark.parametrize("tau", [1e-170, 1e-154, 1e160, 1.35e154, np.float64(1e160)])
+    def test_tau_squared_must_be_a_normal_float(self, tau):
+        with pytest.raises(ValueError, match="noise_bound"):
+            RansacConfig(noise_bound=tau)
+
+    def test_tau_squared_at_the_edges_of_the_normal_range(self):
+        # the smallest and largest tau whose squares are normal floats
+        RansacConfig(noise_bound=1.4916681462400417e-154)
+        RansacConfig(noise_bound=1.3407807929942596e154)
+
+
 class TestRunRegistration:
     def test_noiseless_full_inlier_recovery(self):
         spec = SyntheticSpec(n_points=500, n_correspondences=150, outlier_rate=0.0,
@@ -627,16 +646,26 @@ class TestTerminationFuzz:
         out = self.run(corrs, source, target, quick_cfg(use_ahs_lvlp=use_ahs_lvlp))
         assert isinstance(out, NonFiniteInput)
 
+    @pytest.mark.parametrize("scale, tau", [(1e100, 1e-100), (1e140, 1e-140), (1e50, 1e-150)])
+    def test_tau_far_below_the_residuals_registers(self, scale, tau):
+        # tau^2 / (2 max r^2 - tau^2) underflows the GNC's initial mu to 0
+        corrs, source, target, _ = self.scaled_scene(scale, True)
+        cfg = quick_cfg(residual_threshold=0.01 * scale, noise_bound=tau)
+        assert isinstance(self.run(corrs, source, target, cfg), RegistrationResult)
+
     @staticmethod
     def scaled_scene(scale, use_ahs_lvlp):
-        """The 60-correspondence scene and its settings, everything scaled by `scale`."""
+        """The 60-correspondence scene and its settings, everything scaled by `scale`.
+
+        tau stops at MAX_COORDINATE, past which its square is no normal float.
+        """
         spec = SyntheticSpec(n_points=200, n_correspondences=60, outlier_rate=0.5,
                              noise_sigma=0.003, seed=5)
         source, target, corrs, gt, _ = synthesize_pair(spec)
         for points in (corrs.source, corrs.target, source.points, target.points):
             points *= scale  # written after the sets were checked
         cfg = quick_cfg(use_ahs_lvlp=use_ahs_lvlp, residual_threshold=0.01 * scale,
-                        noise_bound=0.05 * scale)
+                        noise_bound=min(0.05 * scale, MAX_COORDINATE))
         return corrs, source, target, cfg
 
     @pytest.mark.parametrize("use_ahs_lvlp", [True, False])

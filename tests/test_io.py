@@ -202,6 +202,36 @@ class TestTransformJson:
             transform_from_dict(payload)
 
 
+PLY_HEADER = (b"ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+              b"property float y\nproperty float z\nend_header\n")
+
+
+class TestNonUtf8Text:
+    """A byte that is not UTF-8 is a ParseError naming its line, in every text file."""
+
+    CLOUD = PointCloud(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("name, data, line, load", [
+        ("a.xyz", b"0 0 0\n1 \xff 2\n", 2, load_point_cloud),
+        ("a.ply", PLY_HEADER + b"0 0 0\n0 0 \xe9\n", 9, load_point_cloud),
+        ("a.ply", b"ply\nformat \xc3\x28 1.0\n", 2, load_point_cloud),
+        ("corr.txt", b"0 1\r\n1 2\r\n\xfe 0\n", 3, lambda path: load_correspondences(
+            path, TestNonUtf8Text.CLOUD, TestNonUtf8Text.CLOUD)),
+        ("gt.json", b'{"rotation": "\x80"}', 1, load_transform),
+    ], ids=["xyz", "ply-body", "ply-header", "corr", "transform"])
+    def test_parse_error_with_line(self, tmp_path, name, data, line, load):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="not UTF-8") as info:
+            load(path)
+        assert info.value.line_number == line
+
+    def test_utf8_comments_still_load(self, tmp_path):
+        path = tmp_path / "a.xyz"
+        path.write_bytes("# größe\r\n1 2 3\n".encode())
+        assert load_xyz(path).points.tolist() == [[1.0, 2.0, 3.0]]
+
+
 class TestEmitResult:
     def _result(self):
         spec = SyntheticSpec(n_points=200, n_correspondences=80, outlier_rate=0.4,

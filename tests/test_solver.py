@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lvreg.correspondences import MAX_COORDINATE, CorrespondenceSet
 from lvreg.errors import DegenerateInput
-from lvreg.geometry import RigidTransform, rotation_from_cross_covariance
+from lvreg.geometry import RigidTransform, is_rotation, rotation_from_cross_covariance
 from lvreg.local_sets import build_line_vectors
 from lvreg import solver
 from lvreg.solver import estimate_local_transform, estimate_rotation_gnc, estimate_translation
@@ -61,6 +61,28 @@ class TestRotationGnc:
         vectors = make_line_vectors(rng, random_rotation(rng), 10)
         with pytest.raises(ValueError, match="noise_bound"):
             estimate_rotation_gnc(*vectors, noise_bound)
+
+    @pytest.mark.parametrize("noise_bound", [1e-170, 1e-154, 1e160, np.float64(1e160)])
+    def test_noise_bound_squared_must_be_a_normal_float(self, rng, noise_bound):
+        vectors = make_line_vectors(rng, random_rotation(rng), 10)
+        with pytest.raises(ValueError, match="noise_bound"):
+            estimate_rotation_gnc(*vectors, noise_bound)
+
+    def test_underflowing_mu_starts_at_the_smallest_normal_float(self, rng, monkeypatch):
+        # tau^2 = 1e-200 against squared residuals near 1e200: the initial mu
+        # tau^2 / (2 max r^2 - tau^2) underflows to 0.
+        v_src, v_tgt = make_line_vectors(rng, random_rotation(rng), 30, outlier_fraction=0.3)
+        mus = []
+        tls_weights = solver._tls_weights
+
+        def recording(res_sq, mu, *args):
+            mus.append(mu)
+            return tls_weights(res_sq, mu, *args)
+
+        monkeypatch.setattr(solver, "_tls_weights", recording)
+        rot, converged = estimate_rotation_gnc(v_src * 1e100, v_tgt * 1e100, 1e-100)
+        assert mus[0] == np.finfo(np.float64).tiny
+        assert is_rotation(rot) and not converged
 
     def test_output_always_proper_rotation(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_ITERATIONS", 5)

@@ -1,10 +1,18 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from lvreg import synthetic
+from lvreg.errors import DegenerateInput
 from lvreg.geometry import residuals
-from lvreg.synthetic import SyntheticSpec, synthesize_pair
+from lvreg.synthetic import SURFACE_MODELS, SyntheticSpec, synthesize_pair
 
-from conftest import stable_geodesic
+from conftest import random_transform, stable_geodesic
+from synthetic_reference import synthesize_pair_reference, truncated_noise_reference
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestSynthesizePair:
@@ -76,3 +84,155 @@ class TestSynthesizePair:
             SyntheticSpec(outlier_rate=1.0)
         with pytest.raises(ValueError):
             SyntheticSpec(surface_model="torus")
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_points", 100.0), ("n_correspondences", 20.5), ("seed", 1.5), ("seed", "3")])
+    def test_integer_fields_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SyntheticSpec(**{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        spec = SyntheticSpec(n_points=np.int64(50), n_correspondences=np.int32(20),
+                             seed=np.uint64(7))
+        assert len(synthesize_pair(spec)[2]) == 20
+
+    def test_outlier_cap_raises_degenerate_input(self):
+        # In a 0.001-wide scene no pairing can clear the 0.03 margin.
+        spec = SyntheticSpec(n_points=50, n_correspondences=40, outlier_rate=0.5,
+                             noise_sigma=0.003, seed=1, scene_extent=0.001)
+        with pytest.raises(DegenerateInput, match="margin"):
+            synthesize_pair(spec)
+
+
+def scene_bytes(scene) -> list[bytes]:
+    source, target, corrs, gt, true_inliers = scene
+    return [source.points.tobytes(), target.points.tobytes(), corrs.source.tobytes(),
+            corrs.target.tobytes(), gt.rotation.tobytes(), gt.translation.tobytes(),
+            true_inliers.tobytes()]
+
+
+# (n_points, n_correspondences, outlier_rate, noise_sigma, scene_extent). The
+# labeling threshold is 0.01: noise from none, below and at it to far above it
+# (every row then falls back after 100 rejections), and small scenes where
+# most outlier draws miss the 0.03 margin and are redrawn.
+GRID = [
+    (300, 200, 0.0, 0.0, 1.0),
+    (300, 200, 0.5, 0.003, 1.0),
+    (300, 200, 0.9, 0.01, 1.0),
+    (200, 150, 0.8, 0.05, 1.0),
+    (200, 150, 0.8, 0.5, 1.0),
+    (60, 60, 0.95, 0.003, 0.05),
+    (40, 40, 0.9, 0.0, 0.04),
+    (1, 1, 0.0, 0.003, 1.0),
+]
+
+
+class TestMatchesRowByRowReference:
+    @pytest.mark.parametrize("model", SURFACE_MODELS)
+    @pytest.mark.parametrize("n_points, n_corrs, rate, sigma, extent", GRID)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scene_bytes(self, model, n_points, n_corrs, rate, sigma, extent, seed):
+        spec = SyntheticSpec(n_points=n_points, n_correspondences=n_corrs, outlier_rate=rate,
+                             noise_sigma=sigma, scene_extent=extent, surface_model=model,
+                             seed=seed)
+        assert scene_bytes(synthesize_pair(spec)) == scene_bytes(synthesize_pair_reference(spec))
+
+    @pytest.mark.parametrize("workload", ["filtered-m2000", "unfiltered-m800"])
+    @pytest.mark.parametrize("seed", [1, 9001])
+    def test_first_perfbench_scene(self, monkeypatch, workload, seed):
+        monkeypatch.syspath_prepend(str(ROOT))
+        from perfbench import workloads
+        specs = []
+
+        def recording(spec):
+            specs.append(spec)
+            return synthesize_pair(spec)
+
+        monkeypatch.setattr(workloads, "synthesize_pair", recording)
+        workloads.make_scenes(dataclasses.replace(workloads.WORKLOADS[workload], scenes=1), seed)
+        (spec,) = specs
+        assert scene_bytes(synthesize_pair(spec)) == scene_bytes(synthesize_pair_reference(spec))
+
+    @pytest.mark.parametrize("sigma", [0.003, 0.01, 0.03, 0.05, 0.5])
+    @pytest.mark.parametrize("n", [1, 7, 400])
+    def test_truncated_noise_bytes_and_stream(self, sigma, n):
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        noise = synthetic._truncated_noise(rng, sigma, 0.01, n)
+        assert noise.tobytes() == truncated_noise_reference(ref_rng, sigma, 0.01, n).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_grid_reaches_the_fallback_and_the_redraws(self, monkeypatch):
+        seen = []
+
+        def recording(ok, rejected):
+            seen.append((ok.copy(), rejected))
+            return rejection_runs(ok, rejected)
+
+        rejection_runs = synthetic._rejection_runs
+        monkeypatch.setattr(synthetic, "_rejection_runs", recording)
+        # sigma 50 x the bound: a draw below it has probability ~1e-6, so
+        # every row falls back and its norm is half the bound.
+        noise = synthetic._truncated_noise(np.random.default_rng(0), 0.5, 0.01, 30)
+        assert np.allclose(np.linalg.norm(noise, axis=1), 0.005, rtol=1e-12, atol=0)
+        # sigma 5 x the bound: some rows fall back, some accept, and runs of
+        # rejections carry over from one round of draws to the next.
+        seen.clear()
+        synthetic._truncated_noise(np.random.default_rng(0), 0.05, 0.01, 200)
+        assert any(rejected > 0 for _, rejected in seen)
+        norms = np.linalg.norm(synthetic._truncated_noise(np.random.default_rng(0), 0.05, 0.01, 200),
+                               axis=1)
+        assert (np.abs(norms - 0.005) < 1e-15).any() and (np.abs(norms - 0.005) > 1e-6).any()
+        # Noise-free small scenes: only outlier draws reach the recorder.
+        seen.clear()
+        synthesize_pair(SyntheticSpec(n_points=40, n_correspondences=40, outlier_rate=0.9,
+                                      noise_sigma=0.0, scene_extent=0.04, seed=0))
+        assert len(seen) > 1 and not seen[0][0].all()
+
+
+class TestChunkedNormsMatchScalarNorms:
+    @pytest.mark.parametrize("scale", [1e-160, 1e-3, 1.0, 1e3, 1e154, 1e160])
+    def test_row_norms(self, scale):
+        v = np.random.default_rng(3).normal(size=(500, 3)) * scale
+        v[:3] = [[0.0, 0.0, 0.0], [-0.0, 1e-320, 0.0], [scale, -scale, scale]]
+        with np.errstate(over="ignore"):  # the two largest scales overflow to inf
+            assert synthetic._row_norms(v).tobytes() == \
+                np.array([np.linalg.norm(row) for row in v]).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stacked_motion_is_the_one_point_motion(self, seed):
+        rng = np.random.default_rng(seed)
+        gt = random_transform(rng, translation_scale=10.0 ** rng.uniform(-3, 3))
+        src = rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-3, 3)
+        moved = gt.apply(src[:, None])[:, 0]
+        assert moved.tobytes() == np.array([gt.apply(p) for p in src]).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_outlier_residuals(self, seed):
+        rng = np.random.default_rng(seed)
+        gt = random_transform(rng)
+        src, tgt = rng.normal(size=(300, 3)), rng.normal(size=(300, 3))
+        ij = rng.integers(300, size=(1000, 2))
+        expected = [np.linalg.norm(gt.apply(src[i]) - tgt[j]) for i, j in ij]
+        assert synthetic._outlier_residuals(gt, src, tgt, ij).tobytes() == \
+            np.array(expected).tobytes()
+
+
+class TestDrawsConsumeTheScalarStream:
+    @pytest.mark.parametrize("n", [1, 3, 2000, 5000, 2**31 + 5, 2**40])
+    def test_integers(self, n):
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        rng.normal(), ref.normal()  # start on a used stream
+        for k in (1, 2, 37, 800):
+            pairs = rng.integers(n, size=(k, 2))
+            assert pairs.tolist() == [[int(ref.integers(n)), int(ref.integers(n))]
+                                      for _ in range(k)]
+            assert rng.normal(size=2).tobytes() == ref.normal(size=2).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_normal(self):
+        rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+        for k in (1, 5, 300):
+            rows = rng.normal(scale=0.003, size=(k, 3))
+            assert rows.tobytes() == \
+                np.array([ref.normal(scale=0.003, size=3) for _ in range(k)]).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
