@@ -6,7 +6,7 @@ import pytest
 
 from lvreg import synthetic
 from lvreg.errors import DegenerateInput
-from lvreg.geometry import residuals
+from lvreg.geometry import RigidTransform, residuals
 from lvreg.synthetic import SURFACE_MODELS, SyntheticSpec, synthesize_pair
 
 from conftest import random_transform, stable_geodesic
@@ -161,7 +161,7 @@ class TestMatchesRowByRowReference:
         assert noise.tobytes() == truncated_noise_reference(ref_rng, sigma, 0.01, n).tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    def test_grid_reaches_the_fallback_and_the_redraws(self, monkeypatch):
+    def test_grid_reaches_the_fallback_the_carry_over_and_the_redraws(self, monkeypatch):
         seen = []
 
         def recording(ok, rejected):
@@ -172,21 +172,57 @@ class TestMatchesRowByRowReference:
         monkeypatch.setattr(synthetic, "_rejection_runs", recording)
         # sigma 50 x the bound: a draw below it has probability ~1e-6, so
         # every row falls back and its norm is half the bound.
-        noise = synthetic._truncated_noise(np.random.default_rng(0), 0.5, 0.01, 30)
+        noise = synthetic._truncated_noise(np.random.default_rng(0), 0.5, 0.01, 200)
         assert np.allclose(np.linalg.norm(noise, axis=1), 0.005, rtol=1e-12, atol=0)
-        # sigma 5 x the bound: some rows fall back, some accept, and runs of
-        # rejections carry over from one round of draws to the next.
+        # sigma 5 x the bound: some rows fall back, others accept, and runs
+        # of rejections carry over from one round of draws to the next.
         seen.clear()
-        synthetic._truncated_noise(np.random.default_rng(0), 0.05, 0.01, 200)
+        noise = synthetic._truncated_noise(np.random.default_rng(0), 0.05, 0.01, 200)
+        fell_back = np.abs(np.linalg.norm(noise, axis=1) - 0.005) < 1e-15
+        assert fell_back.any() and not fell_back.all()
         assert any(rejected > 0 for _, rejected in seen)
-        norms = np.linalg.norm(synthetic._truncated_noise(np.random.default_rng(0), 0.05, 0.01, 200),
-                               axis=1)
-        assert (np.abs(norms - 0.005) < 1e-15).any() and (np.abs(norms - 0.005) > 1e-6).any()
-        # Noise-free small scenes: only outlier draws reach the recorder.
+        # A noise-free small scene: only outlier draws reach the recorder.
         seen.clear()
         synthesize_pair(SyntheticSpec(n_points=40, n_correspondences=40, outlier_rate=0.9,
                                       noise_sigma=0.0, scene_extent=0.04, seed=0))
         assert len(seen) > 1 and not seen[0][0].all()
+
+
+class ScriptedDraws:
+    """Stands in for a Generator whose `integers` returns the next rows of a script."""
+
+    def __init__(self, rows):
+        self.rows = np.array(rows, dtype=np.int64)
+
+    def integers(self, n, size):
+        drawn, self.rows = self.rows[:size[0]], self.rows[size[0]:]
+        assert len(drawn) == size[0], "drew past the script"
+        return drawn
+
+
+class TestOutlierCap:
+    """A row refuses the scene at its OUTLIER_TRIES-th rejection, counted across rounds."""
+
+    POINTS = np.eye(3) * 10.0  # (i, i) has residual 0; (i, j) clears the margin
+
+    def pairs(self, monkeypatch, n, script):
+        monkeypatch.setattr(synthetic, "OUTLIER_TRIES", 3)
+        return synthetic._outlier_pairs(ScriptedDraws(script), RigidTransform.identity(),
+                                        self.POINTS, self.POINTS, n, 0.03)
+
+    def test_accepted_after_one_rejection_fewer(self, monkeypatch):
+        assert self.pairs(monkeypatch, 1, [[0, 0], [1, 1], [0, 1]]).tolist() == [[0, 1]]
+
+    def test_refused_at_the_cap(self, monkeypatch):
+        with pytest.raises(DegenerateInput):
+            self.pairs(monkeypatch, 1, [[0, 0], [1, 1], [2, 2]])
+
+    def test_rejections_carry_over_between_rounds(self, monkeypatch):
+        # rounds of 2, 1 and 1 draws; the second row's rejections add up
+        assert self.pairs(monkeypatch, 2, [[0, 1], [0, 0], [1, 1], [1, 2]]).tolist() == \
+            [[0, 1], [1, 2]]
+        with pytest.raises(DegenerateInput):
+            self.pairs(monkeypatch, 2, [[0, 1], [0, 0], [1, 1], [2, 2]])
 
 
 class TestChunkedNormsMatchScalarNorms:
