@@ -71,11 +71,10 @@ class RansacConfig:
         for name in ("r_max", "max_local_iterations", "k_normals", "rng_seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
-        for name in ("residual_threshold", "r_max", "noise_bound", "max_local_iterations",
-                     "k_normals"):
+        for name in ("residual_threshold", "r_max", "max_local_iterations", "k_normals"):
             if not 0 < getattr(self, name) < np.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and positive")
-        squared_noise_bound(self.noise_bound)
+        squared_noise_bound(self.noise_bound)  # positive, with a normal square
         if self.sigma_mode not in SIGMA_MODES:
             raise ValueError(f"sigma_mode must be one of {SIGMA_MODES}")
         if self.rng_seed < 0:
