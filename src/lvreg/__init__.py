@@ -33,8 +33,6 @@ from .self_update import (
     UpdateAction,
     UpdateDecision,
     UpdateRule,
-    classify_inclusion,
-    classify_removal,
     draw_probability_threshold,
     true_inlier_probability,
     update_local_sets,

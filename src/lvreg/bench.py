@@ -55,8 +55,8 @@ class SuiteConfig:
     def __post_init__(self):
         # Reject a bad setting here, not in the first trial that uses it.
         for name in ("trials", "workers"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
+            if not isinstance(getattr(self, name), numbers.Integral) or getattr(self, name) < 1:
+                raise ValueError(f"{name} must be an integer of at least 1")
         settings(RansacConfig, self)
         for rate in self.outlier_rates:
             settings(SyntheticSpec, self, outlier_rate=rate)

@@ -18,7 +18,6 @@ keeping the pairs whose scale ratio falls in the retained ratio band.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,18 +54,21 @@ class UpdateDecision:
     threshold: float | None = None
 
 
-def true_inlier_probability(r: float, sigma: float) -> float:
+def true_inlier_probability(r, sigma):
     """Probability that a residual of magnitude r is inlier noise of scale sigma.
 
     Survival function of the noise-residual norm: the squared norm of an
     isotropic 3D Gaussian is sigma^2 times a chi-square with 3 degrees of
     freedom, so P = 1 - gamma_lower(3/2, r^2 / (2 sigma^2)) / Gamma(3/2),
     evaluated with the regularized upper incomplete gamma. Strictly
-    decreasing in r; 1 at r = 0.
+    decreasing in r; 1 at r = 0. Arrays broadcast elementwise; scalars
+    give a float.
     """
-    if sigma <= 0:
+    sigma = np.asarray(sigma, dtype=float)
+    if not (sigma > 0).all():
         raise ValueError("sigma must be positive")
-    return float(gammaincc(1.5, (r * r) / (2.0 * sigma * sigma)))
+    p = gammaincc(1.5, (r * r) / (2.0 * sigma * sigma))
+    return p if np.ndim(p) else float(p)
 
 
 def draw_probability_threshold(rng: np.random.Generator) -> float:
@@ -79,58 +81,45 @@ def draw_sigma(rng: np.random.Generator, residual_threshold: float) -> float:
     return residual_threshold - float(rng.uniform(0.0, residual_threshold))
 
 
-def classify_inclusion(prev_residual: float, curr_residual: float, residual_threshold: float,
-                       rng: np.random.Generator, sigma: float | None = None,
-                       index: int = -1) -> UpdateDecision:
-    """Decide whether a global inlier outside the local set is admitted.
+# (stable rule, drawn rule, action if chosen, action if not) of admission and of eviction
+_SIDES = {
+    False: (UpdateRule.STABLE_INLIER, UpdateRule.NEW_INLIER, UpdateAction.INCLUDE, UpdateAction.SKIP),
+    True: (UpdateRule.STABLE_OUTLIER, UpdateRule.NEW_OUTLIER, UpdateAction.REMOVE, UpdateAction.KEEP),
+}
 
-    A two-round inlier is admitted outright (probability 1, no random
-    draw). A first-round-or-recovered inlier is admitted iff its
-    true-inlier probability exceeds a freshly drawn percent threshold.
-    A NaN residual is absent: a NaN `prev_residual` takes the
-    probabilistic path, and a NaN `curr_residual` raises MissingResidual.
+
+def _decide(corrs: CorrespondenceSet, ids: np.ndarray, evict: bool, residual_threshold: float,
+            rng: np.random.Generator, sigma: float | None):
+    """Decide every candidate id of one side; returns (decisions, the ids given the chosen action).
+
+    A row whose previous residual was on the same side of the threshold
+    (admission: below it; eviction: at or above it) is stable and takes the
+    chosen action with no draw; a NaN previous residual is on neither side.
+    Every other row, in id order, draws sigma (unless it is fixed) and then a
+    percent threshold, and takes the chosen action iff its true-inlier
+    probability (admission) or true-outlier probability (eviction) exceeds
+    that threshold. A NaN current residual raises MissingResidual before any draw.
     """
-    if math.isnan(curr_residual):
-        raise MissingResidual("current residual required for a self-update decision")
-    if prev_residual < residual_threshold:
-        return UpdateDecision(index, UpdateAction.INCLUDE, UpdateRule.STABLE_INLIER, probability=1.0)
-    s = draw_sigma(rng, residual_threshold) if sigma is None else sigma
-    prob = true_inlier_probability(curr_residual, s)
-    threshold = draw_probability_threshold(rng)
-    action = UpdateAction.INCLUDE if prob > threshold else UpdateAction.SKIP
-    return UpdateDecision(index, action, UpdateRule.NEW_INLIER, probability=prob, threshold=threshold)
-
-
-def classify_removal(prev_residual: float, curr_residual: float, residual_threshold: float,
-                     rng: np.random.Generator, sigma: float | None = None,
-                     index: int = -1) -> UpdateDecision:
-    """Decide whether a local member that is no longer a global inlier is evicted.
-
-    A two-round outlier is evicted outright (no random draw). One that was
-    an inlier in the previous round (or has no history yet, NaN) is
-    evicted iff its true-outlier probability (1 - P) exceeds a drawn
-    percent threshold. A NaN `curr_residual` raises MissingResidual.
-    """
-    if math.isnan(curr_residual):
-        raise MissingResidual("current residual required for a self-update decision")
-    if prev_residual >= residual_threshold:
-        return UpdateDecision(index, UpdateAction.REMOVE, UpdateRule.STABLE_OUTLIER)
-    s = draw_sigma(rng, residual_threshold) if sigma is None else sigma
-    prob = true_inlier_probability(curr_residual, s)
-    threshold = draw_probability_threshold(rng)
-    action = UpdateAction.REMOVE if (1.0 - prob) > threshold else UpdateAction.KEEP
-    return UpdateDecision(index, action, UpdateRule.NEW_OUTLIER, probability=prob, threshold=threshold)
-
-
-def _decide(classify, corrs: CorrespondenceSet, ids: np.ndarray, action: UpdateAction,
-            residual_threshold: float, rng: np.random.Generator, sigma: float | None):
-    """Classify each candidate id in order; returns (decisions, ids given `action`)."""
+    stable_rule, drawn_rule, chosen, not_chosen = _SIDES[evict]
     rows = corrs.rows_for(ids)
-    decisions = [classify(prev, curr, residual_threshold, rng, sigma=sigma, index=gid)
-                 for gid, prev, curr in zip(ids.tolist(), corrs.prev_residuals[rows].tolist(),
-                                            corrs.curr_residuals[rows].tolist())]
-    chosen = np.array([d.action is action for d in decisions], dtype=bool)
-    return decisions, ids[chosen]
+    prev, curr = corrs.prev_residuals[rows], corrs.curr_residuals[rows]
+    if np.isnan(curr).any():
+        raise MissingResidual("current residual required for a self-update decision")
+    stable = prev >= residual_threshold if evict else prev < residual_threshold
+    drawn = np.flatnonzero(~stable)
+    # One scalar draw at a time: batched draws would consume another stream.
+    draws = np.array([(draw_sigma(rng, residual_threshold) if sigma is None else sigma,
+                       draw_probability_threshold(rng)) for _ in drawn]).reshape(-1, 2)
+    prob = true_inlier_probability(curr[drawn], draws[:, 0])
+    take = stable.copy()
+    take[drawn] = (1.0 - prob if evict else prob) > draws[:, 1]
+    probability = np.full(len(ids), None if evict else 1.0, dtype=object)
+    threshold = np.full(len(ids), None, dtype=object)
+    probability[drawn], threshold[drawn] = prob.tolist(), draws[:, 1].tolist()
+    decisions = list(map(UpdateDecision, ids.tolist(), np.where(take, chosen, not_chosen).tolist(),
+                         np.where(stable, stable_rule, drawn_rule).tolist(), probability.tolist(),
+                         threshold.tolist()))
+    return decisions, ids[take]
 
 
 def _admission_block(corrs: CorrespondenceSet, admitted: np.ndarray, retained: np.ndarray,
@@ -191,10 +180,10 @@ def update_local_sets(corrs: CorrespondenceSet, local_set: CorrespondenceSet,
 
     ir_glo = np.asarray(ir_glo, dtype=np.int64).ravel()
     members = local_set.indices
-    evict_decisions, removed = _decide(classify_removal, corrs, np.setdiff1d(members, ir_glo),
-                                       UpdateAction.REMOVE, residual_threshold, rng, sigma)
-    admit_decisions, admitted = _decide(classify_inclusion, corrs, np.setdiff1d(ir_glo, members),
-                                        UpdateAction.INCLUDE, residual_threshold, rng, sigma)
+    evict_decisions, removed = _decide(corrs, np.setdiff1d(members, ir_glo), True,
+                                       residual_threshold, rng, sigma)
+    admit_decisions, admitted = _decide(corrs, np.setdiff1d(ir_glo, members), False,
+                                        residual_threshold, rng, sigma)
     retained = np.setdiff1d(members, removed)
     current = np.union1d(retained, admitted)
 

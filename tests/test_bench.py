@@ -108,10 +108,12 @@ class TestTrialSettings:
                                     dict(n_points=40, n_correspondences=100), dict(r_max=0),
                                     dict(trials=2.5), dict(workers=1.5), dict(seed=1.5),
                                     dict(n_points=100.0), dict(n_correspondences=20.5),
-                                    dict(max_local_iterations=1.5), dict(noise_bound=1e-170)],
+                                    dict(max_local_iterations=1.5), dict(noise_bound=1e-170),
+                                    dict(trials=0), dict(trials=-2), dict(workers=0)],
                              ids=["seed", "rate", "corrs-over-points", "rmax", "trials-float",
                                   "workers-float", "seed-float", "points-float", "corrs-float",
-                                  "max-local-iterations-float", "tau-squared-underflows"])
+                                  "max-local-iterations-float", "tau-squared-underflows",
+                                  "trials-zero", "trials-negative", "workers-zero"])
     def test_bad_settings_rejected_when_the_suite_is_built(self, kw):
         with pytest.raises(ValueError):
             tiny_suite(**kw)

@@ -337,6 +337,9 @@ class TestRejectedSettings:
         ["bench", "--outlier-rates", "1.5"],
         ["bench", "--corrs", "100", "--points", "40"],
         ["bench", "--rmax", "0"],
+        ["bench", "--trials", "0"],
+        ["bench", "--trials", "-2"],
+        ["bench", "--workers", "0"],
         ["register", "--tr", "nan"],
         ["register", "--tr", "inf"],
         ["register", "--tau", "nan"],

@@ -552,6 +552,21 @@ class TestRunRegistration:
         assert (res.exit_reason, res.rounds) == ("max-rounds", r_max)
         assert len(res.sus_decisions) == r_max - 1
 
+    def test_decision_fields_are_python_scalars(self):
+        # The fingerprints hash the repr of each field, and a NumPy scalar's
+        # repr differs from a Python one's of the same value.
+        spec = SyntheticSpec(n_points=300, n_correspondences=120, outlier_rate=0.8,
+                             noise_sigma=0.003, seed=4)
+        source, target, corrs, _, _ = synthesize_pair(spec)
+        res = run_registration(corrs, source, target, quick_cfg(rng_seed=4, r_max=4))
+        decisions = [d for round_decisions in res.sus_decisions for d in round_decisions]
+        assert len({(d.rule, d.action) for d in decisions}) == 6  # every rule and action
+        for d in decisions:
+            assert type(d.correspondence_index) is int
+            assert type(d.action) is UpdateAction and type(d.rule) is UpdateRule
+            assert type(d.probability) in (float, type(None))
+            assert type(d.threshold) in (float, type(None))
+
     def test_counters_report_the_filtered_rung(self):
         spec = SyntheticSpec(n_points=300, n_correspondences=150, outlier_rate=0.5,
                              noise_sigma=0.003, seed=2)

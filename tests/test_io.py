@@ -15,10 +15,12 @@ from lvreg.io import (
     transform_from_dict,
     transform_to_dict,
     write_rows,
+    write_sus_csv,
     write_transform,
 )
 from lvreg.metrics import MetricsReport
 from lvreg.normals import PointCloud
+from lvreg.self_update import UpdateAction, UpdateDecision, UpdateRule
 from lvreg.synthetic import SyntheticSpec, synthesize_pair
 
 from conftest import random_transform
@@ -292,3 +294,25 @@ class TestEmitResult:
             assert list(row) == ["round", "t_glo", "t_lcl", "hypotheses", "degenerate_samples",
                                  "branch", "n_global_inliers", "global_confidence",
                                  "local_set_size", "line_vector_count", "weights_updated"]
+
+
+class TestSusCsv:
+    def test_one_decision_of_each_rule_and_action(self, tmp_path):
+        decisions = [
+            UpdateDecision(3, UpdateAction.REMOVE, UpdateRule.STABLE_OUTLIER),
+            UpdateDecision(5, UpdateAction.REMOVE, UpdateRule.NEW_OUTLIER, 0.000584, 0.01),
+            UpdateDecision(8, UpdateAction.KEEP, UpdateRule.NEW_OUTLIER, 0.0, 1.0),
+            UpdateDecision(2, UpdateAction.INCLUDE, UpdateRule.STABLE_INLIER, 1.0),
+            UpdateDecision(4, UpdateAction.INCLUDE, UpdateRule.NEW_INLIER, 0.8012519569012008, 0.37),
+            UpdateDecision(9, UpdateAction.SKIP, UpdateRule.NEW_INLIER, 1.0, 1.0),
+        ]
+        path = tmp_path / "sus_round_1.csv"
+        write_sus_csv(decisions, path)
+        assert path.read_bytes() == (
+            b"index,action,rule,probability,threshold\n"
+            b"3,remove,stable-outlier,,\n"
+            b"5,remove,new-outlier,0.000584,0.01\n"
+            b"8,keep,new-outlier,0.0,1.0\n"
+            b"2,include,stable-inlier,1.0,\n"
+            b"4,include,new-inlier,0.8012519569012008,0.37\n"
+            b"9,skip,new-inlier,1.0,1.0\n")

@@ -41,13 +41,12 @@ from lvreg.local_sets import (
 from lvreg.self_update import (
     SIGMA_MODES,
     UpdateAction,
-    classify_inclusion,
-    classify_removal,
     draw_sigma,
     update_local_sets,
 )
 
 from pairs import from_differences, vector_set
+from self_update_reference import classify_inclusion, classify_removal
 
 FIELDS = ("i", "j", "v_source", "v_target", "scale_ratio")
 T_R = 0.01

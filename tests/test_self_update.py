@@ -4,21 +4,23 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaincc
 
 from lvreg.correspondences import CorrespondenceSet
 from lvreg.errors import MissingResidual
+from lvreg.io import write_sus_csv
 from lvreg.local_sets import RatioRange, build_line_vectors, length_ratio_filter
 from lvreg.self_update import (
     SIGMA_MODES,
     UpdateAction,
     UpdateRule,
-    classify_inclusion,
-    classify_removal,
     draw_probability_threshold,
     draw_sigma,
     true_inlier_probability,
     update_local_sets,
 )
+
+from self_update_reference import classify_inclusion, classify_removal
 
 T_R = 0.01
 
@@ -62,6 +64,20 @@ class TestTrueInlierProbability:
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
             true_inlier_probability(1.0, 0.0)
+
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.array([T_R, 0.0]), np.array([T_R, np.nan])])
+    def test_sigma_must_be_positive_and_not_nan(self, sigma):
+        with pytest.raises(ValueError):
+            true_inlier_probability(np.array([0.5 * T_R, T_R]), sigma)
+
+    def test_one_array_call_equals_the_scalar_calls(self):
+        rng = np.random.default_rng(2)
+        r = np.concatenate([[0.0], rng.uniform(0.0, 3 * T_R, 999)])
+        sigma = rng.uniform(1e-6, T_R, 1000)
+        got = true_inlier_probability(r, sigma)
+        assert got.tolist() == [float(gammaincc(1.5, (a * a) / (2.0 * s * s)))
+                                for a, s in zip(r.tolist(), sigma.tolist())]
+        assert type(true_inlier_probability(0.5 * T_R, T_R)) is float
 
 
 class TestDraws:
@@ -391,3 +407,69 @@ class TestUpdateLocalSets:
             runs.append((tuple(new_local.indices), tuple(sorted(new_lvs.pair_set())),
                          tuple((d.correspondence_index, d.action, d.rule) for d in decisions)))
         assert runs[0] == runs[1]
+
+
+class ScriptedDraws:
+    """A stand-in generator: `uniform` and `integers` return scripted values and log each call."""
+
+    def __init__(self, uniform, integers):
+        self.script = {"uniform": iter(uniform), "integers": iter(integers)}
+        self.calls = []
+
+    def draw(self, name, lo, hi):
+        self.calls.append((name, lo, hi))
+        return next(self.script[name])
+
+    def uniform(self, lo, hi):
+        return self.draw("uniform", lo, hi)
+
+    def integers(self, lo, hi):
+        return self.draw("integers", lo, hi)
+
+
+class TestDecisionBoundaries:
+    @pytest.mark.parametrize("sigma_mode", SIGMA_MODES)
+    def test_exact_ties_and_missing_history_match_reference(self, rng, tmp_path, sigma_mode):
+        # Random residuals never hit an exact equality, so a `>` turned `>=`
+        # would pass the random oracles. Here every tie is exact: the drawn
+        # sigma is T_R / 2 in each sigma_mode, and the thresholds are scripted.
+        corrs, local, lvs, ratio_range = build_state(rng)
+        members = local.indices.tolist()
+        e_stable, e_nan, e_huge = members[:3]
+        a_tie, a_nan, a_zero, a_stable = sorted(set(range(len(corrs))) - set(members))[:4]
+        residuals = {  # id: (prev, curr)
+            e_stable: (T_R, 2 * T_R),     # prev == t_r: a stable outlier
+            e_nan: (np.nan, 2 * T_R),     # no history: drawn
+            e_huge: (0.5 * T_R, 1e3),     # 1 - P == 1.0 against a drawn 1.00
+            a_tie: (T_R, 0.5 * T_R),      # prev == t_r: not a stable inlier, drawn
+            a_nan: (np.nan, 0.5 * T_R),   # no history: drawn
+            a_zero: (2 * T_R, 0.0),       # P == 1.0 against a drawn 1.00
+            a_stable: (0.5 * T_R, 0.5 * T_R),
+        }
+        for gid, (prev, curr) in residuals.items():
+            corrs.prev_residuals[gid], corrs.curr_residuals[gid] = prev, curr
+        ir_glo = np.asarray(sorted(set(members) - {e_stable, e_nan, e_huge}
+                                   | {a_tie, a_nan, a_zero, a_stable}))
+        # one threshold per drawn row: e_nan, e_huge, then a_tie, a_nan, a_zero
+        script = dict(uniform=[0.5 * T_R] * 6, integers=[1, 100, 1, 1, 100])
+        ref_draws, draws = ScriptedDraws(**script), ScriptedDraws(**script)
+        _, _, ref_decisions = per_id_reference(corrs, local, lvs, ir_glo, ratio_range, ref_draws,
+                                               sigma_mode)
+        _, _, decisions = update_local_sets(corrs, local, lvs, ir_glo, T_R, ratio_range, draws,
+                                            sigma_mode=sigma_mode)
+        assert [(d.correspondence_index, d.rule, d.action) for d in decisions] == [
+            (e_stable, UpdateRule.STABLE_OUTLIER, UpdateAction.REMOVE),
+            (e_nan, UpdateRule.NEW_OUTLIER, UpdateAction.REMOVE),
+            (e_huge, UpdateRule.NEW_OUTLIER, UpdateAction.KEEP),
+            (a_tie, UpdateRule.NEW_INLIER, UpdateAction.INCLUDE),
+            (a_nan, UpdateRule.NEW_INLIER, UpdateAction.INCLUDE),
+            (a_zero, UpdateRule.NEW_INLIER, UpdateAction.SKIP),
+            (a_stable, UpdateRule.STABLE_INLIER, UpdateAction.INCLUDE),
+        ]
+        assert (decisions[2].probability, decisions[2].threshold) == (0.0, 1.0)
+        assert (decisions[5].probability, decisions[5].threshold) == (1.0, 1.0)
+        assert decisions == ref_decisions
+        assert draws.calls == ref_draws.calls
+        write_sus_csv(decisions, tmp_path / "got.csv")
+        write_sus_csv(ref_decisions, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
