@@ -3,7 +3,8 @@
 `CorrespondenceSet` is a struct-of-arrays: paired (N, 3) source/target
 points (finite and at most `MAX_COORDINATE` in magnitude; `NonFiniteInput`
 otherwise) plus optional per-item normals and previous/current residuals
-(NaN where absent). Each item keeps a stable integer id in `indices`;
+(NaN where absent). Each item keeps a stable integer id in `indices`,
+strictly increasing along the rows, so a set's rows are in id order;
 subsets preserve the ids of the parent set, so line vectors can reference
 items independently of subset membership.
 """
@@ -50,6 +51,8 @@ class CorrespondenceSet:
         self.indices = np.arange(n, dtype=np.int64) if indices is None else np.asarray(indices, dtype=np.int64).copy()
         if len(self.indices) != n:
             raise ValueError("indices must match the number of correspondences")
+        if np.any(self.indices[1:] <= self.indices[:-1]):
+            raise ValueError("indices must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.source)
@@ -77,7 +80,7 @@ class CorrespondenceSet:
         )
 
     def rows_for(self, ids) -> np.ndarray:
-        """Row positions of the given item ids (requires sorted, unique indices)."""
+        """Row positions of the given item ids; KeyError for an id not in this set."""
         ids = np.asarray(ids, dtype=np.int64)
         rows = np.searchsorted(self.indices, ids)
         if np.any(rows >= len(self.indices)) or np.any(self.indices[np.minimum(rows, len(self.indices) - 1)] != ids):

@@ -15,10 +15,12 @@ Bin widths follow Scott's rule with the population standard deviation.
 The pair layer works on 1-D columns. A `LineVectorSet` stores each pair as
 two int32 row positions into an endpoint table (the correspondence set it
 came from, whose source and target points and item ids it reads: a few
-thousand rows, one table per run), its float64 ratio and, for the
-self-update's pairs, a bool flip flag: 16 or 17 bytes a pair, against 72
-for the ids, ratio and two float64 vectors. No set keeps vectors: they
-are computed where they are read.
+thousand rows, one table per run) and its float64 ratio: 16 bytes a pair,
+against 72 for the ids, ratio and two float64 vectors. No set keeps
+vectors: they are computed where they are read. The rows are stored in
+the order their difference was taken, and that order carries the sign: a
+pair's vectors are x[p] - x[q], negated where p > q, so the self-update's
+pairs keep the signed zeros of -(x_a - x_m).
 `build_line_vectors` measures the row pairs (r, s), r < s, of the upper
 triangle in row-major order with SciPy's `pdist`, which returns every
 pair's norm in that order: the source norms, divided in place by the
@@ -181,29 +183,30 @@ class LineVectorSet:
     its pairs came from: `build_line_vectors`'s input, or the full set once
     the self-update has moved the set onto it (`on`), so a run has one
     table however many rounds revise the set. Row k is the pair of table
-    rows `p[k]` (id `i`) and `q[k]` (id `j`), with `scale_ratio[k]`; its
-    vectors are x[p] - x[q] in each cloud, or -(x[q] - x[p]) where
-    `flip[k]` is set (the self-update's pairs, whose sign was flipped to
-    put the smaller id first; `flip` is None when no row is flipped).
-    `i` and `j` are read through the table's ids.
+    rows `p[k]` and `q[k]`, in the order its difference was taken, with
+    `scale_ratio[k]`. Its vectors are x[p] - x[q] in each cloud, negated
+    where p > q: the self-update stores (admitted row, member row), and a
+    member before the admitted row gives -(x_a - x_m). A table's rows are
+    in id order, so `i` and `j`, the ids of the smaller and the larger row,
+    are read through the table's ids, and every vector is x_i - x_j.
 
     A freshly built set has no `p` and `q` columns (None): its rows are the
     table's upper triangle in row-major order less the sorted triangle
     positions in `dropped`, and every method reads the pairs through
-    `_pairs`, which derives them for the rows asked for.
+    `_pairs`, which derives them for the rows asked for. Its p < q holds
+    throughout, so its reads skip the sign test.
 
-    `take`, `extend` and `on` move only the 1-D columns. No set keeps
-    vectors: `v_source` and `v_target` compute their cloud's on every
-    read. Every path subtracts the same two points in
-    the same order, so every column holds the same bytes as if each step
-    had copied all five.
+    `take`, `extend` and `on` move only the 1-D columns, and `on` maps rows
+    in order, so p > q holds on the same rows after every step. No set
+    keeps vectors: `v_source` and `v_target` compute their cloud's on every
+    read. Every path subtracts the same two points in the same order, so
+    every column holds the same bytes as if each step had copied all five.
     """
 
     table: CorrespondenceSet
     p: np.ndarray | None  # int32 table rows
     q: np.ndarray | None
     scale_ratio: np.ndarray
-    flip: np.ndarray | None = None
     n_zero_skipped: int = 0
     dropped: np.ndarray | None = None  # int64 triangle positions a built set dropped
 
@@ -212,11 +215,13 @@ class LineVectorSet:
 
     @property
     def i(self) -> np.ndarray:
-        return np.take(self.table.indices, self._pairs()[0])
+        p, q = self._pairs()
+        return np.take(self.table.indices, p if self.p is None else np.minimum(p, q))
 
     @property
     def j(self) -> np.ndarray:
-        return np.take(self.table.indices, self._pairs()[1])
+        p, q = self._pairs()
+        return np.take(self.table.indices, q if self.p is None else np.maximum(p, q))
 
     @property
     def v_source(self) -> np.ndarray:
@@ -254,18 +259,16 @@ class LineVectorSet:
         return p, q
 
     def _differences_in(self, x: np.ndarray) -> np.ndarray:
-        """x[p] - x[q], and -(x[q] - x[p]) on the flipped rows.
+        """x[p] - x[q], negated where p > q: the sign rule of every pair.
 
         The rows are gathered with np.take and subtracted in place: np.take
         gathers the rows of an (n, 3) array several times faster than fancy
         indexing does, with the same values.
         """
-        (p, q), flip = self._pairs(), self.flip
-        if flip is not None:
-            p, q = np.where(flip, q, p), np.where(flip, p, q)
+        p, q = self._pairs()
         v = np.take(x, p, axis=0)
         v -= np.take(x, q, axis=0)
-        return v if flip is None else np.negative(v, out=v, where=flip[:, None])
+        return v if self.p is None else np.negative(v, out=v, where=(p > q)[:, None])
 
     def take(self, rows) -> "LineVectorSet":
         """The line vectors at the given row positions (or boolean mask), in that order."""
@@ -274,8 +277,7 @@ class LineVectorSet:
             if rows.shape != (len(self),):
                 raise IndexError("boolean mask does not match the number of line vectors")
             rows = np.flatnonzero(rows)
-        return LineVectorSet(self.table, *self._pairs(rows), np.take(self.scale_ratio, rows),
-                             None if self.flip is None else np.take(self.flip, rows))
+        return LineVectorSet(self.table, *self._pairs(rows), np.take(self.scale_ratio, rows))
 
     def on(self, corrs: CorrespondenceSet) -> "LineVectorSet":
         """These line vectors over `corrs`, which holds every item of this set's table.
@@ -288,19 +290,14 @@ class LineVectorSet:
         rows = corrs.rows_for(self.table.indices).astype(np.int32)
         p, q = self._pairs()
         return LineVectorSet(corrs, np.take(rows, p), np.take(rows, q), self.scale_ratio,
-                             self.flip, self.n_zero_skipped)
+                             self.n_zero_skipped)
 
     def extend(self, other: "LineVectorSet") -> "LineVectorSet":
         """These line vectors followed by `other`'s, which must share this set's table."""
         if other.table is not self.table:
             raise ValueError("cannot extend a line-vector set with one over another table")
-        flip = None
-        if self.flip is not None or other.flip is not None:
-            flip = np.concatenate([np.zeros(len(s), dtype=bool) if s.flip is None else s.flip
-                                   for s in (self, other)])
         p, q = (np.concatenate(column) for column in zip(self._pairs(), other._pairs()))
-        return LineVectorSet(self.table, p, q,
-                             np.concatenate([self.scale_ratio, other.scale_ratio]), flip)
+        return LineVectorSet(self.table, p, q, np.concatenate([self.scale_ratio, other.scale_ratio]))
 
     def incident(self, ids) -> np.ndarray:
         """Mask of the line vectors with an endpoint among the given item ids."""

@@ -12,7 +12,10 @@ uniformly drawn percent threshold.
 Line vectors are revised in one pass per round: the vectors incident to
 any evicted member are dropped, and each admitted correspondence is paired
 against the retained members and the admitted ones with smaller ids,
-keeping the pairs whose scale ratio falls in the retained ratio band.
+keeping the pairs whose scale ratio falls in the retained ratio band. A
+new pair is stored as (admitted row, member row), the order in which its
+difference is taken; `LineVectorSet` derives each vector's sign from that
+order.
 """
 
 from __future__ import annotations
@@ -62,12 +65,16 @@ def true_inlier_probability(r, sigma):
     freedom, so P = 1 - gamma_lower(3/2, r^2 / (2 sigma^2)) / Gamma(3/2),
     evaluated with the regularized upper incomplete gamma. Strictly
     decreasing in r; 1 at r = 0. Arrays broadcast elementwise; scalars
-    give a float.
+    give a float. Where r^2 / (2 sigma^2) is 0/0 or inf/inf (both squares
+    underflow or overflow), it is taken as 0.5 * (r / sigma)^2 instead.
     """
     sigma = np.asarray(sigma, dtype=float)
     if not (sigma > 0).all():
         raise ValueError("sigma must be positive")
-    p = gammaincc(1.5, (r * r) / (2.0 * sigma * sigma))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = (r * r) / (2.0 * sigma * sigma)
+        x = np.where(np.isnan(x), 0.5 * (r / sigma) ** 2, x)
+    p = gammaincc(1.5, x)
     return p if np.ndim(p) else float(p)
 
 
@@ -141,16 +148,11 @@ def _admission_block(corrs: CorrespondenceSet, admitted: np.ndarray, retained: n
                  / cdist(corrs.target[admitted_rows], corrs.target[current_rows]))[mask]
     a_pos, m_pos = np.nonzero(mask)
     del mask
-    rows_a, rows_m = admitted_rows[a_pos], current_rows[m_pos]
-    # p is the row of the smaller id (canonical orientation, v = x_i - x_j).
-    # Where m < a the vector is -(x_a - x_m), the sign flip of x_a - x_m, so
-    # a zero component keeps the sign it has always had: those rows are flipped.
-    flip = current[m_pos] < admitted[a_pos]
-    p = np.where(flip, rows_m, rows_a).astype(np.int32)
-    q = np.where(flip, rows_a, rows_m).astype(np.int32)
     usable = np.flatnonzero(usable_ratios(ratio))
     rows = usable[ratio_range.contains(ratio[usable])]
-    return LineVectorSet(corrs, p[rows], q[rows], ratio[rows], flip[rows])
+    # Each pair is (admitted row, member row), the order of the difference x_a - x_m.
+    return LineVectorSet(corrs, admitted_rows[a_pos[rows]].astype(np.int32),
+                         current_rows[m_pos[rows]].astype(np.int32), ratio[rows])
 
 
 def update_local_sets(corrs: CorrespondenceSet, local_set: CorrespondenceSet,

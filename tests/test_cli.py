@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lvreg
 from lvreg import cli, local_sets
@@ -362,3 +364,67 @@ class TestRejectedSettings:
         assert len(proc.stderr.splitlines()) == 1
         assert "Traceback" not in proc.stderr
         assert list(tmp_path.iterdir()) == []  # nothing written, no trial run
+
+
+FUZZ_TOKENS = ["0", "1", "2", "-2.5", "1e400", "-1e400", "1e149", "1e-320", "nan", "inf",
+               "0x1p3", "99999999999999999999", "-1", "ply", "format", "ascii",
+               "binary_little_endian", "1.0", "element", "vertex", "face", "property", "float",
+               "x", "y", "z", "end_header", "#", "é", "\x00"]
+FUZZ_SEPARATORS = [" ", "\t", "\n", "\r\n"]
+FUZZ_NUMBER = st.one_of(st.integers(-2, 13).map(str), st.floats(-1e3, 1e3).map(repr))
+FUZZ_BYTES = st.one_of(
+    st.binary(max_size=300),
+    st.lists(st.tuples(st.sampled_from(FUZZ_TOKENS), st.sampled_from(FUZZ_SEPARATORS)),
+             max_size=80).map(lambda tokens: "".join(t + sep for t, sep in tokens).encode()),
+    # rows of 2, 3 or 6 finite numbers: index pairs, points or coordinate pairs that parse
+    st.sampled_from([2, 3, 6]).flatmap(lambda width: st.lists(
+        st.lists(FUZZ_NUMBER, min_size=width, max_size=width), min_size=10, max_size=30)).map(
+        lambda rows: "".join(" ".join(row) + "\n" for row in rows).encode()),
+)
+FUZZ_PLY_HEADER = (b"ply\nformat ascii 1.0\nelement vertex 12\nproperty float x\n"
+                   b"property float y\nproperty float z\nend_header\n")
+N_FUZZ_POINTS = 12
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A valid 12-point scene, each file also kept as bytes for restoring it."""
+    out = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(3)
+    points = rng.normal(size=(N_FUZZ_POINTS, 3))
+    valid = {"source.xyz": points, "target.xyz": points + 0.5,
+             "corr.txt": np.repeat(np.arange(N_FUZZ_POINTS), 2).reshape(-1, 2)}
+    files = {}
+    for name, rows in valid.items():
+        files[name] = "".join(" ".join(map(repr, row.tolist())) + "\n" for row in rows).encode()
+    return out, files
+
+
+class TestRegisterFileBytesProperty:
+    """Whatever the bytes of an input file, `register` returns an exit code of 0-4.
+
+    In-process through `cli.main`: nothing but SystemExit(0-4) may escape.
+    """
+
+    # (source file, file written with the drawn bytes, the bytes put before them)
+    KINDS = {"xyz-source": ("source.xyz", "source.xyz", b""),
+             "ply-source": ("source.ply", "source.ply", b""),
+             "correspondences": ("source.xyz", "corr.txt", b""),
+             "ply-body": ("source.ply", "source.ply", FUZZ_PLY_HEADER)}
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    @given(data=FUZZ_BYTES)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_exit_code_0_to_4(self, fuzz_dir, kind, data):
+        out, files = fuzz_dir
+        source, fuzzed, prefix = self.KINDS[kind]
+        for name, content in {**files, fuzzed: prefix + data}.items():
+            (out / name).write_bytes(content)
+        argv = ["register", "--source", str(out / source), "--target", str(out / "target.xyz"),
+                "--corr", str(out / "corr.txt"), "--tr", "0.05", "--seed", "0", "--rmax", "2",
+                "--max-local-iters", "20", "--out", str(out / "result.json")]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in range(5)

@@ -2,7 +2,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lvreg.correspondences import MAX_COORDINATE, CorrespondenceSet
@@ -700,6 +700,46 @@ class TestTerminationFuzz:
         out = self.run(*self.scaled_scene(0.999 * MAX_COORDINATE / largest, use_ahs_lvlp))
         assert isinstance(out, RegistrationResult)
         assert np.array_equal(out.inlier_indices, base.inlier_indices)
+
+
+def noise_free_scene():
+    """A 30-correspondence scene whose inliers fit exactly: residuals of 0 occur."""
+    source, target, corrs, _, _ = synthesize_pair(SyntheticSpec(
+        n_points=100, n_correspondences=30, outlier_rate=0.3, noise_sigma=0.0, seed=1))
+    return source.points, target.points, corrs.source, corrs.target
+
+
+NOISE_FREE_SCENE = noise_free_scene()
+
+
+class TestScaleAndSettingsProperty:
+    """Any scale, tau and threshold end in a result or a typed error, with sane records."""
+
+    @given(scale_exp=st.integers(-150, 149), tau_exp=st.floats(-20.0, 3.0),
+           tr_exp=st.floats(-20.0, 3.0), use_ahs_lvlp=st.booleans(),
+           rng_seed=st.integers(0, 2**16))
+    # Scaled by 1e-150 with a threshold of 1e-160, residuals and sigma both
+    # square to 0: a probability once came out NaN there.
+    @example(scale_exp=-150, tau_exp=-1.3010299956639813, tr_exp=-10.0, use_ahs_lvlp=True,
+             rng_seed=14)
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_scaled_runs_end_in_a_result_or_a_typed_error(self, scale_exp, tau_exp, tr_exp,
+                                                          use_ahs_lvlp, rng_seed):
+        scale = 10.0 ** scale_exp
+        try:
+            cfg = quick_cfg(rng_seed=rng_seed, max_local_iterations=50,
+                            use_ahs_lvlp=use_ahs_lvlp,
+                            noise_bound=10.0 ** (scale_exp + tau_exp),
+                            residual_threshold=10.0 ** (scale_exp + tr_exp))
+        except ValueError:
+            return  # e.g. a tau whose square is no normal float
+        src, tgt, corr_src, corr_tgt = (a * scale for a in NOISE_FREE_SCENE)
+        out = TestTerminationFuzz.run(CorrespondenceSet(corr_src, corr_tgt), PointCloudFrom(src),
+                                      PointCloudFrom(tgt), cfg)
+        if isinstance(out, RegistrationResult):
+            probabilities = [d.probability for decisions in out.sus_decisions
+                             for d in decisions if d.probability is not None]
+            assert all(0.0 <= p <= 1.0 for p in probabilities)
 
 
 def PointCloudFrom(points):

@@ -710,7 +710,7 @@ class TestLengthRatioFilter:
             p, q = triangle_less_coincident(src, tgt)  # the built set's pairs
             for got, want in ((kept.p, p), (kept.q, q), (kept.scale_ratio, lvs.scale_ratio)):
                 assert got.tobytes() == want[rows].tobytes()
-            assert kept.flip is None and kept.table is lvs.table
+            assert np.all(kept.p < kept.q) and kept.table is lvs.table
             assert np.array_equal(hist.counts, brute_counts(lvs.scale_ratio, hist.lower_bound,
                                                             hist.bin_width, hist.n_bins))
 

@@ -1,5 +1,6 @@
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,31 @@ class TestTrueInlierProbability:
         assert got.tolist() == [float(gammaincc(1.5, (a * a) / (2.0 * s * s)))
                                 for a, s in zip(r.tolist(), sigma.tolist())]
         assert type(true_inlier_probability(0.5 * T_R, T_R)) is float
+
+    @pytest.mark.parametrize("r, sigma, x", [
+        (0.0, 1e-170, 0.0),            # 0 / 0: both squares underflow
+        (1e-171, 1e-170, 0.005),       # the ratio is 0.1
+        (3e-170, 1e-170, 4.5),
+        (1e200, 1e200, 0.5),           # inf / inf: both squares overflow
+    ])
+    def test_underflowed_or_overflowed_squares_use_the_ratio(self, r, sigma, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = true_inlier_probability(r, sigma)
+        assert got == pytest.approx(float(gammaincc(1.5, x)), rel=1e-12)
+        assert got == pytest.approx(quadrature_probability(r / sigma, 1.0), abs=1e-9)
+
+    def test_arrays_with_underflowed_squares_keep_the_other_bits(self):
+        rng = np.random.default_rng(4)
+        r = np.concatenate([[0.0, 1e-171, 2e-165], rng.uniform(0.0, 3 * T_R, 97)])
+        sigma = np.concatenate([[1e-170, 1e-170, 1e-170], rng.uniform(1e-6, T_R, 97)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = true_inlier_probability(r, sigma)
+        assert not np.isnan(got).any()
+        assert got[0] == 1.0 and got[1] == pytest.approx(0.99973, abs=1e-5) and got[2] == 0.0
+        assert got[3:].tolist() == [float(gammaincc(1.5, (a * a) / (2.0 * s * s)))
+                                    for a, s in zip(r[3:].tolist(), sigma[3:].tolist())]
 
 
 class TestDraws:
