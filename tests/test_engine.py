@@ -718,8 +718,8 @@ class TestScaleAndSettingsProperty:
     @given(scale_exp=st.integers(-150, 149), tau_exp=st.floats(-20.0, 3.0),
            tr_exp=st.floats(-20.0, 3.0), use_ahs_lvlp=st.booleans(),
            rng_seed=st.integers(0, 2**16))
-    # Scaled by 1e-150 with a threshold of 1e-160, residuals and sigma both
-    # square to 0: a probability once came out NaN there.
+    # Scaled by 1e-150 with tau 0.05e-150 and a threshold of 1e-160, residuals
+    # and sigma both square to 0: a probability once came out NaN there.
     @example(scale_exp=-150, tau_exp=-1.3010299956639813, tr_exp=-10.0, use_ahs_lvlp=True,
              rng_seed=14)
     @settings(max_examples=120, deadline=None, derandomize=True)

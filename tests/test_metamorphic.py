@@ -30,7 +30,7 @@ def register_scaled(seed, use_ahs_lvlp, k):
                             PointCloud(source.points * s), PointCloud(target.points * s), cfg)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def unscaled(seed, use_ahs_lvlp):
     return register_scaled(seed, use_ahs_lvlp, 0)
 
