@@ -294,9 +294,7 @@ def run_registration(corrs: CorrespondenceSet, source: PointCloud, target: Point
 
     # Work on a private copy whose item ids equal row positions; the
     # caller's set is never mutated and outputs index into the input order.
-    corrs = CorrespondenceSet(corrs.source, corrs.target,
-                              source_normals=corrs.source_normals,
-                              target_normals=corrs.target_normals)
+    corrs = CorrespondenceSet(corrs.source, corrs.target)
     if cfg.use_ahs_lvlp:
         corrs = annotate_normals(corrs, source, target, cfg.k_normals)
     counters = {"local_sets_rung": "full-set", "zero_length_skipped": 0, "full_set_rebuilds": 0}

@@ -96,12 +96,22 @@ def rotation_from_cross_covariance(h: np.ndarray) -> np.ndarray:
 
     `tests/test_geometry.py` pins these bytes to the `np.linalg` form.
 
+    LAPACK rescales a matrix whose largest entry lies outside about
+    [6.7e-139, 1.5e138] by a factor that is not a power of two, so the
+    rotation of h * 2^k would differ from h's in its last bits. The largest
+    singular value s0 lies in [max|h|, 3 max|h|], so where s0 is outside
+    [1e-137, 1e137] the SVD is redone on h divided by the power of two
+    nearest above max|h|: the same bytes as any in-band power-of-two
+    multiple of h gives, which makes unit scaling exact to 2^+-480.
+
     Raises DegenerateInput when rank(h) < 2 (rotation not determined) and
     when an inf entry makes the singular values NaN.
     """
     with np.errstate(call=_svd_did_not_converge, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
         u, s, vt = _svd_f(h, signature="d->ddd")
+        if s[0] > 0.0 and not 1e-137 <= s[0] <= 1e137:  # NaN and zero skip the redo
+            u, s, vt = _svd_f(np.ldexp(h, -np.frexp(np.abs(h).max())[1]), signature="d->ddd")
     s0, s1, _ = s.tolist()
     if not (s0 > 0.0 and s1 > s0 * 1e-12):  # NaN singular values (an inf entry) fail too
         raise DegenerateInput("cross-covariance rank < 2; rotation is underdetermined")

@@ -12,6 +12,10 @@ RANSAC loop:
 
 Bin widths follow Scott's rule with the population standard deviation.
 
+This module owns every pair: how it is measured, tested and stored. The
+self-update only decides which correspondences are evicted and admitted,
+and `LineVectorSet.revised` applies those decisions to a set.
+
 The pair layer works on 1-D columns. A `LineVectorSet` stores each pair as
 two int32 row positions into an endpoint table (the correspondence set it
 came from, whose source and target points and item ids it reads: a few
@@ -33,11 +37,11 @@ difference or an overflowed ratio are dropped by one test on the ratios.
 A freshly built set stores only its ratio column and the few triangle
 positions it dropped, 8 bytes a pair: row k's pair follows from k, and
 `take` derives the pairs of the rows it keeps, one block of `PAIR_BLOCK`
-rows at a time. The self-update measures its admitted pairs with `cdist`.
+rows at a time. `revised` measures the admitted pairs with `cdist`.
 One bin rule, `value_bins`, places a value in its histogram bin: the
 histograms count with it, the angle filter recomputes its few thousand
 angles' bins with it, and `RatioRange.contains` selects with it, both the
-ratio filter's kept rows and the self-update's admitted pairs. A histogram
+ratio filter's kept rows and `revised`'s admitted pairs. A histogram
 keeps only its counts, and the ratio filter bins and selects one block of
 ratios at a time.
 
@@ -46,7 +50,9 @@ A set of n correspondences has n(n-1)/2 pairs; above `PAIR_BUDGET` pairs
 calls it before it allocates anything. The build peaks at 16 bytes a pair
 (the two norm arrays; 17 while it compacts away dropped pairs) and keeps
 8; the ratio filter adds 8 bytes a pair while Scott's sigma is computed,
-then the kept rows' columns (tracemalloc, 1.1 M pairs).
+then the kept rows' columns (tracemalloc, 1.1 M pairs). `revised` peaks
+at about 17 bytes a pair of the larger of its input and its output: its
+columns, sized for every row it may keep, of which it returns views.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from .correspondences import CorrespondenceSet
 from .errors import (
@@ -181,11 +187,11 @@ class LineVectorSet:
 
     A set stores 1-D columns over an endpoint table, the correspondence set
     its pairs came from: `build_line_vectors`'s input, or the full set once
-    the self-update has moved the set onto it (`on`), so a run has one
+    the self-update has revised the set (`revised`), so a run has one
     table however many rounds revise the set. Row k is the pair of table
     rows `p[k]` and `q[k]`, in the order its difference was taken, with
     `scale_ratio[k]`. Its vectors are x[p] - x[q] in each cloud, negated
-    where p > q: the self-update stores (admitted row, member row), and a
+    where p > q: `revised` stores (admitted row, member row), and a
     member before the admitted row gives -(x_a - x_m). A table's rows are
     in id order, so `i` and `j`, the ids of the smaller and the larger row,
     are read through the table's ids, and every vector is x_i - x_j.
@@ -196,7 +202,7 @@ class LineVectorSet:
     `_pairs`, which derives them for the rows asked for. Its p < q holds
     throughout, so its reads skip the sign test.
 
-    `take`, `extend` and `on` move only the 1-D columns, and `on` maps rows
+    `take` and `revised` move only the 1-D columns, and `revised` maps rows
     in order, so p > q holds on the same rows after every step. No set
     keeps vectors: `v_source` and `v_target` compute their cloud's on every
     read. Every path subtracts the same two points in the same order, so
@@ -279,31 +285,54 @@ class LineVectorSet:
             rows = np.flatnonzero(rows)
         return LineVectorSet(self.table, *self._pairs(rows), np.take(self.scale_ratio, rows))
 
-    def on(self, corrs: CorrespondenceSet) -> "LineVectorSet":
-        """These line vectors over `corrs`, which holds every item of this set's table.
+    def revised(self, corrs: CorrespondenceSet, removed: np.ndarray, retained: np.ndarray,
+                admitted: np.ndarray, ratio_range: "RatioRange") -> "LineVectorSet":
+        """This set over `corrs`, less its pairs touching `removed`, then the admitted rows' pairs.
 
-        The vectors keep their bytes: a subset's points are copies of its
-        parent's.
+        The self-update's step: `removed`, `retained` and `admitted` are
+        sorted rows of `corrs`, which holds every item of this set's table.
+        Admitted row a pairs with every retained row and every admitted row
+        below it; np.nonzero walks the mask row-major, so the new pairs come
+        out by a, then by member row. Their ratios come from `cdist`, which
+        sums a norm in `pdist`'s order, and a pair is added where its ratio
+        is usable and in `ratio_range`, stored as (admitted row, member row),
+        the order of its difference x_a - x_m. The new pairs are made first,
+        so their temporaries die before the kept rows are selected, one
+        block of `PAIR_BLOCK` rows at a time, mapped onto `corrs` (in order,
+        keeping their bytes) and written into columns with room for every
+        row. The set holds views of their used part: cutting them in place
+        (`ndarray.resize`) or copying raised `filtered-m2000`'s peak RSS.
         """
-        if self.table is corrs:
-            return self
-        rows = corrs.rows_for(self.table.indices).astype(np.int32)
-        p, q = self._pairs()
-        return LineVectorSet(corrs, np.take(rows, p), np.take(rows, q), self.scale_ratio,
-                             self.n_zero_skipped)
+        current = np.union1d(retained, admitted)
+        a_col = admitted[:, None]
+        mask = (current != a_col) & (np.isin(current, retained) | (current < a_col))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio = (cdist(corrs.source[admitted], corrs.source[current])
+                     / cdist(corrs.target[admitted], corrs.target[current]))[mask]
+        a_pos, m_pos = np.nonzero(mask)
+        del mask
+        usable = np.flatnonzero(usable_ratios(ratio))
+        new = usable[ratio_range.contains(ratio[usable])]
+        new_p, new_q = admitted[a_pos[new]].astype(np.int32), current[m_pos[new]].astype(np.int32)
+        new_ratio = ratio[new]
+        del ratio, a_pos, m_pos, usable, new
 
-    def extend(self, other: "LineVectorSet") -> "LineVectorSet":
-        """These line vectors followed by `other`'s, which must share this set's table."""
-        if other.table is not self.table:
-            raise ValueError("cannot extend a line-vector set with one over another table")
-        p, q = (np.concatenate(column) for column in zip(self._pairs(), other._pairs()))
-        return LineVectorSet(self.table, p, q, np.concatenate([self.scale_ratio, other.scale_ratio]))
-
-    def incident(self, ids) -> np.ndarray:
-        """Mask of the line vectors with an endpoint among the given item ids."""
-        hit = np.isin(self.table.indices, ids)
-        p, q = self._pairs()
-        return np.take(hit, p) | np.take(hit, q)
+        rows = corrs.rows_for(self.table.indices).astype(np.int32)  # this set's table onto corrs
+        hit = np.isin(rows, removed)  # over this set's table
+        p, q, ratio = (np.empty(len(self) + len(new_p), dtype=t) for t in (np.int32, np.int32, float))
+        n = 0
+        for k0 in range(0, len(self), PAIR_BLOCK):
+            k1 = min(len(self), k0 + PAIR_BLOCK)
+            kp, kq = (self._pairs(np.arange(k0, k1)) if self.p is None
+                      else (self.p[k0:k1], self.q[k0:k1]))
+            kept = np.flatnonzero(~(np.take(hit, kp) | np.take(hit, kq)))
+            m = n + len(kept)
+            p[n:m], q[n:m] = np.take(rows, np.take(kp, kept)), np.take(rows, np.take(kq, kept))
+            ratio[n:m] = np.take(self.scale_ratio[k0:k1], kept)
+            n = m
+        m = n + len(new_p)
+        p[n:m], q[n:m], ratio[n:m] = new_p, new_q, new_ratio
+        return LineVectorSet(corrs, p[:m], q[:m], ratio[:m])  # views: the unused room goes with the set
 
     def pair_set(self) -> set:
         return set(zip(self.i.tolist(), self.j.tolist()))

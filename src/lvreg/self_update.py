@@ -9,13 +9,13 @@ threshold is admitted/evicted probabilistically, comparing its true-inlier
 probability (a chi-distribution survival in 3 dimensions) against a
 uniformly drawn percent threshold.
 
-Line vectors are revised in one pass per round: the vectors incident to
-any evicted member are dropped, and each admitted correspondence is paired
-against the retained members and the admitted ones with smaller ids,
-keeping the pairs whose scale ratio falls in the retained ratio band. A
-new pair is stored as (admitted row, member row), the order in which its
-difference is taken; `LineVectorSet` derives each vector's sign from that
-order.
+This module holds the decisions only: which correspondences are evicted,
+admitted and retained, as rows of the full set. `LineVectorSet.revised`
+applies them to the line vectors in one pass per round: it drops the
+vectors incident to any evicted member and pairs each admitted
+correspondence with the retained members and the admitted ones with
+smaller ids, keeping the pairs whose scale ratio falls in the retained
+ratio band. How a pair is measured and stored is `local_sets`'s alone.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 from scipy.special import gammaincc
 
 from .correspondences import CorrespondenceSet
 from .errors import MissingResidual
-from .local_sets import LineVectorSet, RatioRange, usable_ratios
+from .local_sets import LineVectorSet, RatioRange
 
 SIGMA_MODES = ("per-eval", "per-round", "fixed-half-tr")
 
@@ -95,20 +94,20 @@ _SIDES = {
 }
 
 
-def _decide(corrs: CorrespondenceSet, ids: np.ndarray, evict: bool, residual_threshold: float,
+def _decide(corrs: CorrespondenceSet, rows: np.ndarray, evict: bool, residual_threshold: float,
             rng: np.random.Generator, sigma: float | None):
-    """Decide every candidate id of one side; returns (decisions, the ids given the chosen action).
+    """Decide every candidate row of one side; returns (decisions, the rows given the chosen action).
 
     A row whose previous residual was on the same side of the threshold
     (admission: below it; eviction: at or above it) is stable and takes the
     chosen action with no draw; a NaN previous residual is on neither side.
-    Every other row, in id order, draws sigma (unless it is fixed) and then a
-    percent threshold, and takes the chosen action iff its true-inlier
-    probability (admission) or true-outlier probability (eviction) exceeds
-    that threshold. A NaN current residual raises MissingResidual before any draw.
+    Every other row, in row (so id) order, draws sigma (unless it is fixed)
+    and then a percent threshold, and takes the chosen action iff its
+    true-inlier probability (admission) or true-outlier probability
+    (eviction) exceeds that threshold. The decisions name the rows' ids. A
+    NaN current residual raises MissingResidual before any draw.
     """
     stable_rule, drawn_rule, chosen, not_chosen = _SIDES[evict]
-    rows = corrs.rows_for(ids)
     prev, curr = corrs.prev_residuals[rows], corrs.curr_residuals[rows]
     if np.isnan(curr).any():
         raise MissingResidual("current residual required for a self-update decision")
@@ -120,39 +119,14 @@ def _decide(corrs: CorrespondenceSet, ids: np.ndarray, evict: bool, residual_thr
     prob = true_inlier_probability(curr[drawn], draws[:, 0])
     take = stable.copy()
     take[drawn] = (1.0 - prob if evict else prob) > draws[:, 1]
-    probability = np.full(len(ids), None if evict else 1.0, dtype=object)
-    threshold = np.full(len(ids), None, dtype=object)
+    probability = np.full(len(rows), None if evict else 1.0, dtype=object)
+    threshold = np.full(len(rows), None, dtype=object)
     probability[drawn], threshold[drawn] = prob.tolist(), draws[:, 1].tolist()
-    decisions = list(map(UpdateDecision, ids.tolist(), np.where(take, chosen, not_chosen).tolist(),
+    decisions = list(map(UpdateDecision, corrs.indices[rows].tolist(),
+                         np.where(take, chosen, not_chosen).tolist(),
                          np.where(stable, stable_rule, drawn_rule).tolist(), probability.tolist(),
                          threshold.tolist()))
-    return decisions, ids[take]
-
-
-def _admission_block(corrs: CorrespondenceSet, admitted: np.ndarray, retained: np.ndarray,
-                     current: np.ndarray, current_rows: np.ndarray,
-                     ratio_range: RatioRange) -> LineVectorSet:
-    """The new line vectors of the admitted ids whose scale ratio is in the band, over `corrs`.
-
-    Admitted id a pairs with every retained member and every admitted id
-    below it; np.nonzero walks the mask row-major, so rows come out by a,
-    then by member id. The ratios of every (a, member) pair come from
-    `cdist`, and the mask picks the pairs' ones. Its temporaries die when
-    it returns.
-    """
-    a_col = admitted[:, None]
-    mask = (current != a_col) & (np.isin(current, retained) | (current < a_col))
-    admitted_rows = corrs.rows_for(admitted)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = (cdist(corrs.source[admitted_rows], corrs.source[current_rows])
-                 / cdist(corrs.target[admitted_rows], corrs.target[current_rows]))[mask]
-    a_pos, m_pos = np.nonzero(mask)
-    del mask
-    usable = np.flatnonzero(usable_ratios(ratio))
-    rows = usable[ratio_range.contains(ratio[usable])]
-    # Each pair is (admitted row, member row), the order of the difference x_a - x_m.
-    return LineVectorSet(corrs, admitted_rows[a_pos[rows]].astype(np.int32),
-                         current_rows[m_pos[rows]].astype(np.int32), ratio[rows])
+    return decisions, rows[take]
 
 
 def update_local_sets(corrs: CorrespondenceSet, local_set: CorrespondenceSet,
@@ -164,33 +138,30 @@ def update_local_sets(corrs: CorrespondenceSet, local_set: CorrespondenceSet,
     Eviction decisions run first (ascending id), then admissions
     (ascending id), so newcomers pair against the already-pruned set.
     Every examined candidate yields an UpdateDecision for the audit trail.
-    New line vectors are appended in (admitted id, member id) order, the
-    order in which admitting one id at a time would produce them. The
-    returned set is over `corrs` (`LineVectorSet.on`), so the run's sets
-    share one endpoint table from the first round on.
+    The decisions are taken over rows of `corrs`, which are in id order,
+    and `LineVectorSet.revised` applies them: the returned set is over
+    `corrs`, so the run's sets share one endpoint table from the first
+    round on, and its new line vectors follow in (admitted id, member id)
+    order, the order in which admitting one id at a time would produce
+    them.
 
     Returns (new_local_set, new_line_vectors, decisions).
     """
     if sigma_mode not in SIGMA_MODES:
         raise ValueError(f"sigma_mode must be one of {SIGMA_MODES}")
-    lvs = lvs.on(corrs)
     sigma = None
     if sigma_mode == "per-round":
         sigma = draw_sigma(rng, residual_threshold)
     elif sigma_mode == "fixed-half-tr":
         sigma = residual_threshold / 2.0
 
-    ir_glo = np.asarray(ir_glo, dtype=np.int64).ravel()
-    members = local_set.indices
+    ir_glo = corrs.rows_for(np.asarray(ir_glo, dtype=np.int64).ravel())
+    members = corrs.rows_for(local_set.indices)
     evict_decisions, removed = _decide(corrs, np.setdiff1d(members, ir_glo), True,
                                        residual_threshold, rng, sigma)
     admit_decisions, admitted = _decide(corrs, np.setdiff1d(ir_glo, members), False,
                                         residual_threshold, rng, sigma)
     retained = np.setdiff1d(members, removed)
-    current = np.union1d(retained, admitted)
-
-    current_rows = corrs.rows_for(current)
-    block = _admission_block(corrs, admitted, retained, current, current_rows, ratio_range)
-
-    new_lvs = lvs.take(~lvs.incident(removed)).extend(block)
-    return corrs.subset(current_rows), new_lvs, evict_decisions + admit_decisions
+    new_lvs = lvs.revised(corrs, removed, retained, admitted, ratio_range)
+    return (corrs.subset(np.union1d(retained, admitted)), new_lvs,
+            evict_decisions + admit_decisions)

@@ -32,6 +32,8 @@ SURFACE_MODELS = ("multi-plane", "random-blobs")
 # half the bound, and an outlier row refuses the scene.
 NOISE_TRIES = 100
 OUTLIER_TRIES = 100_000
+# An outlier pairing's residual is at least this many residual thresholds.
+OUTLIER_MARGIN = 3.0
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,6 @@ class SyntheticSpec:
     surface_model: str = "multi-plane"
     seed: int = 0
     residual_threshold: float = 0.01   # labeling threshold for inliers/outliers
-    outlier_margin_factor: float = 3.0
 
     def __post_init__(self):
         for name in ("n_points", "n_correspondences", "seed"):
@@ -58,7 +59,7 @@ class SyntheticSpec:
             raise ValueError("outlier_rate must lie in [0, 1)")
         if self.surface_model not in SURFACE_MODELS:
             raise ValueError(f"surface_model must be one of {SURFACE_MODELS}")
-        for name in ("scene_extent", "residual_threshold", "outlier_margin_factor"):
+        for name in ("scene_extent", "residual_threshold"):
             if not 0 < getattr(self, name) < np.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and positive")
         if not (0 <= self.noise_sigma < np.inf
@@ -207,7 +208,7 @@ def synthesize_pair(spec: SyntheticSpec):
     n_inliers = int(round((1.0 - spec.outlier_rate) * m))
     inlier_ids = rng.choice(spec.n_points, size=n_inliers, replace=False)
 
-    margin = spec.outlier_margin_factor * spec.residual_threshold
+    margin = OUTLIER_MARGIN * spec.residual_threshold
     pairs = np.empty((m, 2), dtype=np.int64)
     pairs[:n_inliers, 0] = inlier_ids
     pairs[:n_inliers, 1] = inlier_ids

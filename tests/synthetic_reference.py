@@ -12,7 +12,7 @@ import numpy as np
 from lvreg.correspondences import CorrespondenceSet
 from lvreg.geometry import RigidTransform, rotation_about_axis
 from lvreg.normals import PointCloud
-from lvreg.synthetic import _random_unit, _sample_multi_plane, _sample_random_blobs
+from lvreg.synthetic import OUTLIER_MARGIN, _random_unit, _sample_multi_plane, _sample_random_blobs
 
 
 def truncated_noise_reference(rng, sigma, bound, n):
@@ -49,7 +49,7 @@ def synthesize_pair_reference(spec):
     n_inliers = int(round((1.0 - spec.outlier_rate) * m))
     inlier_ids = rng.choice(spec.n_points, size=n_inliers, replace=False)
 
-    margin = spec.outlier_margin_factor * spec.residual_threshold
+    margin = OUTLIER_MARGIN * spec.residual_threshold
     pairs = np.empty((m, 2), dtype=np.int64)
     pairs[:n_inliers, 0] = inlier_ids
     pairs[:n_inliers, 1] = inlier_ids

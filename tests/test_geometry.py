@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,12 +172,29 @@ def reference_rotation_from_cross_covariance(h):
     return vt.T @ np.diag([1.0, 1.0, d]) @ u.T
 
 
+def in_band(h):
+    """True unless h's largest singular value is positive and outside [1e-137, 1e137].
+
+    Outside it LAPACK rescales h by a factor that is not a power of two, and
+    the solver solves h divided by the power of two above its largest entry.
+    """
+    if not np.isfinite(h).all():
+        return True
+    s0 = np.linalg.svd(h, compute_uv=False)[0]
+    return not (s0 > 0.0 and not 1e-137 <= s0 <= 1e137)
+
+
 def solve_both(h):
-    """Rotation bytes, or the raised (type, message), from the reference and the solver."""
+    """Rotation bytes, or the raised (type, message), from the reference and the solver.
+
+    The reference solves h in band and h's power-of-two prescale out of it.
+    """
     outs = []
-    for solve in (reference_rotation_from_cross_covariance, rotation_from_cross_covariance):
+    ref_h = h if in_band(h) else np.ldexp(h, -math.frexp(np.abs(h).max())[1])
+    for solve, arg in ((reference_rotation_from_cross_covariance, ref_h),
+                       (rotation_from_cross_covariance, h)):
         try:
-            outs.append(solve(h).tobytes())
+            outs.append(solve(arg).tobytes())
         except (DegenerateInput, np.linalg.LinAlgError) as exc:
             outs.append((type(exc), str(exc)))
     return outs
@@ -215,6 +234,15 @@ class TestRotationFromCrossCovarianceMatchesReference:
                 u, _, vt = np.linalg.svd(h)
                 kinds["reflection" if np.linalg.det(vt.T @ u.T) < 0 else "rotation"] += 1
         assert min(kinds.values()) >= 100, kinds
+
+    @pytest.mark.parametrize("k", [-240, -230, 230, 240, -300, 300, -400, 400, -480, 480])
+    def test_unit_scaled_cross_covariances_keep_the_rotation_bytes(self, k):
+        # Scaling a scene by 2^k scales h by 2^(2k): past k = +-225 LAPACK would rescale it.
+        rng = np.random.default_rng(abs(k) + (k < 0))
+        for _ in range(200):
+            h = rng.normal(size=(3, 3))
+            assert (rotation_from_cross_covariance(np.ldexp(h, 2 * k)).tobytes()
+                    == rotation_from_cross_covariance(h).tobytes())
 
     def test_reflection(self):
         h = np.diag([3.0, 2.0, -1.0])

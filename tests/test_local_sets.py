@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lvreg import local_sets
 from lvreg.correspondences import CorrespondenceSet
 from lvreg.engine import residual_inliers
 from lvreg.errors import (
@@ -27,7 +28,6 @@ from lvreg.local_sets import (
     value_bins,
 )
 from lvreg.normals import annotate_normals
-from lvreg.self_update import _admission_block
 from lvreg.synthetic import SyntheticSpec, synthesize_pair
 
 from pairs import from_differences, vector_set
@@ -300,15 +300,6 @@ class TestBuildLineVectors:
             with pytest.raises(IndexError):
                 base.take(mask[:-1])
 
-    def test_extend_refuses_a_set_over_another_table(self, rng):
-        corrs = self._corrs(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)))
-        built = build_line_vectors(corrs)
-        for other in (corrs.subset(np.arange(4)), corrs.subset(np.arange(6))):  # equal rows too
-            with pytest.raises(ValueError, match="another table"):
-                built.extend(build_line_vectors(other))
-            with pytest.raises(ValueError, match="another table"):
-                build_line_vectors(other).extend(built)
-
 
 # An eager reference for the pair layer's deferred gathers: every step
 # copies all five columns, as LineVectorSet did before it kept its vectors
@@ -337,12 +328,12 @@ def signed_zero_points(rng, n):
 def drawn_sets(data):
     """A lazy set, its eager copy and a table holding every item of the set's table.
 
-    The set is from difference vectors, freshly built or a self-update
-    block. A set from differences has its own table, the drawn vectors over
-    zero rows, and no larger table (None). A built set is over a drawn
+    The set is from difference vectors, freshly built or a self-update's
+    new pairs. A set from differences has its own table, the drawn vectors
+    over zero rows, and no larger table (None). A built set is over a drawn
     subset of a drawn correspondence set, or over all of it: it keeps only
-    its ratios and dropped positions, so every read derives its pairs. A
-    block is over the drawn set (`sets_over`).
+    its ratios and dropped positions, so every read derives its pairs. The
+    new pairs are an empty set over the drawn set, revised with drawn rows.
     """
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     kind = data.draw(st.sampled_from(["differences", "built", "admission"]))
@@ -361,7 +352,8 @@ def drawn_sets(data):
     if kind == "built":
         local = drawn_subset(rng, corrs)
         return build_line_vectors(local), eager_built(local), corrs
-    return (*sets_over(rng, corrs, kind), corrs)
+    _, retained, admitted = drawn_revision(rng, corrs)
+    return (*admitted_pairs(corrs, retained, admitted), corrs)
 
 
 def drawn_subset(rng, corrs):
@@ -372,6 +364,12 @@ def drawn_subset(rng, corrs):
     return corrs.subset(np.sort(rng.choice(len(corrs), size=size, replace=False)))
 
 
+def drawn_revision(rng, corrs):
+    """Disjoint sorted rows of `corrs`: removed, retained and admitted (the rest: none)."""
+    side = rng.integers(0, 4, size=len(corrs))
+    return tuple(np.flatnonzero(side == k) for k in range(3))
+
+
 def eager_built(corrs):
     """The five columns of `corrs`'s usable pairs, from `np.triu_indices` pairs."""
     r, s = np.triu_indices(len(corrs), k=1)
@@ -380,41 +378,44 @@ def eager_built(corrs):
                                   corrs.target[r] - corrs.target[s])
 
 
-def sets_over(rng, corrs, kind):
-    """A lazy set over `corrs`'s table and its eager copy.
+NO_ROWS = np.zeros(0, dtype=np.int64)
 
-    "built": the pairs of a drawn subset of 2 or more rows, built over the
-    subset and moved onto `corrs`, or built over `corrs` itself and then
-    still holding only its ratios; "admission": a self-update block over
-    `corrs`.
+
+def revise(lazy, eager, corrs, removed, retained, admitted, ratio_range=RatioRange.everything()):
+    """`lazy.revised` with the given rows of `corrs`, and its eager copy, which works in ids.
+
+    The eager copy drops the pairs with an endpoint among the removed ids,
+    then appends each admitted id a's pairs with the retained ids and the
+    admitted ids below it, as x_a - x_m with the sign flipped where m < a,
+    the self-update's construction before its pairs were row pairs, and
+    keeps those whose ratio is in `ratio_range`.
     """
-    if kind == "built":
-        local = drawn_subset(rng, corrs)
-        return build_line_vectors(local).on(corrs), eager_built(local)
-    ids = corrs.indices
-    admitted = np.sort(rng.choice(ids, size=int(rng.integers(0, len(ids) + 1)), replace=False))
-    rest = np.setdiff1d(ids, admitted)
-    return admission_sets(corrs, admitted, rest[rng.random(len(rest)) < 0.7])
-
-
-def admission_sets(corrs, admitted, retained):
-    """The self-update's new pairs, lazy and eager, with every ratio in band.
-
-    Each admitted id a pairs with the retained ids and the admitted ids
-    below it; the eager copy is x_a - x_m with the sign flipped where
-    m < a, the self-update's construction before its pairs were row pairs.
-    """
-    current = np.union1d(retained, admitted)
-    lazy = _admission_block(corrs, admitted, retained, current, corrs.rows_for(current),
-                            RatioRange.everything())
-    a_col = admitted[:, None]
-    a_pos, m_pos = np.nonzero((current != a_col) & (np.isin(current, retained) | (current < a_col)))
-    a, m = admitted[a_pos], current[m_pos]
+    gone, kept_ids, new_ids = (corrs.indices[rows] for rows in (removed, retained, admitted))
+    kept = ~(np.isin(eager[0], gone) | np.isin(eager[1], gone))
+    current = np.union1d(kept_ids, new_ids)
+    a_col = new_ids[:, None]
+    a_pos, m_pos = np.nonzero((current != a_col) & (np.isin(current, kept_ids) | (current < a_col)))
+    a, m = new_ids[a_pos], current[m_pos]
     rows_a, rows_m = corrs.rows_for(a), corrs.rows_for(m)
     sign = np.where(m > a, 1.0, -1.0)[:, None]
-    return lazy, eager_from_differences(np.minimum(a, m), np.maximum(a, m),
-                                        sign * (corrs.source[rows_a] - corrs.source[rows_m]),
-                                        sign * (corrs.target[rows_a] - corrs.target[rows_m]))
+    block = eager_from_differences(np.minimum(a, m), np.maximum(a, m),
+                                   sign * (corrs.source[rows_a] - corrs.source[rows_m]),
+                                   sign * (corrs.target[rows_a] - corrs.target[rows_m]))
+    in_range = ratio_range.contains(block[4])
+    return (lazy.revised(corrs, removed, retained, admitted, ratio_range),
+            [np.concatenate([c[kept], b[in_range]]) for c, b in zip(eager, block)])
+
+
+def admitted_pairs(corrs, retained, admitted):
+    """The new pairs alone, lazy and eager: an empty set over `corrs`, revised."""
+    empty = build_line_vectors(corrs).take(NO_ROWS)
+    return revise(empty, [c[NO_ROWS] for c in eager_built(corrs)], corrs, NO_ROWS, retained,
+                  admitted)
+
+
+# Everything, and the ratios in [0.25, 1.75): grid points' ratios fall on both sides.
+RATIO_RANGES = (RatioRange.everything(),
+                RatioRange(lower_bound=0.25, bin_width=0.5, first_bin=0, last_bin=2))
 
 
 def drawn_rows(data, n):
@@ -439,16 +440,15 @@ class TestDeferredGathersMatchEagerCopies:
     def test_chains_give_the_same_bytes(self, data):
         lazy, eager, full = drawn_sets(data)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        steps = ["take", "vectors", "sample", "extend", "on", "incident"]
+        steps = ["take", "vectors", "sample", "revise"]
         for step in data.draw(st.lists(st.sampled_from(steps), max_size=8)):
             rows = drawn_rows(data, len(lazy))
-            if step == "on" and full is not None:
-                lazy = lazy.on(full)
+            if step == "revise" and full is not None:
+                # onto the full table, less the pairs of drawn removed rows,
+                # plus the pairs of drawn admitted rows
+                lazy, eager = revise(lazy, eager, full, *drawn_revision(rng, full),
+                                     data.draw(st.sampled_from(RATIO_RANGES)))
                 assert lazy.table is full
-            elif step == "incident":
-                ids = rng.choice(np.append(lazy.table.indices, -1), size=int(rng.integers(0, 4)))
-                want = np.isin(eager[0], ids) | np.isin(eager[1], ids)
-                assert lazy.incident(ids).tobytes() == want.tobytes()
             elif step == "take":
                 lazy, eager = lazy.take(rows), [c[rows] for c in eager]
             elif step in ("vectors", "sample"):
@@ -460,42 +460,25 @@ class TestDeferredGathersMatchEagerCopies:
                     got = [np.take(v, positions, axis=0) for v in (lazy.v_source, lazy.v_target)]
                 assert got[0].tobytes() == eager[2][rows].tobytes()
                 assert got[1].tobytes() == eager[3][rows].tobytes()
-            elif step == "extend":
-                # The operand shares the table: a set over the same correspondences,
-                # or rows of this set where its table is given vectors.
-                if isinstance(lazy.table, CorrespondenceSet):
-                    other, other_eager = sets_over(
-                        rng, lazy.table, data.draw(st.sampled_from(["built", "admission"])))
-                else:
-                    other, other_eager = lazy, eager
-                if data.draw(st.booleans()):
-                    rows = drawn_rows(data, len(other))
-                    other, other_eager = other.take(rows), [c[rows] for c in other_eager]
-                if data.draw(st.booleans()):  # the operand first
-                    lazy, other, eager, other_eager = other, lazy, other_eager, eager
-                lazy = lazy.extend(other)
-                eager = [np.concatenate([a, b]) for a, b in zip(eager, other_eager)]
         assert_eager_bytes(lazy, eager)
 
+    @pytest.mark.parametrize("block", [local_sets.PAIR_BLOCK, 4])
     @pytest.mark.parametrize("seed", range(40))
-    def test_signed_zero_blocks_extend_a_set_moved_onto_their_table(self, seed):
+    def test_signed_zero_pairs_follow_a_set_revised_onto_their_table(self, seed, block,
+                                                                    monkeypatch):
         # The built local set's table is the local correspondences and the
-        # block's is the full set. Admitting every non-member flips most
-        # block pairs, so the zero components of x_a - x_m change sign.
+        # revised set's is the full set. Admitting every non-member flips
+        # most new pairs, so the zero components of x_a - x_m change sign.
+        # `revised` selects the kept rows one block at a time.
+        monkeypatch.setattr(local_sets, "PAIR_BLOCK", block)
         rng = np.random.default_rng(seed)
         n = 12
         corrs = CorrespondenceSet(signed_zero_points(rng, n), signed_zero_points(rng, n),
                                   indices=np.sort(rng.choice(40, size=n, replace=False)))
         members = np.sort(rng.choice(n, size=5, replace=False))
         local = corrs.subset(members)
-        block, eager_block = admission_sets(corrs, np.setdiff1d(corrs.indices, local.indices),
-                                            local.indices)
-        assert_eager_bytes(block, eager_block)
-        r, s = np.triu_indices(len(members), k=1)
-        eager = [np.concatenate([a, b]) for a, b in zip(eager_from_differences(
-            local.indices[r], local.indices[s], local.source[r] - local.source[s],
-            local.target[r] - local.target[s]), eager_block)]
-        joined = build_line_vectors(local).on(corrs).extend(block)
+        joined, eager = revise(build_line_vectors(local), eager_built(local), corrs, members[:1],
+                               members[1:], np.setdiff1d(np.arange(n), members))
         assert joined.table is corrs
         assert_eager_bytes(joined, eager)
         rows = rng.permutation(len(joined))
@@ -503,26 +486,24 @@ class TestDeferredGathersMatchEagerCopies:
         assert_eager_bytes(joined.take(rows), [c[rows] for c in eager])
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_on_keeps_the_bytes_of_a_subset_table_set(self, seed):
-        # A set over a subset, built or a block with flipped rows, moved onto
-        # the full set reads the same ids, ratios and signed-zero vectors.
+    def test_revised_keeps_the_bytes_of_a_subset_table_set(self, seed):
+        # A set over a subset, built or of new pairs with flipped rows,
+        # revised onto the full set with no change reads the same ids,
+        # ratios and signed-zero vectors.
         rng = np.random.default_rng(seed)
         n = 12
         corrs = CorrespondenceSet(signed_zero_points(rng, n), signed_zero_points(rng, n),
                                   indices=np.sort(rng.choice(40, size=n, replace=False)))
         local = corrs.subset(np.sort(rng.choice(n, size=7, replace=False)))
-        admitted = np.sort(rng.choice(local.indices, size=3, replace=False))
-        r, s = np.triu_indices(len(local), k=1)
-        for lazy, eager in (
-                (build_line_vectors(local), eager_from_differences(
-                    local.indices[r], local.indices[s], local.source[r] - local.source[s],
-                    local.target[r] - local.target[s])),
-                admission_sets(local, admitted, np.setdiff1d(local.indices, admitted))):
-            moved = lazy.on(corrs)
-            assert moved.table is corrs and moved.on(corrs) is moved
-            assert moved.n_zero_skipped == lazy.n_zero_skipped
+        admitted = np.sort(rng.choice(len(local), size=3, replace=False))
+        for lazy, eager in ((build_line_vectors(local), eager_built(local)),
+                            admitted_pairs(local, np.setdiff1d(np.arange(len(local)), admitted),
+                                           admitted)):
+            moved, moved_eager = revise(lazy, eager, corrs, NO_ROWS, NO_ROWS, NO_ROWS)
+            assert moved.table is corrs
             assert_eager_bytes(lazy, eager)
-            assert_eager_bytes(moved, eager)
+            assert_eager_bytes(moved, moved_eager)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(moved_eager, eager))
 
 
 def points_from_labels(rng, labels):

@@ -5,7 +5,12 @@ by a power of two s = 2^k changes no bit of any relative quantity, so the
 run takes the same draws and the same decisions: the rotation keeps its
 bytes, the translation is s times the unscaled one exactly, and the
 inliers, the round trace, the counters and the self-update records are
-equal. Past 2^±220 the oracle breaks (ROADMAP item 2).
+equal, out to 2^±480.
+
+Source/target swap. Registering the target onto the source, with the
+correspondence columns swapped, estimates the inverse motion: the swapped
+estimate composed with the forward one lies within the success tolerance
+(2 degrees, 0.03) of the identity.
 """
 
 from functools import lru_cache
@@ -17,6 +22,8 @@ from lvreg.correspondences import CorrespondenceSet
 from lvreg.engine import RansacConfig, run_registration
 from lvreg.normals import PointCloud
 from lvreg.synthetic import SyntheticSpec, synthesize_pair
+
+from conftest import compose, stable_geodesic
 
 
 def register_scaled(seed, use_ahs_lvlp, k):
@@ -54,7 +61,7 @@ def scaling_mismatches(seed, use_ahs_lvlp, k):
 
 
 class TestUnitScaling:
-    @pytest.mark.parametrize("k", [-200, -60, 60, 200])
+    @pytest.mark.parametrize("k", [-480, -400, -230, -200, -60, 60, 200, 230, 400, 480])
     @pytest.mark.parametrize("use_ahs_lvlp", [True, False])
     @pytest.mark.parametrize("seed", range(3))
     def test_scaled_run_is_the_run_scaled(self, seed, use_ahs_lvlp, k):
@@ -65,10 +72,24 @@ class TestUnitScaling:
         # decision records above compare drawn probabilities
         assert all(sum(map(len, unscaled(seed, True).sus_decisions)) > 0 for seed in range(3))
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: unit scaling breaks past 2^±220")
-    @pytest.mark.parametrize("k", [-230, 230])
-    def test_scaling_past_2_220_breaks(self, k):
-        # k = 230: every run's pose differs in its last bits; k = -230: the
-        # decision records of seeds 0 and 1 with the filters on differ
-        assert [scaling_mismatches(seed, use_ahs_lvlp, k)
-                for seed in range(4) for use_ahs_lvlp in (True, False)] == [[]] * 8
+
+def swap_error(seed, use_ahs_lvlp, outlier_rate):
+    """(degrees, distance) from the identity of the swapped estimate after the forward one."""
+    source, target, corrs, _, _ = synthesize_pair(SyntheticSpec(
+        n_points=400, n_correspondences=150, outlier_rate=outlier_rate, noise_sigma=0.003,
+        seed=seed))
+    cfg = RansacConfig(r_max=4, max_local_iterations=150, use_ahs_lvlp=use_ahs_lvlp)
+    forward = run_registration(corrs, source, target, cfg).transform
+    swapped = run_registration(CorrespondenceSet(corrs.target, corrs.source), target, source,
+                               cfg).transform
+    loop = compose(swapped, forward)
+    return stable_geodesic(loop.rotation, np.eye(3)) * 180.0 / np.pi, np.linalg.norm(loop.translation)
+
+
+class TestSourceTargetSwap:
+    @pytest.mark.parametrize("outlier_rate", [0.5, 0.7, 0.8])
+    @pytest.mark.parametrize("use_ahs_lvlp", [True, False])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_swapped_run_is_the_inverse(self, seed, use_ahs_lvlp, outlier_rate):
+        degrees, distance = swap_error(seed, use_ahs_lvlp, outlier_rate)
+        assert degrees <= 2.0 and distance <= 0.03, (degrees, distance)

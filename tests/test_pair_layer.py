@@ -522,12 +522,13 @@ class TestPairLayerMemory:
         # the ratio column only (8.02 measured): the pairs are derived on read
         assert held < 9 * n_pairs
 
-    def test_take_extend_and_round_sample_allocate_no_vector_array(self, corrs):
+    def test_take_revised_and_round_sample_allocate_no_vector_array(self, corrs):
         lvs = build_line_vectors(corrs)
         n_pairs = len(lvs)
         rng = np.random.default_rng(3)
         every, mask = rng.permutation(n_pairs), rng.random(n_pairs) < 0.5
-        half = lvs.take(mask)
+        # a self-update round: 1% of the rows evicted and 1% admitted
+        removed, admitted, retained = np.split(rng.permutation(self.N), [15, 30])
 
         def round_sample():
             # as run_local_ransac draws it: 10% of the pairs, both vector arrays computed
@@ -537,7 +538,8 @@ class TestPairLayerMemory:
         steps = {
             "take positions": lambda: lvs.take(every),
             "take mask": lambda: lvs.take(mask),
-            "extend": lambda: half.extend(lvs),
+            "revised": lambda: lvs.revised(corrs, np.sort(removed), np.sort(retained),
+                                           np.sort(admitted), RatioRange.everything()),
             "round sample": round_sample,
         }
         for name, step in steps.items():

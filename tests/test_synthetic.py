@@ -7,7 +7,7 @@ import pytest
 from lvreg import synthetic
 from lvreg.errors import DegenerateInput
 from lvreg.geometry import RigidTransform, residuals
-from lvreg.synthetic import SURFACE_MODELS, SyntheticSpec, synthesize_pair
+from lvreg.synthetic import OUTLIER_MARGIN, SURFACE_MODELS, SyntheticSpec, synthesize_pair
 
 from conftest import random_transform, stable_geodesic
 from synthetic_reference import synthesize_pair_reference, truncated_noise_reference
@@ -32,7 +32,7 @@ class TestSynthesizePair:
             assert np.all(res[inlier_mask] < spec.residual_threshold)
             assert np.all(res[~inlier_mask] >= spec.residual_threshold)
             # outliers carry the full construction margin
-            assert np.all(res[~inlier_mask] >= spec.outlier_margin_factor * spec.residual_threshold)
+            assert np.all(res[~inlier_mask] >= OUTLIER_MARGIN * spec.residual_threshold)
 
     def test_deterministic_under_seed(self):
         spec = SyntheticSpec(n_points=200, n_correspondences=80, outlier_rate=0.5,
