@@ -1,7 +1,13 @@
 #!/usr/bin/env python3
 """Bit-identity digests of the benchmark workloads' scenes and registrations.
 
-For each perfbench workload and each given seed, prints two sha256 lines.
+The first line names the kernels the digests were computed with: the
+NumPy SIMD targets in use (the baseline and every enabled dispatch target)
+and the core NumPy's bundled OpenBLAS runs. Digests compare only between
+runs with the same kernel line: other SIMD targets (`NPY_DISABLE_CPU_FEATURES`)
+or OpenBLAS cores (`OPENBLAS_CORETYPE`, or another CPU) give other bytes.
+
+Then, for each perfbench workload and each given seed, prints two sha256 lines.
 The first covers the bytes of every scene in the workload's pool, in
 order: both clouds, the correspondences, the ground truth, the labels and
 the engine settings (`pool_sha256`). So a change to synthesis is checked
@@ -27,6 +33,7 @@ checkouts. BLAS threads are pinned to 1, as in perfbench/run.py.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import os
 import sys
@@ -39,6 +46,21 @@ def parse_args(argv=None):
     p.add_argument("--seeds", type=int, nargs="+", default=[1, 9001])
     p.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
     return p.parse_args(argv)
+
+
+def kernel() -> str:
+    """The NumPy SIMD targets in use and NumPy's OpenBLAS core ("unknown" if not bundled)."""
+    import numpy as np
+    from numpy._core import _multiarray_umath as umath
+    targets = [t for t in umath.__cpu_baseline__ + umath.__cpu_dispatch__
+               if umath.__cpu_features__.get(t)]
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    core = "unknown"
+    if libs:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+    return f"kernel numpy_simd={','.join(targets)} openblas_core={core}"
 
 
 def histogram_digest(hist) -> tuple | None:
@@ -74,6 +96,7 @@ def main(argv=None) -> int:
     from lvreg.engine import run_registration
     from perfbench.workloads import WORKLOADS, fingerprint, make_scenes
 
+    print(kernel(), flush=True)
     for name, workload in WORKLOADS.items():
         for seed in args.seeds:
             scenes = make_scenes(workload, seed)

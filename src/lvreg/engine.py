@@ -173,12 +173,14 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
     parallel source directions) is redrawn: it counts towards the cap but
     not as a hypothesis.
 
-    The endpoints of the round sample are mapped to `c_sul` rows once per
-    round (`rows_for`, which rejects an id not in `c_sul`); each basic
-    subset then marks its endpoint rows in a reused mask, so the solver's
-    translation step sees the sorted, unique rows of its endpoints. The
-    round sample's two vector arrays are computed once, and each basic
-    subset takes its rows from them with `np.take`.
+    Each basic subset marks its endpoints' rows of the sample's endpoint
+    table (`p` and `q`) in a reused mask, so the solver's translation step
+    sees the sorted, unique endpoint rows. The table is `c_sul` or, once
+    the self-update has revised the set, the full set; both hold their
+    rows in id order with the same points for each id, so the sorted rows
+    give `c_sul`'s endpoint points in id order either way. The round
+    sample's two vector arrays are computed once, and each basic subset
+    takes its rows from them with `np.take`.
     """
     if len(l_sul) < 2:
         raise DegenerateInput("need at least 2 line vectors for local hypotheses")
@@ -189,8 +191,7 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
     l_sub = l_sul.take(sub_rows)
     v_source, v_target = l_sub.v_source, l_sub.v_target
     basic_size = _sample_size(cfg.beta_pct, len(l_sub))
-    i_rows, j_rows = c_sul.rows_for(l_sub.i), c_sul.rows_for(l_sub.j)
-    is_endpoint = np.zeros(len(c_sul), dtype=bool)
+    is_endpoint = np.zeros(len(l_sub.table), dtype=bool)
 
     best: RigidTransform | None = None
     best_count = -1
@@ -203,15 +204,15 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
     while True:
         attempts += 1
         rows = rng.choice(len(l_sub), basic_size, replace=False)
-        is_endpoint[i_rows[rows]] = True
-        is_endpoint[j_rows[rows]] = True
+        is_endpoint[l_sub.p[rows]] = True
+        is_endpoint[l_sub.q[rows]] = True
         endpoint_rows = np.flatnonzero(is_endpoint)
         is_endpoint[endpoint_rows] = False
         try:
             candidate = estimate_local_transform(
                 np.take(v_source, rows, axis=0), np.take(v_target, rows, axis=0),
-                c_sul.source[endpoint_rows], c_sul.target[endpoint_rows], cfg.noise_bound,
-                initial_rotation=received_glo.rotation)
+                l_sub.table.source[endpoint_rows], l_sub.table.target[endpoint_rows],
+                cfg.noise_bound, initial_rotation=received_glo.rotation)
         except DegenerateInput:
             pass  # redrawn; it counts towards the cap only
         else:

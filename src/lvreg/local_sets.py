@@ -19,8 +19,9 @@ and `LineVectorSet.revised` applies those decisions to a set.
 The pair layer works on 1-D columns. A `LineVectorSet` stores each pair as
 two int32 row positions into an endpoint table (the correspondence set it
 came from, whose source and target points and item ids it reads: a few
-thousand rows, one table per run) and its float64 ratio: 16 bytes a pair,
-against 72 for the ids, ratio and two float64 vectors. No set keeps
+thousand rows, one table per run): 8 bytes a pair, against 72 for the ids,
+ratio and two float64 vectors. Only a freshly built set keeps ratios, for
+the ratio filter; past the filter a pair is its two rows. No set keeps
 vectors: they are computed where they are read. The rows are stored in
 the order their difference was taken, and that order carries the sign: a
 pair's vectors are x[p] - x[q], negated where p > q, so the self-update's
@@ -37,7 +38,8 @@ difference or an overflowed ratio are dropped by one test on the ratios.
 A freshly built set stores only its ratio column and the few triangle
 positions it dropped, 8 bytes a pair: row k's pair follows from k, and
 `take` derives the pairs of the rows it keeps, one block of `PAIR_BLOCK`
-rows at a time. `revised` measures the admitted pairs with `cdist`.
+rows at a time. `revised` measures the admitted pairs with `cdist`, tests
+their ratios and stores none.
 One bin rule, `value_bins`, places a value in its histogram bin: the
 histograms count with it, the angle filter recomputes its few thousand
 angles' bins with it, and `RatioRange.contains` selects with it, both the
@@ -50,9 +52,10 @@ A set of n correspondences has n(n-1)/2 pairs; above `PAIR_BUDGET` pairs
 calls it before it allocates anything. The build peaks at 16 bytes a pair
 (the two norm arrays; 17 while it compacts away dropped pairs) and keeps
 8; the ratio filter adds 8 bytes a pair while Scott's sigma is computed,
-then the kept rows' columns (tracemalloc, 1.1 M pairs). `revised` peaks
-at about 17 bytes a pair of the larger of its input and its output: its
-columns, sized for every row it may keep, of which it returns views.
+then the kept rows' columns (tracemalloc, 1.1 M pairs). `take` and
+`revised` hold 8 bytes a pair and peak at about 9 of the larger of their
+input and output: `revised`'s columns are sized for every row it may
+keep, and it returns views of them.
 """
 
 from __future__ import annotations
@@ -79,8 +82,8 @@ SCOTT_FACTOR = 3.49
 MAX_BINS = 100_000
 # Largest pair set `build_line_vectors` builds: 16.8 M pairs, or n = 5,793
 # correspondences, far above the 2.0 M pairs of an unfiltered set of 2000.
-# At 8 to 16 bytes a pair that is 135 to 270 MB of columns; reading every
-# pair's vectors adds 48 bytes a pair until the reader drops them.
+# A set stores 8 bytes a pair, 135 MB, and the build peaks at twice that;
+# reading every pair's vectors adds 48 bytes a pair until the reader drops them.
 PAIR_BUDGET = 2**24
 # Rows whose pairs `take` derives, and ratios the ratio filter bins, at a
 # time: their temporaries take a few hundred kB whatever the set's size.
@@ -189,35 +192,37 @@ class LineVectorSet:
     its pairs came from: `build_line_vectors`'s input, or the full set once
     the self-update has revised the set (`revised`), so a run has one
     table however many rounds revise the set. Row k is the pair of table
-    rows `p[k]` and `q[k]`, in the order its difference was taken, with
-    `scale_ratio[k]`. Its vectors are x[p] - x[q] in each cloud, negated
+    rows `p[k]` and `q[k]`, in the order its difference was taken, and
+    nothing else. Its vectors are x[p] - x[q] in each cloud, negated
     where p > q: `revised` stores (admitted row, member row), and a
     member before the admitted row gives -(x_a - x_m). A table's rows are
     in id order, so `i` and `j`, the ids of the smaller and the larger row,
     are read through the table's ids, and every vector is x_i - x_j.
 
-    A freshly built set has no `p` and `q` columns (None): its rows are the
-    table's upper triangle in row-major order less the sorted triangle
-    positions in `dropped`, and every method reads the pairs through
-    `_pairs`, which derives them for the rows asked for. Its p < q holds
-    throughout, so its reads skip the sign test.
+    A freshly built set has no `p` and `q` columns (None) but its
+    `scale_ratio`, which the ratio filter reads: its rows are the table's
+    upper triangle in row-major order less the sorted triangle positions in
+    `dropped`, and every method reads the pairs through `_pairs`, which
+    derives them for the rows asked for. Its p < q holds throughout, so its
+    reads skip the sign test.
 
-    `take` and `revised` move only the 1-D columns, and `revised` maps rows
-    in order, so p > q holds on the same rows after every step. No set
+    `take` and `revised` return sets of `p` and `q` alone; `revised` maps
+    rows in order, so p > q holds on the same rows after every step. No set
     keeps vectors: `v_source` and `v_target` compute their cloud's on every
     read. Every path subtracts the same two points in the same order, so
-    every column holds the same bytes as if each step had copied all five.
+    every read gives the same bytes as if each step had copied the ids and
+    vectors.
     """
 
     table: CorrespondenceSet
     p: np.ndarray | None  # int32 table rows
     q: np.ndarray | None
-    scale_ratio: np.ndarray
+    scale_ratio: np.ndarray | None = None  # a built set's ratios
     n_zero_skipped: int = 0
     dropped: np.ndarray | None = None  # int64 triangle positions a built set dropped
 
     def __len__(self) -> int:
-        return len(self.scale_ratio)
+        return len(self.scale_ratio if self.p is None else self.p)
 
     @property
     def i(self) -> np.ndarray:
@@ -277,13 +282,21 @@ class LineVectorSet:
         return v if self.p is None else np.negative(v, out=v, where=(p > q)[:, None])
 
     def take(self, rows) -> "LineVectorSet":
-        """The line vectors at the given row positions (or boolean mask), in that order."""
+        """The line vectors at the given row positions (or boolean mask), in that order.
+
+        Positions are read as np.take reads them: -1 is the last row, one at
+        or past len(self) or below -len(self) raises IndexError, and
+        non-integer positions raise TypeError.
+        """
         rows = np.asarray(rows)
         if rows.dtype == bool:
             if rows.shape != (len(self),):
                 raise IndexError("boolean mask does not match the number of line vectors")
             rows = np.flatnonzero(rows)
-        return LineVectorSet(self.table, *self._pairs(rows), np.take(self.scale_ratio, rows))
+        rows = rows.astype(np.intp, casting="same_kind", copy=False)
+        if rows.size and not -len(self) <= rows.min() <= rows.max() < len(self):
+            raise IndexError("line-vector row out of range")
+        return LineVectorSet(self.table, *self._pairs(rows))
 
     def revised(self, corrs: CorrespondenceSet, removed: np.ndarray, retained: np.ndarray,
                 admitted: np.ndarray, ratio_range: "RatioRange") -> "LineVectorSet":
@@ -296,12 +309,13 @@ class LineVectorSet:
         out by a, then by member row. Their ratios come from `cdist`, which
         sums a norm in `pdist`'s order, and a pair is added where its ratio
         is usable and in `ratio_range`, stored as (admitted row, member row),
-        the order of its difference x_a - x_m. The new pairs are made first,
-        so their temporaries die before the kept rows are selected, one
-        block of `PAIR_BLOCK` rows at a time, mapped onto `corrs` (in order,
-        keeping their bytes) and written into columns with room for every
-        row. The set holds views of their used part: cutting them in place
-        (`ndarray.resize`) or copying raised `filtered-m2000`'s peak RSS.
+        the order of its difference x_a - x_m; its ratio is not kept. The
+        new pairs are made first, so their temporaries die before the kept
+        rows are selected, one block of `PAIR_BLOCK` rows at a time, mapped
+        onto `corrs` (in order, keeping their bytes) and written into two
+        int32 columns with room for every row. The set holds views of their
+        used part: cutting them in place (`ndarray.resize`) or copying
+        raised `filtered-m2000`'s peak RSS.
         """
         current = np.union1d(retained, admitted)
         a_col = admitted[:, None]
@@ -314,25 +328,21 @@ class LineVectorSet:
         usable = np.flatnonzero(usable_ratios(ratio))
         new = usable[ratio_range.contains(ratio[usable])]
         new_p, new_q = admitted[a_pos[new]].astype(np.int32), current[m_pos[new]].astype(np.int32)
-        new_ratio = ratio[new]
         del ratio, a_pos, m_pos, usable, new
 
         rows = corrs.rows_for(self.table.indices).astype(np.int32)  # this set's table onto corrs
         hit = np.isin(rows, removed)  # over this set's table
-        p, q, ratio = (np.empty(len(self) + len(new_p), dtype=t) for t in (np.int32, np.int32, float))
+        p, q = (np.empty(len(self) + len(new_p), dtype=np.int32) for _ in range(2))
         n = 0
         for k0 in range(0, len(self), PAIR_BLOCK):
-            k1 = min(len(self), k0 + PAIR_BLOCK)
-            kp, kq = (self._pairs(np.arange(k0, k1)) if self.p is None
-                      else (self.p[k0:k1], self.q[k0:k1]))
+            kp, kq = self._pairs(np.arange(k0, min(len(self), k0 + PAIR_BLOCK)))
             kept = np.flatnonzero(~(np.take(hit, kp) | np.take(hit, kq)))
             m = n + len(kept)
             p[n:m], q[n:m] = np.take(rows, np.take(kp, kept)), np.take(rows, np.take(kq, kept))
-            ratio[n:m] = np.take(self.scale_ratio[k0:k1], kept)
             n = m
         m = n + len(new_p)
-        p[n:m], q[n:m], ratio[n:m] = new_p, new_q, new_ratio
-        return LineVectorSet(corrs, p[:m], q[:m], ratio[:m])  # views: the unused room goes with the set
+        p[n:m], q[n:m] = new_p, new_q
+        return LineVectorSet(corrs, p[:m], q[:m])  # views: the unused room goes with the set
 
     def pair_set(self) -> set:
         return set(zip(self.i.tolist(), self.j.tolist()))

@@ -20,11 +20,12 @@ def _row_norms(v):
     return np.sqrt(norms, out=norms)
 
 
-def vector_set(i, j, v_source, v_target, scale_ratio, n_zero_skipped=0):
+def vector_set(i, j, v_source, v_target, scale_ratio=None, n_zero_skipped=0):
     """A set holding the given vectors: its table is those vectors over zero rows.
 
     Row k pairs table row k with zero row n + k, and x - (+0.0) is x, signed
-    zeros included, so the set's vectors are the given bytes.
+    zeros included, so the set's vectors are the given bytes. With ratios
+    given, the set keeps them, as a built set does, for the ratio filter.
     """
     vectors = [np.asarray(v, dtype=np.float64).reshape(-1, 3) for v in (v_source, v_target)]
     n = len(vectors[0])
@@ -33,12 +34,12 @@ def vector_set(i, j, v_source, v_target, scale_ratio, n_zero_skipped=0):
     ids = np.concatenate([np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)])
     rows = np.arange(n, dtype=np.int32)
     table = SimpleNamespace(source=source, target=target, indices=ids)
-    return LineVectorSet(table, rows, rows + n, np.asarray(scale_ratio, dtype=np.float64),
-                         n_zero_skipped=n_zero_skipped)
+    ratio = None if scale_ratio is None else np.asarray(scale_ratio, dtype=np.float64)
+    return LineVectorSet(table, rows, rows + n, ratio, n_zero_skipped=n_zero_skipped)
 
 
 def from_differences(i, j, v_source, v_target):
-    """Line vectors from per-pair difference vectors, v = x_i - x_j.
+    """Line vectors from per-pair difference vectors, v = x_i - x_j, with their ratios.
 
     Pairs whose ratio is not finite and positive (a zero-length difference
     or an overflow) are dropped and counted in `n_zero_skipped`, as
@@ -49,6 +50,5 @@ def from_differences(i, j, v_source, v_target):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio /= _row_norms(vt)
     rows = np.flatnonzero(usable_ratios(ratio))
-    kept = vector_set(i, j, vs, vt, ratio).take(rows)
-    kept.n_zero_skipped = len(ratio) - len(rows)
-    return kept
+    return vector_set(np.asarray(i)[rows], np.asarray(j)[rows], vs[rows], vt[rows], ratio[rows],
+                      n_zero_skipped=len(ratio) - len(rows))

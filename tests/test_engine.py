@@ -29,7 +29,7 @@ from lvreg.errors import (
 from lvreg.geometry import RigidTransform, rotation_about_axis
 from lvreg.io import result_to_dict
 from lvreg import engine, local_sets
-from lvreg.local_sets import build_line_vectors
+from lvreg.local_sets import RatioRange, build_line_vectors
 from lvreg.self_update import UpdateAction, UpdateRule
 from lvreg.synthetic import SyntheticSpec, synthesize_pair
 
@@ -153,8 +153,7 @@ def reference_local_ransac(l_sul, c_sul, received_glo, t_glo, cfg, rng):
     round itself credits an early termination with the entry `t_glo`.
     """
     def take(lvs, rows):
-        return vector_set(lvs.i[rows], lvs.j[rows], lvs.v_source[rows],
-                          lvs.v_target[rows], lvs.scale_ratio[rows])
+        return vector_set(lvs.i[rows], lvs.j[rows], lvs.v_source[rows], lvs.v_target[rows])
 
     if len(l_sul) < 2:
         raise DegenerateInput("need at least 2 line vectors for local hypotheses")
@@ -208,7 +207,9 @@ def local_round_case(seed):
 
     `c_sul` is a random subset of a set with sparse ids, so its ids are
     not row positions; some scenes put most source points on one line, so many
-    basic samples are parallel and get redrawn.
+    basic samples are parallel and get redrawn. On odd seeds the line-vector
+    set is over the full set's table, as after a self-update, with the same
+    pairs.
     """
     rng = np.random.default_rng(seed)
     g = random_transform(rng, translation_scale=0.5)
@@ -226,6 +227,9 @@ def local_round_case(seed):
     pairs = build_line_vectors(c_sul)
     l_sul = pairs.take(np.sort(rng.choice(len(pairs), int(rng.integers(2, len(pairs) + 1)),
                                           replace=False)))
+    if seed % 2:
+        none = np.zeros(0, dtype=np.int64)
+        l_sul = l_sul.revised(full, none, keep, none, RatioRange.everything())
     received = [g, RigidTransform.identity(),
                 RigidTransform(rotation_about_axis((0, 1, 0), 1.5), (3.0, 3.0, 3.0))][seed % 3 - 1]
     cfg = RansacConfig(rng_seed=seed, alpha_pct=float(rng.choice([5.0, 10.0, 50.0, 100.0])),
@@ -262,6 +266,7 @@ class TestLocalRansacMatchesReference:
         for seed in range(150):
             case = local_round_case(seed)
             assert not np.array_equal(case[1].indices, np.arange(len(case[1])))
+            assert (case[0].table is case[1]) == (seed % 2 == 0)
             ref = local_round_outcome(reference_local_ransac, case, seed)
             got = local_round_outcome(run_local_ransac, case, seed)
             assert got == ref, f"seed {seed}"
@@ -273,7 +278,8 @@ class TestLocalRansacMatchesReference:
         assert branches == {"early-termination", "confidence", "iteration-cap"}
         assert degenerate_rounds >= 10 and raised >= 1
 
-    def test_rows_for_calls_do_not_grow_with_hypotheses(self, monkeypatch):
+    def test_makes_no_rows_for_call(self, monkeypatch):
+        # A basic subset's endpoints are rows of the round sample's own table.
         calls = []
         rows_for = CorrespondenceSet.rows_for
 
@@ -286,14 +292,11 @@ class TestLocalRansacMatchesReference:
         corrs = CorrespondenceSet(rng.normal(size=(30, 3)), rng.normal(size=(30, 3)))
         lvs = build_line_vectors(corrs)
         far = RigidTransform(rotation_about_axis((0, 1, 0), 1.5), (3.0, 3.0, 3.0))
-        per_round = []
         for cap in (1, 40):
-            calls.clear()
             res = run_local_ransac(lvs, corrs, far, RansacConfig(max_local_iterations=cap),
                                    np.random.default_rng(cap))
             assert res.hypotheses == cap
-            per_round.append(len(calls))
-        assert per_round == [2, 2]
+        assert calls == []
 
 
 def quick_cfg(**kw):

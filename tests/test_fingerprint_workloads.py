@@ -1,11 +1,16 @@
 """Smoke test for scripts/fingerprint_workloads.py, the bit-identity check of perf changes."""
 
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+KERNEL = re.compile(r"kernel numpy_simd=([0-9A-Z_,]+) openblas_core=(\S+)")
 POOL = re.compile(r"(\S+) seed=1 pool=(\d+) pool_sha256=([0-9a-f]{64})")
 DIGEST = re.compile(r"(\S+) seed=1 scenes=1 sha256=([0-9a-f]{64})")
 
@@ -32,7 +37,8 @@ def test_repeatable_pool_and_registration_digests_per_workload(monkeypatch, caps
     runs = []
     for _ in range(2):
         assert script.main(["--scenes", "1", "--seeds", "1"]) == 0
-        lines = capsys.readouterr().out.splitlines()
+        kernel, *lines = capsys.readouterr().out.splitlines()
+        assert KERNEL.fullmatch(kernel), kernel
         assert len(lines) == 2 * len(WORKLOADS), lines
         pools = [POOL.fullmatch(line) for line in lines[0::2]]
         digests = [DIGEST.fullmatch(line) for line in lines[1::2]]
@@ -43,3 +49,21 @@ def test_repeatable_pool_and_registration_digests_per_workload(monkeypatch, caps
     # The pool digest covers the whole pool, not only the registered scenes.
     assert [int(size) for _, size, _ in pools] == [w.scenes for w in WORKLOADS.values()]
     assert runs[0] == runs[1]
+
+
+def test_kernel_line_follows_the_process_settings():
+    # A process with its highest SIMD target switched off and another
+    # OpenBLAS core names both; the digests it prints are of those kernels.
+    simd, core = KERNEL.fullmatch(load_script().kernel()).groups()
+    targets = simd.split(",")
+    if core == "unknown" or len(targets) < 2:
+        pytest.skip("no bundled OpenBLAS or no SIMD target above the baseline")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=targets[-1], OPENBLAS_CORETYPE="Haswell")
+    code = ("import importlib.util, sys; "
+            "spec = importlib.util.spec_from_file_location('f', sys.argv[1]); "
+            "m = importlib.util.module_from_spec(spec); spec.loader.exec_module(m); "
+            "print(m.kernel())")
+    script = ROOT / "scripts" / "fingerprint_workloads.py"
+    out = subprocess.run([sys.executable, "-c", code, str(script)], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == f"kernel numpy_simd={','.join(targets[:-1])} openblas_core=Haswell\n"

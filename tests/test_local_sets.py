@@ -14,7 +14,6 @@ from lvreg.errors import (
     MissingNormals,
     TooFewCorrespondences,
 )
-from lvreg.geometry import RigidTransform
 from lvreg.local_sets import (
     Histogram,
     RatioRange,
@@ -264,17 +263,33 @@ class TestBuildLineVectors:
 
     def test_take_matches_fancy_indexing(self, rng):
         lvs = build_line_vectors(self._corrs(rng.normal(size=(12, 3)), rng.normal(size=(12, 3))))
-        fields = ("i", "j", "v_source", "v_target", "scale_ratio")
         rows = rng.choice(len(lvs), 20, replace=False)
         mask = rng.random(len(lvs)) < 0.5
         for sel in (rows, mask, rows[:0], -rows - 1):
             got = lvs.take(sel)
-            for name in fields:
+            assert got.scale_ratio is None  # only a built set keeps ratios
+            for name in ("i", "j", "v_source", "v_target"):
                 expected = getattr(lvs, name)[sel]
                 assert np.array_equal(getattr(got, name), expected)
                 assert getattr(got, name).dtype == expected.dtype
         with pytest.raises(IndexError):
             lvs.take(mask[:-1])
+
+    def test_take_raises_where_np_take_raises(self, rng):
+        # A built set derives its pairs from the row positions, which alone
+        # would wrap any position and accept floats; the rules are np.take's,
+        # for both kinds of set.
+        lvs = build_line_vectors(self._corrs(rng.normal(size=(12, 3)), rng.normal(size=(12, 3))))
+        n = len(lvs)
+        for base in (lvs, lvs.take(np.arange(n))):
+            assert base.take([0, n - 1, -1, -n]).pair_set() == lvs.take([0, n - 1]).pair_set()
+            assert base.take(np.array([n - 1], dtype=np.int32)).pair_set() == lvs.take([-1]).pair_set()
+            for row in (n, n + 1, 2 * n, -n - 1, -2 * n):
+                with pytest.raises(IndexError):
+                    base.take(np.array([0, row]))
+            for rows in ([], [0.0, 1.0]):
+                with pytest.raises(TypeError):
+                    base.take(rows)
 
     def test_vectors_of_a_take_match_a_take_of_vectors(self, rng):
         # A round sample computes its vectors once; each basic subset takes its rows from them.
@@ -303,7 +318,8 @@ class TestBuildLineVectors:
 
 # An eager reference for the pair layer's deferred gathers: every step
 # copies all five columns, as LineVectorSet did before it kept its vectors
-# behind a row index.
+# behind a row index. The ratios decide what a revision admits; a lazy set
+# keeps them only until it is taken or revised.
 COLUMNS = ("i", "j", "v_source", "v_target", "scale_ratio")
 
 
@@ -430,6 +446,8 @@ def assert_eager_bytes(lazy, eager):
     assert len(lazy) == len(eager[0])
     for name, want in zip(COLUMNS, eager):
         got = getattr(lazy, name)
+        if got is None and name == "scale_ratio":
+            continue
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes(), name
 
@@ -600,7 +618,10 @@ def lvlp_oracle(lvs):
 
 
 def ratio_set(ratios):
-    """A line-vector set with the given scale ratios; the ratio filter reads nothing else."""
+    """A line-vector set with the given scale ratios; the ratio filter reads nothing else.
+
+    Its row k pairs table row k, so a set taken from it holds the rows it kept as `p`.
+    """
     n = len(ratios)
     return vector_set(np.arange(n), np.arange(n) + n, np.ones((n, 3)), np.ones((n, 3)), ratios)
 
@@ -639,10 +660,11 @@ class TestLengthRatioFilterKeepsTwo:
     @settings(max_examples=600, deadline=None)
     def test_keeps_at_least_two(self, ratios):
         with np.errstate(over="ignore", invalid="ignore"):  # sigma may overflow to inf
-            kept, ratio_range, _ = length_ratio_filter(ratio_set(ratios))
+            lvs = ratio_set(ratios)
+            kept, ratio_range, _ = length_ratio_filter(lvs)
         assert len(kept) >= 2
         # the self-update admits new pairs by this range: it must hold every kept ratio
-        assert np.all(ratio_range.contains(kept.scale_ratio))
+        assert np.all(ratio_range.contains(lvs.scale_ratio[kept.p]))
 
     def test_underflowed_spread_keeps_everything_in_range(self):
         # Every squared deviation from the mean underflows to 0, so Scott's
@@ -658,15 +680,6 @@ class TestLengthRatioFilterKeepsTwo:
 
 
 class TestLengthRatioFilter:
-    def _lvs_with_ratios(self, rng, ratios):
-        n = len(ratios) + 1
-        src = rng.normal(size=(n, 3))
-        # construct target so pair (0, k) has the requested ratio; other pairs exist too
-        corrs = CorrespondenceSet(src, src * 1.0)
-        lvs = build_line_vectors(corrs)
-        lvs.scale_ratio = np.asarray(ratios, dtype=float)[: len(lvs)] if len(lvs) == len(ratios) else lvs.scale_ratio
-        return lvs
-
     def test_all_identical_ratios_degenerate(self, rng):
         src = rng.normal(size=(6, 3))
         corrs = CorrespondenceSet(src, src)  # every ratio exactly 1.0
@@ -689,7 +702,7 @@ class TestLengthRatioFilter:
             assert ratio_range.mode == "interval"
             rows = np.flatnonzero(ratio_range.contains(lvs.scale_ratio))
             p, q = triangle_less_coincident(src, tgt)  # the built set's pairs
-            for got, want in ((kept.p, p), (kept.q, q), (kept.scale_ratio, lvs.scale_ratio)):
+            for got, want in ((kept.p, p), (kept.q, q)):
                 assert got.tobytes() == want[rows].tobytes()
             assert np.all(kept.p < kept.q) and kept.table is lvs.table
             assert np.array_equal(hist.counts, brute_counts(lvs.scale_ratio, hist.lower_bound,
@@ -716,20 +729,16 @@ class TestRatioRangeOnScalars:
         assert all(np.ndim(g) == 0 for g in got)
         assert array.shape == (len(self.VALUES),) and array.dtype == bool
 
-    def test_clustered_ratios_keep_dominant_band(self, rng):
-        g = RigidTransform(np.eye(3), np.zeros(3))
-        src = rng.normal(size=(80, 3))
-        corrs = CorrespondenceSet(src, src)
-        lvs = build_line_vectors(corrs)
-        ratios = np.concatenate([np.full(10, 0.5), np.full(len(lvs) - 20, 1.0), np.full(10, 2.0)])
-        lvs.scale_ratio = ratios
+    def test_clustered_ratios_keep_dominant_band(self):
+        ratios = np.concatenate([np.full(10, 0.5), np.full(3140, 1.0), np.full(10, 2.0)])
+        lvs = ratio_set(ratios)
         kept, ratio_range, hist = length_ratio_filter(lvs)
         expected = lvlp_oracle(lvs)
         assert set(np.nonzero(np.asarray(ratio_range.contains(ratios)))[0]) == expected
         assert len(kept) == len(expected)
-        assert all(ratio_range.contains(r) for r in kept.scale_ratio)
+        assert all(ratio_range.contains(r) for r in ratios[kept.p])
         # the dominant ratio-1 population must survive
-        assert np.count_nonzero(kept.scale_ratio == 1.0) == len(lvs) - 20
+        assert np.count_nonzero(ratios[kept.p] == 1.0) == 3140
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -755,17 +764,14 @@ class TestRatioRangeOnScalars:
             kept, ratio_range, _ = length_ratio_filter(build_line_vectors(corrs))
             assert ratio_range.contains(1.0), f"seed {seed}"
 
-    def test_max_bin_at_boundary_keeps_two_bins(self, rng):
-        src = rng.normal(size=(40, 3))
-        corrs = CorrespondenceSet(src, src)
-        lvs = build_line_vectors(corrs)
-        n = len(lvs)
+    def test_max_bin_at_boundary_keeps_two_bins(self):
+        n = 780
         # dominant mass at the lowest ratios: top bin is bin 0, no left neighbor
-        lvs.scale_ratio = np.concatenate([np.full(n - 10, 0.2), np.linspace(1.0, 3.0, 10)])
-        kept, ratio_range, hist = length_ratio_filter(lvs)
+        ratios = np.concatenate([np.full(n - 10, 0.2), np.linspace(1.0, 3.0, 10)])
+        kept, ratio_range, hist = length_ratio_filter(ratio_set(ratios))
         assert ratio_range.first_bin == 0
         assert ratio_range.last_bin == 1
-        assert np.count_nonzero(kept.scale_ratio == 0.2) == n - 10
+        assert np.count_nonzero(ratios[kept.p] == 0.2) == n - 10
 
 
 class TestInlierEnrichment:

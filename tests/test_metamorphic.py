@@ -11,6 +11,17 @@ Source/target swap. Registering the target onto the source, with the
 correspondence columns swapped, estimates the inverse motion: the swapped
 estimate composed with the forward one lies within the success tolerance
 (2 degrees, 0.03) of the identity.
+
+Change of world frame. Moving both clouds by one rigid G moves the ground
+truth T to G T G^-1, and the estimate should move with it. It does not
+keep its bytes: each normal is signed so that its largest world-axis
+component is positive, G changes which axis that is, and so the angle
+filter keeps other rows and the run draws other samples. The success rate
+does not move; the kept set's equality is pinned as a strict xfail.
+
+Row permutation. Permuting the correspondences with the engine seed fixed
+changes the draws, and Scott's widths may move in the last bit (`np.std`
+sums pairwise, in row order), so the oracle compares success rates only.
 """
 
 from functools import lru_cache
@@ -20,10 +31,12 @@ import pytest
 
 from lvreg.correspondences import CorrespondenceSet
 from lvreg.engine import RansacConfig, run_registration
-from lvreg.normals import PointCloud
+from lvreg.geometry import RigidTransform
+from lvreg.local_sets import angle_histogram_filter, build_angle_histogram
+from lvreg.normals import PointCloud, annotate_normals
 from lvreg.synthetic import SyntheticSpec, synthesize_pair
 
-from conftest import compose, stable_geodesic
+from conftest import compose, random_transform, stable_geodesic
 
 
 def register_scaled(seed, use_ahs_lvlp, k):
@@ -93,3 +106,87 @@ class TestSourceTargetSwap:
     def test_swapped_run_is_the_inverse(self, seed, use_ahs_lvlp, outlier_rate):
         degrees, distance = swap_error(seed, use_ahs_lvlp, outlier_rate)
         assert degrees <= 2.0 and distance <= 0.03, (degrees, distance)
+
+
+# Item 2's setup. The default engine settings run up to 10,000 local
+# iterations a round; at 0.9 and 0.95 outliers ten scenes take 29 s and
+# 83 s, so the oracles run the two rates that stay within seconds.
+FRAME_SEEDS = range(10)
+FRAME_RATES = (0.5, 0.8)
+
+
+@lru_cache(maxsize=32)
+def frame_scene(seed, outlier_rate):
+    """(source, target, correspondences, ground truth, G): a scene and its frame change."""
+    source, target, corrs, gt, _ = synthesize_pair(SyntheticSpec(
+        n_points=2000, n_correspondences=400, outlier_rate=outlier_rate, noise_sigma=0.003,
+        seed=seed))
+    return source, target, corrs, gt, random_transform(np.random.default_rng(1000 + seed))
+
+
+def moved(g, source, target, corrs):
+    """Both clouds and the correspondences in the frame G moves them to."""
+    return (PointCloud(g.apply(source.points)), PointCloud(g.apply(target.points)),
+            CorrespondenceSet(g.apply(corrs.source), g.apply(corrs.target)))
+
+
+def conjugate(g, t):
+    """G T G^-1: the motion T as seen in the frame G moves the scene to."""
+    inverse = RigidTransform(g.rotation.T, -g.rotation.T @ g.translation)
+    return compose(compose(g, t), inverse)
+
+
+def succeeded(corrs, source, target, gt, seed):
+    est = run_registration(corrs, source, target, RansacConfig(rng_seed=seed)).transform
+    return (stable_geodesic(est.rotation, gt.rotation) * 180.0 / np.pi <= 2.0
+            and np.linalg.norm(est.translation - gt.translation) <= 0.03)
+
+
+@lru_cache(maxsize=4)
+def successes(outlier_rate):
+    """Scenes of `FRAME_SEEDS` registered within (2 degrees, 0.03), in the scene's frame."""
+    count = 0
+    for seed in FRAME_SEEDS:
+        source, target, corrs, gt, _ = frame_scene(seed, outlier_rate)
+        count += succeeded(corrs, source, target, gt, seed)
+    return count
+
+
+def angle_kept(corrs, source, target):
+    """Ids the angle filter keeps, with normals from the default neighbourhood."""
+    corrs = annotate_normals(corrs, source, target, RansacConfig().k_normals)
+    return angle_histogram_filter(corrs, build_angle_histogram(corrs)).indices
+
+
+class TestChangeOfWorldFrame:
+    @pytest.mark.parametrize("outlier_rate", FRAME_RATES)
+    def test_success_rate_does_not_move(self, outlier_rate):
+        moved_successes = 0
+        for seed in FRAME_SEEDS:
+            source, target, corrs, gt, g = frame_scene(seed, outlier_rate)
+            ms, mt, mc = moved(g, source, target, corrs)
+            moved_successes += succeeded(mc, ms, mt, conjugate(g, gt), seed)
+        assert moved_successes == successes(outlier_rate) == len(FRAME_SEEDS)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "normals are signed by their largest world-axis component, which G changes: the "
+        "kept set's median Jaccard index against the unmoved frame's was 0.66, 0.57, 0.47 "
+        "and 0.56 at 0.5, 0.8, 0.9 and 0.95 outliers (ROADMAP items 2 and 4)"))
+    def test_angle_filter_keeps_the_same_rows(self):
+        for outlier_rate in FRAME_RATES:
+            for seed in FRAME_SEEDS:
+                source, target, corrs, _, g = frame_scene(seed, outlier_rate)
+                ms, mt, mc = moved(g, source, target, corrs)
+                assert np.array_equal(angle_kept(mc, ms, mt), angle_kept(corrs, source, target))
+
+
+class TestRowPermutation:
+    @pytest.mark.parametrize("outlier_rate", FRAME_RATES)
+    def test_success_rate_does_not_move(self, outlier_rate):
+        permuted_successes = 0
+        for seed in FRAME_SEEDS:
+            source, target, corrs, gt, _ = frame_scene(seed, outlier_rate)
+            rows = np.random.default_rng(2000 + seed).permutation(len(corrs))
+            permuted = CorrespondenceSet(corrs.source[rows], corrs.target[rows])
+            permuted_successes += succeeded(permuted, source, target, gt, seed)
+        assert permuted_successes == successes(outlier_rate) == len(FRAME_SEEDS)

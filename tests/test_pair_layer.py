@@ -48,7 +48,7 @@ from lvreg.self_update import (
 from pairs import from_differences, vector_set
 from self_update_reference import classify_inclusion, classify_removal
 
-FIELDS = ("i", "j", "v_source", "v_target", "scale_ratio")
+FIELDS = ("i", "j", "v_source", "v_target")
 T_R = 0.01
 
 
@@ -156,15 +156,16 @@ def ref_update_local_sets(corrs, local_set, lvs, ir_glo, residual_threshold, rat
     evicted = np.isin(lvs.i, removed) | np.isin(lvs.j, removed)
     kept = lvs.take(~evicted)
     new_lvs = vector_set(*(np.concatenate([getattr(kept, name), getattr(block, name)])
-                           for name in FIELDS))
+                           for name in FIELDS))  # ids and vectors: the ratios were tested
     return corrs.subset(current_rows), new_lvs, evict_decisions + admit_decisions
 
 
 # --- helpers ------------------------------------------------------------------
 
 def assert_same_bytes(got, want):
+    """Equal ids and vectors, and equal ratios where `want` keeps them (a built set)."""
     assert len(got) == len(want)
-    for name in FIELDS:
+    for name in FIELDS if want.scale_ratio is None else FIELDS + ("scale_ratio",):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
@@ -255,6 +256,7 @@ class TestBuildMatchesReference:
                 want = ref_build_line_vectors(corrs)
             finite = np.flatnonzero(want.scale_ratio < np.inf)
             assert_same_bytes(got, want.take(finite))
+            assert got.scale_ratio.tobytes() == want.scale_ratio[finite].tobytes()
             assert got.n_zero_skipped == want.n_zero_skipped + len(want) - len(finite)
             overflowed += len(want) - len(finite)
             zero += want.n_zero_skipped
@@ -535,26 +537,52 @@ class TestPairLayerMemory:
             sample = lvs.take(rng.choice(n_pairs, n_pairs // 10, replace=False))
             return sample.v_source, sample.v_target
 
+        # Peaks in bytes a pair of the larger of the input and the output. A
+        # take or a revision makes two int32 columns and a few blocks of
+        # temporaries (8.60 and 9.41 measured); the round sample's draw
+        # permutes every pair and its vectors take 48 bytes a sampled pair.
         steps = {
-            "take positions": lambda: lvs.take(every),
-            "take mask": lambda: lvs.take(mask),
-            "revised": lambda: lvs.revised(corrs, np.sort(removed), np.sort(retained),
-                                           np.sort(admitted), RatioRange.everything()),
-            "round sample": round_sample,
+            "take positions": (lambda: lvs.take(every), 9),
+            "take mask": (lambda: lvs.take(mask), 9),
+            "revised": (lambda: lvs.revised(corrs, np.sort(removed), np.sort(retained),
+                                            np.sort(admitted), RatioRange.everything()), 10),
+            # an (n, 3) float64 array over the larger of the input and the output
+            "round sample": (round_sample, 24),
         }
-        for name, step in steps.items():
+        for name, (step, bound) in steps.items():
             out, held, peak = traced(step)
             rows = len(out[0]) if name == "round sample" else len(out)
-            # an (n, 3) float64 array over the larger of the input and the output
-            assert peak < 24 * max(n_pairs, rows), name
+            assert peak < bound * max(n_pairs, rows), name
         assert out[0].shape == out[1].shape == (n_pairs // 10, 3)
+
+    def test_taken_filtered_and_revised_sets_hold_two_int32_columns(self, corrs):
+        # Past the ratio filter a set keeps no ratio: 8 bytes a pair, plus
+        # the unused room `revised` leaves in its columns (8.16 measured).
+        lvs = build_line_vectors(corrs)
+        rng = np.random.default_rng(5)
+        removed, admitted, retained = (np.sort(rows) for rows in
+                                       np.split(rng.permutation(self.N), [15, 30]))
+        kept = length_ratio_filter(lvs)[0]
+        steps = {
+            "ratio filter": lambda: length_ratio_filter(lvs)[0],
+            "take": lambda: lvs.take(rng.permutation(len(lvs))[: len(lvs) // 2]),
+            "take of a taken set": lambda: kept.take(np.arange(len(kept))),
+            "revised": lambda: lvs.revised(corrs, removed, retained, admitted,
+                                           RatioRange.everything()),
+            "revised taken set": lambda: kept.revised(corrs, removed, retained, admitted,
+                                                      RatioRange.everything()),
+        }
+        for name, step in steps.items():
+            out, held, _ = traced(step)
+            assert out.scale_ratio is None and out.p.dtype == out.q.dtype == np.int32, name
+            assert 0 < held <= 9 * len(out), name
 
     def test_ratio_filter_holds_only_the_kept_columns(self, corrs):
         lvs = build_line_vectors(corrs)
         (kept, _, hist), held, peak = traced(lambda: length_ratio_filter(lvs))
         n_pairs = len(lvs)
-        columns = kept.p.nbytes + kept.q.nbytes + kept.scale_ratio.nbytes
-        assert 0 < len(kept) < n_pairs
+        columns = kept.p.nbytes + kept.q.nbytes
+        assert 0 < len(kept) < n_pairs and kept.scale_ratio is None
         # No per-pair array outlives the call: what it leaves allocated is the
         # kept set's columns, the histogram's counts and a few small objects.
         assert held < columns + hist.counts.nbytes + 64 * 1024

@@ -265,9 +265,10 @@ def build_state(rng, n=30, duplicate_target=False):
 def per_id_reference(corrs, local_set, lvs, ir_glo, ratio_range, rng, sigma_mode):
     """The self-update one id at a time: decisions in ascending id, evictions
     first, then each admitted id paired against the sorted current members
-    and its block appended before the next id is examined.
+    and its block appended before the next id is examined. A pair is
+    admitted where its ratio is in the band; the ratio itself is not kept.
 
-    Returns (member ids, [i, j, v_source, v_target, scale_ratio], decisions).
+    Returns (member ids, [i, j, v_source, v_target], decisions).
     """
     sigma = None
     if sigma_mode == "per-round":
@@ -287,7 +288,7 @@ def per_id_reference(corrs, local_set, lvs, ir_glo, ratio_range, rng, sigma_mode
             removed.append(gid)
     current = sorted(sul_set - set(removed))
     keep = ~(np.isin(lvs.i, removed) | np.isin(lvs.j, removed))
-    cols = [lvs.i[keep], lvs.j[keep], lvs.v_source[keep], lvs.v_target[keep], lvs.scale_ratio[keep]]
+    cols = [lvs.i[keep], lvs.j[keep], lvs.v_source[keep], lvs.v_target[keep]]
     for gid in sorted(ir_set - sul_set):
         row = corrs.rows_for([gid])[0]
         d = classify_inclusion(float(corrs.prev_residuals[row]), float(corrs.curr_residuals[row]),
@@ -307,7 +308,7 @@ def per_id_reference(corrs, local_set, lvs, ir_glo, ratio_range, rng, sigma_mode
             ratio = np.zeros(len(mem))
             ratio[ok] = ns[ok] / nt[ok]
             ok &= ratio_range.contains(ratio)
-            block = [np.minimum(gid, mem)[ok], np.maximum(gid, mem)[ok], vs[ok], vt[ok], ratio[ok]]
+            block = [np.minimum(gid, mem)[ok], np.maximum(gid, mem)[ok], vs[ok], vt[ok]]
             cols = [np.concatenate([c, b]) for c, b in zip(cols, block)]
         current = sorted(current + [gid])
     return current, cols, decisions
@@ -410,7 +411,7 @@ class TestUpdateLocalSets:
                 local, lvs, decisions = update_local_sets(
                     corrs, local, lvs, ir_glo, T_R, ratio_range, rng, sigma_mode=sigma_mode)
                 assert local.indices.tolist() == members, f"seed {seed}"
-                for got, want in zip((lvs.i, lvs.j, lvs.v_source, lvs.v_target, lvs.scale_ratio), cols):
+                for got, want in zip((lvs.i, lvs.j, lvs.v_source, lvs.v_target), cols):
                     assert np.array_equal(got, want), f"seed {seed}"
                 assert decisions == ref_decisions, f"seed {seed}"
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
