@@ -108,9 +108,10 @@ class TestSourceTargetSwap:
         assert degrees <= 2.0 and distance <= 0.03, (degrees, distance)
 
 
-# Item 2's setup. The default engine settings run up to 10,000 local
-# iterations a round; at 0.9 and 0.95 outliers ten scenes take 29 s and
-# 83 s, so the oracles run the two rates that stay within seconds.
+# The setup of ROADMAP item 2. The default engine settings run up to
+# 10,000 local iterations a round: at 0.9 and 0.95 outliers, ten scenes
+# registered three times each (both frames, one permutation) took 29 s
+# and 83 s, so the oracles run the two rates that take about a second.
 FRAME_SEEDS = range(10)
 FRAME_RATES = (0.5, 0.8)
 
