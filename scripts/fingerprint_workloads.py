@@ -24,10 +24,17 @@ histograms, confidences, exit reasons and self-update decisions.
 
     python3 scripts/fingerprint_workloads.py --scenes 10 --seeds 1 9001
     python3 scripts/fingerprint_workloads.py --root ../other-checkout --scenes 10 --seeds 1
+    python3 scripts/fingerprint_workloads.py --kernels --scenes 10 --seeds 1
 
 --root names the checkout whose src/ and perfbench/ are imported (default:
 the one this script is in), so one copy of the script compares two
 checkouts. BLAS threads are pinned to 1, as in perfbench/run.py.
+
+--kernels reruns the digests in one subprocess per kernel setting: the
+default kernels, NumPy's AVX-512 targets disabled, and OpenBLAS's Haswell,
+Sandybridge and Prescott cores. It prints each run's kernel line, then one
+table with a row per digest and a column per setting: the first 8 hex
+digits, marked `*` where they differ from the default column.
 """
 
 from __future__ import annotations
@@ -36,8 +43,12 @@ import argparse
 import ctypes
 import hashlib
 import os
+import subprocess
 import sys
 from pathlib import Path
+
+# The kernel switches a process reads when NumPy and its OpenBLAS load.
+KERNEL_VARS = ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")
 
 
 def parse_args(argv=None):
@@ -45,15 +56,22 @@ def parse_args(argv=None):
     p.add_argument("--scenes", type=int, default=10, help="scenes per workload and seed")
     p.add_argument("--seeds", type=int, nargs="+", default=[1, 9001])
     p.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
+    p.add_argument("--kernels", action="store_true",
+                   help="rerun the digests under each kernel setting and print one table")
     return p.parse_args(argv)
+
+
+def simd_targets() -> list[str]:
+    """The NumPy baseline and dispatch targets this process runs."""
+    from numpy._core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_baseline__ + umath.__cpu_dispatch__
+            if umath.__cpu_features__.get(t)]
 
 
 def kernel() -> str:
     """The NumPy SIMD targets in use and NumPy's OpenBLAS core ("unknown" if not bundled)."""
     import numpy as np
-    from numpy._core import _multiarray_umath as umath
-    targets = [t for t in umath.__cpu_baseline__ + umath.__cpu_dispatch__
-               if umath.__cpu_features__.get(t)]
+    targets = simd_targets()
     libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
     core = "unknown"
     if libs:
@@ -61,6 +79,44 @@ def kernel() -> str:
         corename.argtypes, corename.restype = [], ctypes.c_char_p
         core = corename().decode()
     return f"kernel numpy_simd={','.join(targets)} openblas_core={core}"
+
+
+def kernel_settings() -> dict[str, dict]:
+    """Name -> kernel variables of each setting `--kernels` runs.
+
+    AVX-512 is switched off by disabling this process's AVX-512 dispatch
+    targets; on a CPU without them that setting runs the default kernels.
+    """
+    avx512 = [t for t in simd_targets() if t == "X86_V4" or t.startswith("AVX512")]
+    return {"default": {},
+            "avx512-off": {"NPY_DISABLE_CPU_FEATURES": ",".join(avx512)} if avx512 else {},
+            **{core.lower(): {"OPENBLAS_CORETYPE": core}
+               for core in ("Haswell", "Sandybridge", "Prescott")}}
+
+
+def kernel_table(args) -> int:
+    """Run the digests once per kernel setting, each in its own process, and print one table."""
+    command = [sys.executable, str(Path(__file__).resolve()), "--root", str(args.root),
+               "--scenes", str(args.scenes), "--seeds", *map(str, args.seeds)]
+    base = {k: v for k, v in os.environ.items() if k not in KERNEL_VARS}
+    kernels, digests = {}, {}
+    for name, switches in kernel_settings().items():
+        run = subprocess.run(command, env=base | switches, capture_output=True, text=True)
+        if run.returncode:
+            print(f"setting {name} failed:\n{run.stderr}", file=sys.stderr)
+            return 1
+        kernels[name], *lines = run.stdout.splitlines()
+        digests[name] = dict(line.rsplit("=", 1) for line in lines)
+    for name, line in kernels.items():
+        print(f"{name:<12} {line}")
+    default = digests["default"]
+    width = max(map(len, default))
+    rows = [("digest", list(digests))]
+    rows += [(label, [d[label][:8] + ("*" if d[label] != value else "") for d in digests.values()])
+             for label, value in default.items()]
+    for label, cells in rows:
+        print(f"{label:<{width}}  " + "  ".join(f"{cell:<11}" for cell in cells).rstrip())
+    return 0
 
 
 def histogram_digest(hist) -> tuple | None:
@@ -88,6 +144,8 @@ def scene_bytes(scene) -> bytes:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    if args.kernels:
+        return kernel_table(args)
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root)]
     from perfbench.run import THREAD_VARS

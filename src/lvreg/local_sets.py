@@ -27,19 +27,23 @@ the order their difference was taken, and that order carries the sign: a
 pair's vectors are x[p] - x[q], negated where p > q, so the self-update's
 pairs keep the signed zeros of -(x_a - x_m).
 `build_line_vectors` measures the row pairs (r, s), r < s, of the upper
-triangle in row-major order with SciPy's `pdist`, which returns every
-pair's norm in that order: the source norms, divided in place by the
-target norms. `pdist` sums a norm as `sqrt((x*x + y*y) + z*z)`, the order
-in which `np.linalg.norm(v, axis=1)` sums an (n, 3) array; a different
-order (say `x*x + (y*y + z*z)`) changes the last bit of about one norm in
-nine, which moves pairs across ratio-bin edges and so changes the local
-sets and the random draws that follow. Pairs with a zero-length
-difference or an overflowed ratio are dropped by one test on the ratios.
+triangle in row-major order, one block of rows at a time: `pair_norms`
+gives rows r0..r1 against rows r0+1.. in each cloud, the source norms are
+divided in place by the target norms, and each row's pairs to its right
+are copied into the set's ratio column. `pair_norms` sums a norm as
+`sqrt((dx*dx + dy*dy) + dz*dz)` over coordinate columns, one elementwise
+NumPy operation at a time. Each is correctly rounded and the order is
+that of SciPy's `pdist` and `cdist`, so the bytes are theirs; a different
+order (say `dx*dx + (dy*dy + dz*dz)`) changes the last bit of about one
+norm in nine, which moves pairs across ratio-bin edges and so changes the
+local sets and the random draws that follow. Pairs with a zero-length
+difference or an overflowed ratio are dropped by one test on the ratios,
+block by block, and the kept ratios are moved down in place.
 A freshly built set stores only its ratio column and the few triangle
 positions it dropped, 8 bytes a pair: row k's pair follows from k, and
 `take` derives the pairs of the rows it keeps, one block of `PAIR_BLOCK`
-rows at a time. `revised` measures the admitted pairs with `cdist`, tests
-their ratios and stores none.
+rows at a time. `revised` measures the admitted pairs with the rectangle
+form of `pair_norms`, tests their ratios and stores none.
 One bin rule, `value_bins`, places a value in its histogram bin: the
 histograms count with it, the angle filter recomputes its few thousand
 angles' bins with it, and `RatioRange.contains` selects with it, both the
@@ -49,10 +53,10 @@ ratios at a time.
 
 A set of n correspondences has n(n-1)/2 pairs; above `PAIR_BUDGET` pairs
 `check_pair_budget` raises `PairBudgetExceeded`, and `build_line_vectors`
-calls it before it allocates anything. The build peaks at 16 bytes a pair
-(the two norm arrays; 17 while it compacts away dropped pairs) and keeps
-8; the ratio filter adds 8 bytes a pair while Scott's sigma is computed,
-then the kept rows' columns (tracemalloc, 1.1 M pairs). `take` and
+calls it before it allocates anything. The build peaks at 8 bytes a pair
+plus one block's norms, and keeps 8; the ratio filter adds 8 bytes a pair
+while Scott's sigma is computed, then the kept rows' columns (tracemalloc,
+1.1 M pairs). `take` and
 `revised` hold 8 bytes a pair and peak at about 9 of the larger of their
 input and output: `revised`'s columns are sized for every row it may
 keep, and it returns views of them.
@@ -64,7 +68,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .correspondences import CorrespondenceSet
 from .errors import (
@@ -82,11 +85,12 @@ SCOTT_FACTOR = 3.49
 MAX_BINS = 100_000
 # Largest pair set `build_line_vectors` builds: 16.8 M pairs, or n = 5,793
 # correspondences, far above the 2.0 M pairs of an unfiltered set of 2000.
-# A set stores 8 bytes a pair, 135 MB, and the build peaks at twice that;
-# reading every pair's vectors adds 48 bytes a pair until the reader drops them.
+# A set stores 8 bytes a pair, 135 MB, as does the build; reading every
+# pair's vectors adds 48 bytes a pair until the reader drops them.
 PAIR_BUDGET = 2**24
-# Rows whose pairs `take` derives, and ratios the ratio filter bins, at a
-# time: their temporaries take a few hundred kB whatever the set's size.
+# Rows whose pairs `take` derives, ratios the ratio filter bins, and pairs
+# the build measures, at a time: their temporaries take a few hundred kB
+# whatever the set's size.
 PAIR_BLOCK = 2**14
 
 
@@ -306,8 +310,8 @@ class LineVectorSet:
         sorted rows of `corrs`, which holds every item of this set's table.
         Admitted row a pairs with every retained row and every admitted row
         below it; np.nonzero walks the mask row-major, so the new pairs come
-        out by a, then by member row. Their ratios come from `cdist`, which
-        sums a norm in `pdist`'s order, and a pair is added where its ratio
+        out by a, then by member row. Their ratios come from `pair_norms`,
+        as the build's do, and a pair is added where its ratio
         is usable and in `ratio_range`, stored as (admitted row, member row),
         the order of its difference x_a - x_m; its ratio is not kept. The
         new pairs are made first, so their temporaries die before the kept
@@ -320,9 +324,11 @@ class LineVectorSet:
         current = np.union1d(retained, admitted)
         a_col = admitted[:, None]
         mask = (current != a_col) & (np.isin(current, retained) | (current < a_col))
+        source, target = corrs.source.T, corrs.target.T
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio = (cdist(corrs.source[admitted], corrs.source[current])
-                     / cdist(corrs.target[admitted], corrs.target[current]))[mask]
+            ratio = pair_norms(source[:, admitted], source[:, current])
+            ratio /= pair_norms(target[:, admitted], target[:, current])
+        ratio = ratio[mask]
         a_pos, m_pos = np.nonzero(mask)
         del mask
         usable = np.flatnonzero(usable_ratios(ratio))
@@ -357,6 +363,23 @@ def usable_ratios(ratio: np.ndarray) -> np.ndarray:
     return (ratio > 0.0) & (ratio < np.inf)
 
 
+def pair_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The length of x - y for every point x of `a` and y of `b`, shape (k, m).
+
+    `a` and `b` are (3, k) and (3, m) coordinate columns. A length is
+    summed as `sqrt((dx*dx + dy*dy) + dz*dz)`, one elementwise operation at
+    a time: the order of SciPy's `pdist` and `cdist`, with their bytes.
+    """
+    d = np.subtract.outer(a[0], b[0])
+    d *= d
+    e = np.empty_like(d)
+    for axis in (1, 2):
+        np.subtract.outer(a[axis], b[axis], out=e)
+        e *= e
+        d += e
+    return np.sqrt(d, out=d)
+
+
 def check_pair_budget(n: int) -> None:
     """Raise PairBudgetExceeded if n correspondences have more than PAIR_BUDGET pairs."""
     n_pairs = n * (n - 1) // 2
@@ -374,17 +397,41 @@ def build_line_vectors(c_sul: CorrespondenceSet) -> LineVectorSet:
     than `PAIR_BUDGET` pairs raise PairBudgetExceeded before anything is
     allocated. The set keeps the kept pairs' ratios and the dropped pairs'
     triangle positions; its pairs are derived where they are read.
+
+    The rows are measured a block at a time: rows r0 .. r1 - 1 against
+    rows r0 + 1 on, about `PAIR_BLOCK` pairs. Each row's pairs right of the
+    diagonal are copied out as one slice; a boolean triangle mask costs
+    more than the norms. A block's unusable ratios are dropped in place, so
+    the build holds the ratio column and one block's norms.
     """
     n = len(c_sul)
     if n < 2:
         raise TooFewCorrespondences("need at least 2 correspondences for line vectors")
     check_pair_budget(n)
-    ratio = pdist(c_sul.source)
+    source, target = (np.ascontiguousarray(x.T) for x in (c_sul.source, c_sul.target))
+    ratio = np.empty(n * (n - 1) // 2)
+    dropped = [np.empty(0, dtype=np.intp)]
+    kept = first = r0 = 0  # ratios kept; triangle position of the block's first pair
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio /= pdist(c_sul.target)
-    dropped = np.flatnonzero(~usable_ratios(ratio))
-    ratio = np.delete(ratio, dropped) if len(dropped) else ratio
-    return LineVectorSet(c_sul, None, None, ratio, n_zero_skipped=len(dropped), dropped=dropped)
+        while r0 < n - 1:
+            r1 = min(n - 1, r0 + max(1, PAIR_BLOCK // (n - 1 - r0)))
+            block = pair_norms(source[:, r0:r1], source[:, r0 + 1:])
+            block /= pair_norms(target[:, r0:r1], target[:, r0 + 1:])
+            start = kept
+            for k, row in enumerate(block):  # row r0 + k's pairs: columns r0 + 1 + k on
+                ratio[kept:kept + len(row) - k] = row[k:]
+                kept += len(row) - k
+            written = ratio[start:kept]
+            usable = usable_ratios(written)
+            if not usable.all():
+                dropped.append(first + np.flatnonzero(~usable))
+                kept = start + np.count_nonzero(usable)
+                ratio[start:kept] = written[usable]
+            first += len(written)
+            r0 = r1
+    dropped = np.concatenate(dropped)
+    return LineVectorSet(c_sul, None, None, ratio[:kept], n_zero_skipped=len(dropped),
+                         dropped=dropped)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .correspondences import check_coordinates
 from .errors import DegenerateNeighborhood, EmptyCloud
@@ -55,6 +54,7 @@ class SpatialIndex:
             raise EmptyCloud("cannot index an empty point cloud")
         self._points = cloud.points
         self._columns = np.ascontiguousarray(cloud.points.T)  # x, y and z, for the distances
+        from scipy.spatial import cKDTree  # here, so a run that estimates no normals loads no SciPy
         self._tree = cKDTree(self._points, balanced_tree=False)
 
     @property

@@ -24,7 +24,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .correspondences import CorrespondenceSet
 from .errors import MissingResidual
@@ -73,6 +72,7 @@ def true_inlier_probability(r, sigma):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = (r * r) / (2.0 * sigma * sigma)
         x = np.where(np.isnan(x), 0.5 * (r / sigma) ** 2, x)
+    from scipy.special import gammaincc  # here, so a run with no self-update loads no SciPy
     p = gammaincc(1.5, x)
     return p if np.ndim(p) else float(p)
 

@@ -67,3 +67,37 @@ def test_kernel_line_follows_the_process_settings():
     out = subprocess.run([sys.executable, "-c", code, str(script)], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == f"kernel numpy_simd={','.join(targets[:-1])} openblas_core=Haswell\n"
+
+
+def test_kernels_mode_prints_one_column_per_setting(monkeypatch, capsys):
+    script = load_script()
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.run import THREAD_VARS
+    for var in THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    assert script.main(["--scenes", "1", "--seeds", "1"]) == 0
+    plain_kernel, *plain = capsys.readouterr().out.splitlines()
+
+    assert script.main(["--kernels", "--scenes", "1", "--seeds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    settings = list(script.kernel_settings())
+    assert settings == ["default", "avx512-off", "haswell", "sandybridge", "prescott"]
+    named = [line.split(maxsplit=1) for line in lines[:len(settings)]]
+    assert [name for name, _ in named] == settings
+    kernels = dict(named)
+    assert all(KERNEL.fullmatch(line) for line in kernels.values()), kernels
+    assert kernels["default"] == plain_kernel
+    if not plain_kernel.endswith("openblas_core=unknown"):
+        assert kernels["haswell"].endswith("openblas_core=Haswell")
+
+    header, *rows = lines[len(settings):]
+    assert header.split() == ["digest", *settings]
+    assert len(rows) == len(plain) == 4
+    for row, line in zip(rows, plain):
+        # the default column is the digest this process prints, cut to 8 hex digits
+        label, digest = line.rsplit("=", 1)
+        assert row.startswith(label + " ")
+        cells = row[len(label):].split()
+        assert len(cells) == len(settings) and cells[0] == digest[:8]
+        assert all(re.fullmatch(r"[0-9a-f]{8}\*?", cell) for cell in cells), row

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.spatial
 from scipy.spatial import cKDTree
 
-import lvreg.normals
 from lvreg.correspondences import MAX_COORDINATE, CorrespondenceSet
 from lvreg.errors import DegenerateNeighborhood, EmptyCloud, NonFiniteInput
 from lvreg.normals import PointCloud, annotate_normals, build_index, knn
@@ -313,7 +313,8 @@ class CountingTree(cKDTree):
 
 @pytest.fixture
 def counting_tree(monkeypatch):
-    monkeypatch.setattr(lvreg.normals, "cKDTree", CountingTree)
+    # SpatialIndex imports the tree class from scipy.spatial when it builds one.
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
     monkeypatch.setattr(CountingTree, "queries", 0)
     monkeypatch.setattr(CountingTree, "rows", 0)
     return CountingTree

@@ -15,6 +15,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist, pdist
 
 from lvreg import local_sets
 from lvreg.correspondences import CorrespondenceSet
@@ -26,6 +29,7 @@ from lvreg.errors import (
     TooFewCorrespondences,
 )
 from lvreg.local_sets import (
+    PAIR_BLOCK,
     PAIR_BUDGET,
     Histogram,
     RatioRange,
@@ -35,7 +39,9 @@ from lvreg.local_sets import (
     build_line_vectors,
     length_ratio_filter,
     normal_angles,
+    pair_norms,
     scotts_bin_width,
+    usable_ratios,
     value_bins,
 )
 from lvreg.self_update import (
@@ -272,6 +278,66 @@ class TestBuildMatchesReference:
         got = from_differences(i, j, zeros, vt)
         assert_same_bytes(got, ref_from_differences(i, j, zeros, vt))
         assert len(got) == 0 and got.n_zero_skipped == 50
+
+
+def pdist_build(corrs):
+    """(ratios, dropped) of the SciPy build: pdist(source) / pdist(target), then usable_ratios."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = pdist(corrs.source) / pdist(corrs.target)
+    usable = usable_ratios(ratio)
+    return ratio[usable], np.flatnonzero(~usable)
+
+
+def extreme_point_sets(kind, n, rng):
+    """`point_sets` rows scaled by powers of two up to 2^+-480 and past it, with signed zeros.
+
+    Rows scaled by 2^-540 or 2^-580 have differences whose squares underflow
+    to 0 or to subnormals; against rows scaled by 2^480 their ratios overflow.
+    """
+    clouds = point_sets(kind, n, rng)
+    for x in clouds:
+        x *= np.ldexp(1.0, rng.choice([-580, -540, -480, 0, 480], size=(n, 1)))
+        zeros = rng.random(size=x.shape) < 0.2
+        x[zeros] = np.copysign(0.0, rng.normal(size=np.count_nonzero(zeros)))
+    return clouds
+
+
+class TestNormsMatchSciPy:
+    """`pair_norms` and the block build give SciPy's bytes: the oracle for dropping SciPy there."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 160), kind=st.sampled_from(KINDS),
+           block=st.sampled_from([1, 2, 3, 7, 64, 159, PAIR_BLOCK]), extreme=st.booleans())
+    @example(seed=0, n=65, kind="random", block=64, extreme=False)  # first block: one full row
+    @example(seed=1, n=66, kind="duplicate", block=64, extreme=True)  # a row wider than a block
+    @example(seed=2, n=64, kind="grid", block=64, extreme=True)  # first block: one row, 63 pairs
+    @example(seed=3, n=130, kind="random", block=PAIR_BLOCK, extreme=True)  # 128 rows, 129 wide
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_triangle_rectangle_and_build_bytes(self, seed, n, kind, block, extreme):
+        rng = np.random.default_rng(seed)
+        src, tgt = (extreme_point_sets if extreme else point_sets)(kind, n, rng)
+        corrs = CorrespondenceSet(src, tgt)
+        with np.errstate(over="ignore"):
+            for x in (src, tgt):
+                triangle = pair_norms(x.T, x.T)[np.triu_indices(n, k=1)]
+                assert triangle.tobytes() == pdist(x).tobytes()
+            a, b = rng.integers(0, n, size=int(rng.integers(1, 20))), rng.permutation(n)
+            assert pair_norms(src[a].T, tgt[b].T).tobytes() == cdist(src[a], tgt[b]).tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(local_sets, "PAIR_BLOCK", block)
+            got = build_line_vectors(corrs)
+        ratio, dropped = pdist_build(corrs)
+        assert got.scale_ratio.tobytes() == ratio.tobytes()
+        assert got.dropped.dtype == dropped.dtype and got.dropped.tolist() == dropped.tolist()
+        assert got.n_zero_skipped == len(dropped)
+
+    def test_extreme_sets_drop_underflowed_and_overflowed_ratios(self):
+        # The property's extreme sets do reach both ends: 0/x, x/0 and 0/0
+        # from squares that underflow, and ratios that overflow to inf.
+        rng = np.random.default_rng(7)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratios = np.concatenate([pdist(src) / pdist(tgt) for src, tgt in
+                                     (extreme_point_sets("random", 60, rng) for _ in range(5))])
+        assert (ratios == 0).any() and (ratios == np.inf).any() and np.isnan(ratios).any()
 
 
 # --- histograms and filters -----------------------------------------------------
@@ -515,14 +581,22 @@ class TestPairLayerMemory:
         rng = np.random.default_rng(11)
         return CorrespondenceSet(rng.normal(size=(self.N, 3)), rng.normal(size=(self.N, 3)))
 
-    def test_build_peaks_below_17_bytes_a_pair(self, corrs):
+    def test_build_peaks_below_9_bytes_a_pair(self, corrs):
         n_pairs = self.N * (self.N - 1) // 2
         lvs, held, peak = traced(lambda: build_line_vectors(corrs))
         assert len(lvs) == n_pairs
-        # the source and the target norms (16.02 bytes a pair measured)
-        assert peak < 17 * n_pairs
-        # the ratio column only (8.02 measured): the pairs are derived on read
+        # the ratio column and one block's norms (8.66 bytes a pair measured)
+        assert peak < 9 * n_pairs
+        # the ratio column only (8.00 measured): the pairs are derived on read
         assert held < 9 * n_pairs
+        # Dropped pairs are compacted away in place, block by block (8.83
+        # measured with every seventh row a duplicate of the first).
+        source = corrs.source.copy()
+        source[::7] = source[0]
+        duplicates = CorrespondenceSet(source, corrs.target)
+        lvs, held, peak = traced(lambda: build_line_vectors(duplicates))
+        assert lvs.n_zero_skipped > 0
+        assert peak < 9 * n_pairs
 
     def test_take_revised_and_round_sample_allocate_no_vector_array(self, corrs):
         lvs = build_line_vectors(corrs)
