@@ -5,7 +5,9 @@ verbatim in behaviour: `np.triu_indices` pairs, fancy-indexed
 differences, `np.linalg.norm` norms with keep-mask gathers, and
 histograms that store per-bin member lists built by a stable argsort.
 Every comparison is on bytes (signed zeros included), or on the raised
-exception's type and message.
+exception's type and message. `TestNormsMatchSciPy` holds the NumPy pair
+norms and the block build to SciPy's `pdist` and `cdist`, which the build
+called before.
 """
 
 import copy
