@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -189,6 +189,7 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
 
     sub_rows = rng.choice(len(l_sul), _sample_size(cfg.alpha_pct, len(l_sul)), replace=False)
     l_sub = l_sul.take(sub_rows)
+    del sub_rows  # the sample's own columns hold its rows
     v_source, v_target = l_sub.v_source, l_sub.v_target
     basic_size = _sample_size(cfg.beta_pct, len(l_sub))
     is_endpoint = np.zeros(len(l_sub.table), dtype=bool)
@@ -234,9 +235,14 @@ def run_local_ransac(l_sul: LineVectorSet, c_sul: CorrespondenceSet,
 def _full_local_sets(corrs: CorrespondenceSet, counters: dict):
     """The "full-set" rung: the full set with all its usable pairs.
 
-    Adds the pairs it dropped for zero length to `counters`.
+    No ratio filter runs on this rung (its range is everything), so the
+    built set's ratio column is dropped as soon as the build returns: the
+    set keeps only its dropped triangle positions, from which its length
+    and pairs follow, and its ratios are a transient of the build (8 bytes
+    a pair, 134 MB at the pair budget). Adds the pairs it dropped for zero
+    length to `counters`.
     """
-    pairs = build_line_vectors(corrs)
+    pairs = replace(build_line_vectors(corrs), scale_ratio=None)
     if len(pairs) < 2:
         raise DegenerateInput("fewer than 2 usable line vectors in the full correspondence set")
     counters["zero_length_skipped"] += pairs.n_zero_skipped

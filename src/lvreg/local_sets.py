@@ -40,10 +40,13 @@ local sets and the random draws that follow. Pairs with a zero-length
 difference or an overflowed ratio are dropped by one test on the ratios,
 block by block, and the kept ratios are moved down in place.
 A freshly built set stores only its ratio column and the few triangle
-positions it dropped, 8 bytes a pair: row k's pair follows from k, and
-`take` derives the pairs of the rows it keeps, one block of `PAIR_BLOCK`
-rows at a time. `revised` measures the admitted pairs with the rectangle
-form of `pair_norms`, tests their ratios and stores none.
+positions it dropped, 8 bytes a pair: row k's pair follows from k and its
+length from the table and the dropped positions, and `take` derives the
+pairs of the rows it keeps, one block of `PAIR_BLOCK` rows at a time. The
+full-set rung, which runs no ratio filter, drops the ratio column as the
+build returns, so its set holds the dropped positions alone. `revised`
+measures the admitted pairs with the rectangle form of `pair_norms`, tests
+their ratios and stores none.
 One bin rule, `value_bins`, places a value in its histogram bin: the
 histograms count with it, the angle filter recomputes its few thousand
 angles' bins with it, and `RatioRange.contains` selects with it, both the
@@ -85,8 +88,9 @@ SCOTT_FACTOR = 3.49
 MAX_BINS = 100_000
 # Largest pair set `build_line_vectors` builds: 16.8 M pairs, or n = 5,793
 # correspondences, far above the 2.0 M pairs of an unfiltered set of 2000.
-# A set stores 8 bytes a pair, 135 MB, as does the build; reading every
-# pair's vectors adds 48 bytes a pair until the reader drops them.
+# A built set stores 8 bytes a pair, 135 MB, as does the build; the
+# full-set rung's set drops them. Reading every pair's vectors adds 48
+# bytes a pair until the reader drops them.
 PAIR_BUDGET = 2**24
 # Rows whose pairs `take` derives, ratios the ratio filter bins, and pairs
 # the build measures, at a time: their temporaries take a few hundred kB
@@ -203,12 +207,14 @@ class LineVectorSet:
     in id order, so `i` and `j`, the ids of the smaller and the larger row,
     are read through the table's ids, and every vector is x_i - x_j.
 
-    A freshly built set has no `p` and `q` columns (None) but its
-    `scale_ratio`, which the ratio filter reads: its rows are the table's
-    upper triangle in row-major order less the sorted triangle positions in
-    `dropped`, and every method reads the pairs through `_pairs`, which
-    derives them for the rows asked for. Its p < q holds throughout, so its
-    reads skip the sign test.
+    A freshly built set has no `p` and `q` columns (None): its rows are the
+    table's upper triangle in row-major order less the sorted triangle
+    positions in `dropped`, so its length is n(n - 1)/2 - len(dropped), and
+    every method reads the pairs through `_pairs`, which derives them for
+    the rows asked for. Its p < q holds throughout, so its reads skip the
+    sign test. It keeps its `scale_ratio`, which the ratio filter reads,
+    until a caller drops it: the full-set rung keeps a built set with
+    `scale_ratio=None`, which reads the same bytes.
 
     `take` and `revised` return sets of `p` and `q` alone; `revised` maps
     rows in order, so p > q holds on the same rows after every step. No set
@@ -221,12 +227,15 @@ class LineVectorSet:
     table: CorrespondenceSet
     p: np.ndarray | None  # int32 table rows
     q: np.ndarray | None
-    scale_ratio: np.ndarray | None = None  # a built set's ratios
+    scale_ratio: np.ndarray | None = None  # a built set's ratios, for the ratio filter
     n_zero_skipped: int = 0
     dropped: np.ndarray | None = None  # int64 triangle positions a built set dropped
 
     def __len__(self) -> int:
-        return len(self.scale_ratio if self.p is None else self.p)
+        if self.p is None:
+            n = len(self.table)
+            return n * (n - 1) // 2 - len(self.dropped)
+        return len(self.p)
 
     @property
     def i(self) -> np.ndarray:
@@ -487,10 +496,16 @@ def length_ratio_filter(lvs: LineVectorSet) -> tuple[LineVectorSet, RatioRange, 
     underflows), or the histogram would need more than `MAX_BINS` bins, the
     full set is returned with `RatioRange.everything()`, so the range
     contains every kept ratio.
+
+    Only a set `build_line_vectors` returned keeps ratios; any other set
+    (a taken, filtered or revised one, or the full-set rung's) raises
+    ValueError.
     """
+    ratios = lvs.scale_ratio
+    if ratios is None:
+        raise ValueError("set has no scale_ratio column: the ratio filter reads a built set's")
     if len(lvs) == 0:
         raise TooFewCorrespondences("cannot filter an empty line-vector set")
-    ratios = lvs.scale_ratio
     try:
         w = scotts_bin_width(ratios)
     except DegenerateDistribution:

@@ -79,9 +79,10 @@ class SpatialIndex:
         m = min(n, k_eff + 4)
         while len(rows):
             _, idx = self._tree.query(q[rows], k=m)
-            idx = idx.reshape(len(rows), m)
+            # ids ascending, then a stable sort by distance: (distance, index) order
+            idx = np.sort(idx.reshape(len(rows), m), axis=-1)
             d2 = self._squared_distances(idx, q[rows])
-            order = np.lexsort((idx, d2), axis=-1)
+            order = np.argsort(d2, axis=-1, kind="stable")
             idx = np.take_along_axis(idx, order, axis=-1)
             if m == n:
                 out[rows] = idx[:, :k_eff]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from lvreg import local_sets
 from lvreg.correspondences import CorrespondenceSet
-from lvreg.engine import residual_inliers
+from lvreg.engine import _full_local_sets, residual_inliers
 from lvreg.errors import (
     DegenerateDistribution,
     EmptyResult,
@@ -344,15 +345,17 @@ def signed_zero_points(rng, n):
 def drawn_sets(data):
     """A lazy set, its eager copy and a table holding every item of the set's table.
 
-    The set is from difference vectors, freshly built or a self-update's
-    new pairs. A set from differences has its own table, the drawn vectors
-    over zero rows, and no larger table (None). A built set is over a drawn
+    The set is from difference vectors, freshly built, built without its
+    ratio column (as the full-set rung keeps it) or a self-update's new
+    pairs. A set from differences has its own table, the drawn vectors over
+    zero rows, and no larger table (None). A built set is over a drawn
     subset of a drawn correspondence set, or over all of it: it keeps only
-    its ratios and dropped positions, so every read derives its pairs. The
-    new pairs are an empty set over the drawn set, revised with drawn rows.
+    its ratios and dropped positions, or its dropped positions alone, so
+    every read derives its pairs. The new pairs are an empty set over the
+    drawn set, revised with drawn rows.
     """
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    kind = data.draw(st.sampled_from(["differences", "built", "admission"]))
+    kind = data.draw(st.sampled_from(["differences", "built", "full-set", "admission"]))
     if kind == "differences":
         n = data.draw(st.integers(0, 25))
         i = rng.integers(0, 100, size=n)
@@ -365,9 +368,12 @@ def drawn_sets(data):
     src, tgt = signed_zero_points(rng, n), signed_zero_points(rng, n)
     ids = np.sort(rng.choice(50, size=n, replace=False))
     corrs = CorrespondenceSet(src, tgt, indices=ids)
-    if kind == "built":
+    if kind in ("built", "full-set"):
         local = drawn_subset(rng, corrs)
-        return build_line_vectors(local), eager_built(local), corrs
+        lazy = build_line_vectors(local)
+        if kind == "full-set":
+            lazy = replace(lazy, scale_ratio=None)
+        return lazy, eager_built(local), corrs
     _, retained, admitted = drawn_revision(rng, corrs)
     return (*admitted_pairs(corrs, retained, admitted), corrs)
 
@@ -522,6 +528,40 @@ class TestDeferredGathersMatchEagerCopies:
             assert_eager_bytes(lazy, eager)
             assert_eager_bytes(moved, moved_eager)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(moved_eager, eager))
+
+
+class TestBuiltSetsWithoutRatios:
+    """A built set reads the same without its ratio column, as the full-set rung keeps it.
+
+    Its length follows from its table and its dropped triangle positions,
+    n(n - 1)/2 - len(dropped), and its pairs from the same positions.
+    """
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_length_pairs_vectors_take_and_revised(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(3, 30))
+        src, tgt = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+        for x in (src, tgt):  # duplicate rows: their pairs have zero length and are dropped
+            x[rng.choice(n, size=data.draw(st.integers(0, n - 1)))] = x[rng.integers(n)]
+        src[1] = src[0]
+        corrs = CorrespondenceSet(src, tgt, indices=np.sort(rng.choice(4 * n, n, replace=False)))
+        built = build_line_vectors(corrs)
+        bare = replace(built, scale_ratio=None)
+        assert len(built.dropped) > 0 and bare.scale_ratio is None
+        assert len(bare) == len(built) == n * (n - 1) // 2 - len(built.dropped)
+        assert len(built) == len(built.scale_ratio)
+        for name in ("i", "j", "v_source", "v_target"):
+            assert getattr(bare, name).tobytes() == getattr(built, name).tobytes(), name
+        rows = drawn_rows(data, len(built))
+        removed, retained, admitted = drawn_revision(rng, corrs)
+        pairs = [(s.take(rows), s.revised(corrs, removed, retained, admitted,
+                                           RatioRange.everything())) for s in (built, bare)]
+        for got, want in zip(*pairs):
+            assert len(got) == len(want)
+            for name in ("p", "q", "v_source", "v_target"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def points_from_labels(rng, labels):
@@ -680,6 +720,17 @@ class TestLengthRatioFilterKeepsTwo:
 
 
 class TestLengthRatioFilter:
+    def test_sets_without_ratios_raise_value_error(self, rng):
+        # Only a freshly built set keeps ratios: the filter's own output,
+        # and the full-set rung's set, have none.
+        corrs = CorrespondenceSet(rng.normal(size=(20, 3)), rng.normal(size=(20, 3)))
+        taken = length_ratio_filter(build_line_vectors(corrs))[0]
+        full_set = _full_local_sets(corrs, {"zero_length_skipped": 0})[1]
+        for lvs in (taken, taken.take(np.zeros(0, dtype=np.int64)), full_set):
+            assert lvs.scale_ratio is None
+            with pytest.raises(ValueError, match="scale_ratio"):
+                length_ratio_filter(lvs)
+
     def test_all_identical_ratios_degenerate(self, rng):
         src = rng.normal(size=(6, 3))
         corrs = CorrespondenceSet(src, src)  # every ratio exactly 1.0

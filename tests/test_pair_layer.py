@@ -23,6 +23,7 @@ from scipy.spatial.distance import cdist, pdist
 
 from lvreg import local_sets
 from lvreg.correspondences import CorrespondenceSet
+from lvreg.engine import RansacConfig, _full_local_sets, run_registration
 from lvreg.errors import (
     DegenerateDistribution,
     EmptyResult,
@@ -54,6 +55,7 @@ from lvreg.self_update import (
 )
 
 from pairs import from_differences, vector_set
+from lvreg.synthetic import SyntheticSpec, synthesize_pair
 from self_update_reference import classify_inclusion, classify_removal
 
 FIELDS = ("i", "j", "v_source", "v_target")
@@ -665,3 +667,32 @@ class TestPairLayerMemory:
         # Scott's sigma's deviations, 8 bytes a pair (8.00 measured, the kept
         # columns included); the bins are counted and selected block by block
         assert peak < 9 * n_pairs + columns
+
+    def test_full_set_rung_keeps_no_per_pair_column(self, corrs):
+        # The full-set rung drops the built set's ratio column: the set
+        # keeps its dropped triangle positions (none here), from which its
+        # length and pairs follow (0.00 bytes a pair measured; 8.00 when it
+        # kept the ratios). The ratios are a transient of the build.
+        n_pairs = self.N * (self.N - 1) // 2
+        counters = {"zero_length_skipped": 0}
+        (table, lvs, ratio_range), held, peak = traced(lambda: _full_local_sets(corrs, counters))
+        assert table is corrs and ratio_range.mode == "everything"
+        assert len(lvs) == n_pairs and lvs.scale_ratio is None
+        assert held < 0.1 * n_pairs
+        assert peak < 9 * n_pairs  # the build's
+
+    def test_filters_off_registration_peak(self):
+        # A filters-off registration of m = 800 (319,600 pairs), as the
+        # unfiltered-m800 benchmark runs it: the full-set rung, one round.
+        # It peaks in local RANSAC, whose round-sample draw permutes every
+        # pair (11.4 bytes a pair measured; 20.2 when the full-set rung's
+        # set kept its ratios). The first run warms up lazily built state
+        # that would count in the second's peak.
+        m = 800
+        source, target, corrs, _, _ = synthesize_pair(SyntheticSpec(
+            n_points=2000, n_correspondences=m, outlier_rate=0.8, noise_sigma=0.003, seed=3))
+        cfg = RansacConfig(use_ahs_lvlp=False, max_local_iterations=150, rng_seed=5)
+        run_registration(corrs, source, target, cfg)
+        result, _, peak = traced(lambda: run_registration(corrs, source, target, cfg))
+        assert result.counters["local_sets_rung"] == "full-set"
+        assert peak < 12 * (m * (m - 1) // 2)
