@@ -16,9 +16,11 @@ the registration never called are left out.
 The boundary names are rebound to measuring wrappers for the length of a
 run, as perfbench's tracer rebinds them, and restored after it; the
 wrappers read no random numbers, so every registration is the untraced
-one. tracemalloc sees the allocations Python and NumPy make, not the
-interpreter's and libraries' own (imports, BLAS buffers), so these peaks
-sit below `peak_rss_mb`.
+one. tracemalloc sees what is allocated through Python's and NumPy's
+allocators, not C libraries' own buffers (BLAS, the kd-tree) nor what the
+process held before, so these peaks sit below `peak_rss_mb`. The first
+registration in a process also counts what lazy imports allocate
+(SciPy's, inside `annotate_normals` on `filtered-m2000`).
 
 --root names the checkout whose src/ and perfbench/ are imported (default:
 the one this script is in). BLAS threads are pinned to 1, as in
@@ -87,15 +89,15 @@ def measured(stack: PeakStack, name: str, fn, peaks: dict):
     return wrapped
 
 
-def stage_peaks(register, scene, engine, names) -> tuple[int, dict]:
-    """(the registration's peak, {boundary: (calls, largest peak)}), in bytes."""
+def stage_peaks(engine, names, scene) -> tuple[int, dict]:
+    """(the scene's registration's peak, {boundary: (calls, largest peak)}), in bytes."""
     stack, peaks = PeakStack(), {}
     saved = {name: getattr(engine, name) for name in names}
     tracemalloc.start()
     try:
         for name, fn in saved.items():
             setattr(engine, name, measured(stack, name, fn, peaks))
-        _, total = stack.call(register, scene.corrs, scene.source, scene.target, scene.cfg)
+        _, total = stack.call(engine.run_registration, scene.corrs, scene.source, scene.target, scene.cfg)
     finally:
         for name, fn in saved.items():
             setattr(engine, name, fn)
@@ -122,7 +124,7 @@ def main(argv=None) -> int:
     scenes = make_scenes(WORKLOADS[args.workload], args.seed)
     width = max(map(len, names))
     for k, scene in enumerate(scenes[:args.scenes]):
-        total, peaks = stage_peaks(engine.run_registration, scene, engine, names)
+        total, peaks = stage_peaks(engine, names, scene)
         print(f"{args.workload} seed={args.seed} scene={k} peak_mb={total / MB:.3f}", flush=True)
         for name, (calls, peak) in peaks.items():
             print(f"  {name:<{width}}  calls={calls:<5d} peak_mb={peak / MB:.3f}", flush=True)

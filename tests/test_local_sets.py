@@ -556,9 +556,9 @@ class TestBuiltSetsWithoutRatios:
             assert getattr(bare, name).tobytes() == getattr(built, name).tobytes(), name
         rows = drawn_rows(data, len(built))
         removed, retained, admitted = drawn_revision(rng, corrs)
-        pairs = [(s.take(rows), s.revised(corrs, removed, retained, admitted,
-                                           RatioRange.everything())) for s in (built, bare)]
-        for got, want in zip(*pairs):
+        derived = [(s.take(rows), s.revised(corrs, removed, retained, admitted,
+                                             RatioRange.everything())) for s in (built, bare)]
+        for got, want in zip(*derived):
             assert len(got) == len(want)
             for name in ("p", "q", "v_source", "v_target"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
